@@ -88,21 +88,21 @@ class CoverageState:
     def record(self, bin_ids: Iterable[str]) -> list[str]:
         """Count hits; return ids that just went from unhit to hit, in hit order."""
         newly_covered: list[str] = []
+        hits = self.hits
         for bin_id in bin_ids:
-            if bin_id not in self.plan:
+            count = hits.get(bin_id)
+            if count is not None:
+                hits[bin_id] = count + 1
+                continue
+            # only plan ids ever enter `hits`, so this checks every id once
+            if bin_id not in self.plan._by_id:
                 raise ValueError(
                     f"monitor emitted unknown bin id {bin_id!r} "
                     f"for plan {self.plan.name!r}"
                 )
-            count = self.hits.get(bin_id, 0)
-            if count == 0:
-                newly_covered.append(bin_id)
-            self.hits[bin_id] = count + 1
+            newly_covered.append(bin_id)
+            hits[bin_id] = 1
         return newly_covered
-
-    def record_hits(self, bin_ids: Iterable[str]) -> int:
-        """Count hits; return how many bins transitioned from unhit to hit."""
-        return len(self.record(bin_ids))
 
     def count(self, bin_id: str) -> int:
         return self.hits.get(bin_id, 0)

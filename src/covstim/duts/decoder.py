@@ -52,6 +52,19 @@ class DecodeResult:
 
 _ILLEGAL_RESULT = DecodeResult(op=ILLEGAL)
 
+# Ops with a fixed funct7 are keyed on opcode, funct3 and funct7; ops that
+# leave bits 31:25 free are keyed on opcode and funct3 only, in a separate
+# table so that a word with an unlisted funct7 never falls through to an
+# R-type op.
+MATCH_MASK = 0xFE00707F
+FREE_MASK = 0x0000707F
+
+_PORTS = (  # port, its word field, the field's shift
+    (PORT_READ_A, "rs1", 15),
+    (PORT_READ_B, "rs2", 20),
+    (PORT_WRITE, "rd", 7),
+)
+
 
 @lru_cache(maxsize=1)
 def op_table() -> dict:
@@ -64,28 +77,14 @@ def op_table() -> dict:
     return table
 
 
-@lru_cache(maxsize=1)
-def _dispatch() -> dict[tuple[int, int], list[dict]]:
-    index: dict[tuple[int, int], list[dict]] = {}
-    for op in op_table()["ops"]:
-        index.setdefault((op["opcode"], op["funct3"]), []).append(op)
-    return index
-
-
 def decode(word: int) -> DecodeResult:
     """Total function: unmatched words decode to the illegal value."""
     word &= rv32i.MASK32
-    candidates = _dispatch().get((rv32i.opcode(word), rv32i.funct3(word)))
-    if not candidates:
+    _, fixed, free = decoder_model()
+    found = fixed.get(word & MATCH_MASK) or free.get(word & FREE_MASK)
+    if found is None:
         return _ILLEGAL_RESULT
-    f7 = rv32i.funct7(word)
-    entry = None
-    for cand in candidates:
-        if cand["funct7"] is None or cand["funct7"] == f7:
-            entry = cand
-            break
-    if entry is None:
-        return _ILLEGAL_RESULT
+    entry = found[2]
     fmt = entry["format"]
     if fmt == "r":
         return DecodeResult(
@@ -141,18 +140,44 @@ def bins_for(result: DecodeResult) -> list[str]:
     return bins
 
 
-_PORT_FIELD = {PORT_READ_A: "rs1", PORT_READ_B: "rs2", PORT_WRITE: "rd"}
+def decoder_plan() -> CoveragePlan:
+    return decoder_model()[0]
 
 
 @lru_cache(maxsize=1)
-def decoder_plan() -> CoveragePlan:
+def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
+    """The plan and the two masked-word lookup tables, built in one pass.
+
+    A table entry is (op bin id, ports, op-table record). `ports` has one
+    (field shift, pairs) item per port the op uses, in read_a, read_b,
+    write order; `pairs[reg]` is that register's (port bin id, cross bin
+    id), or () where the plan leaves x0 out.
+    """
     table = op_table()
     bins = []
+    port_ids: dict[tuple[int, str], str] = {}
+    for reg in _reg_ids():
+        for port, field, _ in _PORTS:
+            port_ids[reg, port] = f"port_x{reg:02d}_{port}"
+            bins.append(
+                BinDescriptor(
+                    id=port_ids[reg, port],
+                    description=(
+                        f"register x{reg} observed on decoder port {port} "
+                        f"(the {field} field) by any supported op"
+                    ),
+                    difficulty=Difficulty.EASIER,
+                    group="port",
+                )
+            )
+    fixed: dict[int, tuple] = {}
+    free: dict[int, tuple] = {}
     for op in table["ops"]:
+        op_id = f"op_{op['name']}"
         f7 = f", funct7 0x{op['funct7']:02x}" if op["funct7"] is not None else ""
         bins.append(
             BinDescriptor(
-                id=f"op_{op['name']}",
+                id=op_id,
                 description=(
                     f"a 32-bit word decoding to {op['name'].upper()} "
                     f"(opcode 0x{op['opcode']:02x}, funct3 {op['funct3']}{f7})"
@@ -161,41 +186,35 @@ def decoder_plan() -> CoveragePlan:
                 group="op",
             )
         )
-    for reg in _reg_ids():
-        for port in (PORT_READ_A, PORT_READ_B, PORT_WRITE):
-            bins.append(
-                BinDescriptor(
-                    id=f"port_x{reg:02d}_{port}",
-                    description=(
-                        f"register x{reg} observed on decoder port {port} "
-                        f"(the {_PORT_FIELD[port]} field) by any supported op"
-                    ),
-                    difficulty=Difficulty.EASIER,
-                    group="port",
-                )
-            )
-    for op in table["ops"]:
-        uses = [
-            (PORT_READ_A, op["uses_rs1"]),
-            (PORT_READ_B, op["uses_rs2"]),
-            (PORT_WRITE, op["uses_rd"]),
-        ]
-        for port, used in uses:
-            if not used:
+        ports = []
+        for port, field, shift in _PORTS:
+            if not op[f"uses_{field}"]:
                 continue
+            pairs: list[tuple] = [()] * 32
             for reg in _reg_ids():
+                cross_id = f"cross_{op['name']}_x{reg:02d}_{port}"
+                pairs[reg] = (port_ids[reg, port], cross_id)
                 bins.append(
                     BinDescriptor(
-                        id=f"cross_{op['name']}_x{reg:02d}_{port}",
+                        id=cross_id,
                         description=(
                             f"{op['name'].upper()} with register x{reg} on port "
-                            f"{port} (the {_PORT_FIELD[port]} field)"
+                            f"{port} (the {field} field)"
                         ),
                         difficulty=Difficulty.HARDER,
                         group="cross",
                     )
                 )
-    return CoveragePlan("decoder", bins)
+            ports.append((shift, tuple(pairs)))
+        entry = (op_id, tuple(ports), op)
+        key = op["opcode"] | (op["funct3"] << 12)
+        if op["funct7"] is None:
+            free.setdefault(key, entry)
+        else:
+            fixed.setdefault(key | (op["funct7"] << 25), entry)
+    if any(key & FREE_MASK in free for key in fixed):
+        raise ValueError("op table: a funct7-free op shares opcode and funct3 with another op")
+    return CoveragePlan("decoder", bins), fixed, free
 
 
 class DecoderMonitor:
@@ -205,13 +224,24 @@ class DecoderMonitor:
     stimulus_format = FORMAT_INTEGERS
 
     def __init__(self) -> None:
-        self.plan = decoder_plan()
+        self.plan, fixed, free = decoder_model()
+        self._fixed_get = fixed.get
+        self._free_get = free.get
 
     def reset(self) -> None:
         pass  # the decoder is stateless
 
     def feed(self, stimulus: int) -> list[str]:
-        return bins_for(decode(stimulus & rv32i.MASK32))
+        # the lookup of decode(), inlined; the masks and register fields all
+        # lie in the low 32 bits, so the stimulus needs no 32-bit mask first
+        entry = self._fixed_get(stimulus & MATCH_MASK) or self._free_get(stimulus & FREE_MASK)
+        if entry is None:
+            return []
+        op_id, ports, _ = entry
+        bins = [op_id]
+        for shift, pairs in ports:
+            bins += pairs[(stimulus >> shift) & 31]
+        return bins
 
     def extras(self) -> dict:
         return {}

@@ -11,9 +11,8 @@ range hits nothing. Transition bins fire when the two adjacent disjoint
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_INTEGERS
@@ -22,113 +21,36 @@ WINDOW = 16
 STRIDE_MIN = -16
 STRIDE_MAX = 15
 _MASK = 0xFFFFFFFF
-_WRAP = 2**32
 _HALF = 2**31
 
-
-@dataclass(frozen=True)
-class Single:
-    stride: int
-
-
-@dataclass(frozen=True)
-class Double:
-    stride1: int
-    stride2: int
-
-
-@dataclass(frozen=True)
-class SingleOverflow:
-    sign: str  # "pos" | "neg"
-
-
-@dataclass(frozen=True)
-class DoubleOverflow:
-    sign1: str
-    sign2: str
-
-
-PatternClass = Optional[Union[Single, Double, SingleOverflow, DoubleOverflow]]
-
-_TRANSITION_BIN = {
-    ("none", "single"): "no_to_single",
-    ("none", "double"): "no_to_double",
-    ("single", "double"): "single_to_double",
-    ("double", "single"): "double_to_single",
+# window categories, as indices into the transition table
+_NONE, _SINGLE, _DOUBLE = 0, 1, 2
+_TRANSITIONS = {
+    (_NONE, _SINGLE): "no_to_single",
+    (_NONE, _DOUBLE): "no_to_double",
+    (_SINGLE, _DOUBLE): "single_to_double",
+    (_DOUBLE, _SINGLE): "double_to_single",
 }
 
 
-def _signed_diff(after: int, before: int) -> int:
-    d = (after - before) & _MASK
-    return d - _WRAP if d >= _HALF else d
-
-
-def _sign(c: int) -> str:
-    return "pos" if c > 0 else "neg"
-
-
-def _in_range(c: int) -> bool:
-    return STRIDE_MIN <= c <= STRIDE_MAX
-
-
-def _classify_diffs(diffs: Sequence[int]) -> PatternClass:
-    """Classify from the 15 consecutive differences of a window."""
-    c1 = diffs[0]
-    for i in range(1, 15):
-        if diffs[i] != c1:
-            break
-    else:
-        if _in_range(c1):
-            return Single(c1)
-        return SingleOverflow(_sign(c1))
-    c2 = diffs[1]
-    if c2 == c1:
-        return None
-    for i in range(2, 15):
-        if diffs[i] != (c1 if i % 2 == 0 else c2):
-            return None
-    if _in_range(c1) and _in_range(c2):
-        return Double(c1, c2)
-    if not _in_range(c1) and not _in_range(c2):
-        return DoubleOverflow(_sign(c1), _sign(c2))
-    return None  # mixed: one stride in range, one out
-
-
-def classify_window(values: Sequence[int]) -> PatternClass:
-    """Classify exactly 16 unsigned 32-bit values."""
-    if len(values) != WINDOW:
-        raise ValueError(f"window must have exactly {WINDOW} values, got {len(values)}")
-    diffs = [_signed_diff(values[i + 1], values[i]) for i in range(WINDOW - 1)]
-    return _classify_diffs(diffs)
-
-
-def _category(cls: PatternClass) -> str:
-    if cls is None:
-        return "none"
-    if isinstance(cls, (Single, SingleOverflow)):
-        return "single"
-    return "double"
-
-
-def _pattern_bin(cls: PatternClass) -> Optional[str]:
-    if cls is None:
-        return None
-    if isinstance(cls, Single):
-        return f"single_stride_{cls.stride:+03d}"
-    if isinstance(cls, Double):
-        return f"double_stride_{cls.stride1:+03d}_{cls.stride2:+03d}"
-    if isinstance(cls, SingleOverflow):
-        return f"single_overflow_{cls.sign}"
-    return f"double_overflow_{cls.sign1[0]}{cls.sign2[0]}"
+def stride_plan() -> CoveragePlan:
+    return _stride_model()[0]
 
 
 @lru_cache(maxsize=1)
-def stride_plan() -> CoveragePlan:
+def _stride_model() -> tuple[CoveragePlan, dict, dict, dict]:
+    """The plan plus its pattern bin ids: single strides keyed by unsigned
+    32-bit difference, double strides by the (first, second) difference pair,
+    and double overflows by whether (first, second) is negative."""
     bins = []
+    single: dict[int, str] = {}
+    double: dict[tuple[int, int], str] = {}
+    double_overflow: dict[tuple[bool, bool], str] = {}
     for c in range(STRIDE_MIN, STRIDE_MAX + 1):
+        single[c & _MASK] = f"single_stride_{c:+03d}"
         bins.append(
             BinDescriptor(
-                id=f"single_stride_{c:+03d}",
+                id=single[c & _MASK],
                 description=(
                     f"a window of 16 values whose 15 consecutive differences "
                     f"all equal {c} (signed 32-bit wrapping arithmetic)"
@@ -141,9 +63,10 @@ def stride_plan() -> CoveragePlan:
         for c2 in range(STRIDE_MIN, STRIDE_MAX + 1):
             if c1 == c2:
                 continue
+            double[c1 & _MASK, c2 & _MASK] = f"double_stride_{c1:+03d}_{c2:+03d}"
             bins.append(
                 BinDescriptor(
-                    id=f"double_stride_{c1:+03d}_{c2:+03d}",
+                    id=double[c1 & _MASK, c2 & _MASK],
                     description=(
                         f"a window of 16 values whose consecutive differences "
                         f"alternate {c1}, {c2}, {c1}, ... starting with {c1}"
@@ -168,9 +91,10 @@ def stride_plan() -> CoveragePlan:
         for s2 in ("p", "n"):
             w1 = "positive" if s1 == "p" else "negative"
             w2 = "positive" if s2 == "p" else "negative"
+            double_overflow[s1 == "n", s2 == "n"] = f"double_overflow_{s1}{s2}"
             bins.append(
                 BinDescriptor(
-                    id=f"double_overflow_{s1}{s2}",
+                    id=double_overflow[s1 == "n", s2 == "n"],
                     description=(
                         f"a double-stride window with both alternating strides "
                         f"outside [{STRIDE_MIN}, {STRIDE_MAX}]: the first stride "
@@ -199,55 +123,95 @@ def stride_plan() -> CoveragePlan:
                 group="transition",
             )
         )
-    return CoveragePlan("stride", bins)
+    return CoveragePlan("stride", bins), single, double, double_overflow
+
+
+def classify_window(values: Sequence[int]) -> Optional[str]:
+    """The pattern bin hit by exactly 16 unsigned 32-bit values, if any."""
+    if len(values) != WINDOW:
+        raise ValueError(f"window must have exactly {WINDOW} values, got {len(values)}")
+    monitor = StrideMonitor()
+    for value in values:
+        bins = monitor.feed(value)
+    return bins[0] if bins else None
 
 
 class StrideMonitor:
     """Feeds a 32-bit value stream through sliding-window classification.
 
-    Windows are evaluated at every input once 16 values have arrived; the
-    transition check compares the classification of the disjoint older window
-    (inputs n-31..n-16) against the newest (n-15..n), reusing the cached
-    classification from 16 inputs ago.
+    Windows are evaluated at every input once 16 values have arrived, in O(1)
+    from two trailing run counters over the consecutive differences: the
+    window is a single stride when its 15 differences all match the newest
+    (`_equal_run` >= 15), and a double stride when each of its last 13
+    differences matches the one two places before it (`_alternate_run` >=
+    13) and the newest two differ. The transition check compares the
+    category of the disjoint older window (inputs n-31..n-16), kept in a
+    16-slot ring, against the newest (n-15..n).
     """
 
     kind = "stride"
     stimulus_format = FORMAT_INTEGERS
 
     def __init__(self) -> None:
-        self.plan = stride_plan()
+        self.plan, self._single, self._double, self._double_overflow = _stride_model()
         self.reset()
 
     def reset(self) -> None:
-        self._diffs: list[int] = []  # last 31 consecutive differences
-        self._last_value: Optional[int] = None
         self._count = 0
-        self._recent_classes: list[PatternClass] = []  # windows ending at n-16..n
+        self._last_value = 0
+        self._diff1: Optional[int] = None  # newest difference (unsigned)
+        self._diff2: Optional[int] = None  # the one before it
+        self._equal_run = 0
+        self._alternate_run = 0
+        self._ring = [_NONE] * WINDOW  # categories of windows ending at n-16..n-1
 
     def feed(self, stimulus: int) -> list[str]:
         value = stimulus & _MASK
-        if self._last_value is not None:
-            self._diffs.append(_signed_diff(value, self._last_value))
-            if len(self._diffs) > 31:
-                del self._diffs[0]
-        self._last_value = value
-        self._count += 1
-        if self._count < WINDOW:
+        count = self._count = self._count + 1
+        if count == 1:
+            self._last_value = value
             return []
-        cls = _classify_diffs(self._diffs[-15:])
-        self._recent_classes.append(cls)
-        if len(self._recent_classes) > WINDOW + 1:
-            del self._recent_classes[0]
-        bins = []
-        b = _pattern_bin(cls)
-        if b is not None:
-            bins.append(b)
-        if self._count >= 2 * WINDOW:
-            older = self._recent_classes[0]
-            t = _TRANSITION_BIN.get((_category(older), _category(cls)))
-            if t is not None:
-                bins.append(t)
-        return bins
+        diff = (value - self._last_value) & _MASK
+        self._last_value = value
+        diff1 = self._diff1
+        if diff == diff1:
+            self._equal_run += 1
+        else:
+            self._equal_run = 1
+        if diff == self._diff2:
+            self._alternate_run += 1
+        else:
+            self._alternate_run = 0
+        self._diff2 = diff1
+        self._diff1 = diff
+        if count < WINDOW:
+            return []
+        if self._equal_run >= WINDOW - 1:
+            category = _SINGLE
+            pattern = self._single.get(diff)
+            if pattern is None:
+                pattern = "single_overflow_neg" if diff >= _HALF else "single_overflow_pos"
+        elif self._alternate_run >= WINDOW - 3 and diff != diff1:
+            # 15 differences alternate, so the newest is also the first stride
+            category = _DOUBLE
+            pattern = self._double.get((diff, diff1))
+            if pattern is None:
+                if diff in self._single or diff1 in self._single:
+                    category = _NONE  # mixed: one stride in range, one out
+                else:
+                    pattern = self._double_overflow[diff >= _HALF, diff1 >= _HALF]
+        else:
+            category = _NONE
+        slot = count % WINDOW
+        older = self._ring[slot]
+        self._ring[slot] = category
+        if category == _NONE:  # no pattern, and no transition ends in "none"
+            return []
+        if count >= 2 * WINDOW:
+            transition = _TRANSITIONS.get((older, category))
+            if transition is not None:
+                return [pattern, transition]
+        return [pattern]
 
     def extras(self) -> dict:
         return {}

@@ -278,21 +278,26 @@ def run_crt_trial(
     coverage ends exhausted (the stream is over).
     """
     state = CoverageState(dut.plan)
+    hits, plan_size = state.hits, len(state.plan)
+    feed, extras, next_stimulus = dut.feed, dut.extras, agent.next_stimulus
     events: list[dict] = []
     chunk_new: list[str] = []
     fed = 0
     status = EXHAUSTED
+    last = count - 1
     for i in range(count):
-        stimulus = agent.next_stimulus(dut.extras())
-        chunk_new.extend(state.record(dut.feed(stimulus)))
+        bins = feed(next_stimulus(extras()))
+        if bins:
+            chunk_new += state.record(bins)
         fed += 1
-        if fed == chunk or i == count - 1 or state.is_full():
+        full = len(hits) == plan_size
+        if fed == chunk or i == last or full:
             events.append(
                 _event(trial_index, len(events) + 1, fed, chunk_new, state, False, 0, 0)
             )
             chunk_new = []
             fed = 0
-            if state.is_full():
+            if full:
                 status = FULL_COVERAGE
                 break
     return TrialRecord(

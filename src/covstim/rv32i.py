@@ -86,7 +86,3 @@ def encode_j(op: int, rd_: int, offset: int) -> int:
         | op
     )
     return word & MASK32
-
-
-def to_signed(value: int) -> int:
-    return value - 2**32 if value >= 2**31 else value

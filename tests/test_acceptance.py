@@ -22,7 +22,7 @@ from covstim.backend import ReplayBackend
 from covstim.cli import main
 from covstim.duts import make_dut
 from covstim.duts.cpu import cpu_plan
-from covstim.duts.decoder import bins_for, decode, decoder_plan, encode, op_table
+from covstim.duts.decoder import DecoderMonitor, bins_for, decode, decoder_plan, encode, op_table
 from covstim.duts.stride import stride_plan
 from covstim.prompting import (
     Dialogue,
@@ -41,6 +41,7 @@ from covstim.runtime import (
 )
 from test_backend import _StubHandler, _chat_payload
 from test_cpu import oracle_hazards, random_word
+from test_decoder import decoder_oracle_bins
 from test_golden import FIXTURES, replay_golden
 from test_prompting import make_bins
 from test_stride import monitor_stream_bins, oracle_stream_bins
@@ -142,35 +143,6 @@ def stride_case(rng: random.Random) -> list[int]:
     return stream
 
 
-def decoder_oracle_bins(word: int) -> set[str]:
-    table = op_table()
-    opcode = word & 0x7F
-    f3 = (word >> 12) & 0x7
-    f7 = (word >> 25) & 0x7F
-    entry = None
-    for op in table["ops"]:
-        if op["opcode"] != opcode or op["funct3"] != f3:
-            continue
-        if op["funct7"] is not None and op["funct7"] != f7:
-            continue
-        entry = op
-        break
-    if entry is None:
-        return set()
-    bins = {f"op_{entry['name']}"}
-    fields = (
-        ("read_a", (word >> 15) & 31, entry["uses_rs1"]),
-        ("read_b", (word >> 20) & 31, entry["uses_rs2"]),
-        ("write", (word >> 7) & 31, entry["uses_rd"]),
-    )
-    for port, reg, used in fields:
-        if not used or (reg == 0 and not table["include_x0_ports"]):
-            continue
-        bins.add(f"port_x{reg:02d}_{port}")
-        bins.add(f"cross_{entry['name']}_x{reg:02d}_{port}")
-    return bins
-
-
 def decoder_case_word(rng: random.Random) -> int:
     if rng.random() < 0.4:
         return rng.getrandbits(32)
@@ -211,9 +183,12 @@ def test_criterion_3_oracle_equivalence():
         assert monitor_stream_bins(stream) == oracle_stream_bins(stream)
         stride_cases += 1
     decoder_words = 0
+    monitor = DecoderMonitor()
     for _ in range(1500):
         word = decoder_case_word(rng)
-        assert set(bins_for(decode(word))) == decoder_oracle_bins(word), hex(word)
+        expected = decoder_oracle_bins(word)
+        assert set(bins_for(decode(word))) == set(expected), hex(word)
+        assert monitor.feed(word) == expected, hex(word)
         decoder_words += 1
     for seed in range(1000):
         got, expected = cpu_case(seed)

@@ -44,13 +44,10 @@ def test_record_returns_only_newly_covered():
     assert state.record(["bin_01"]) == []
     assert state.record(["bin_01", "bin_00"]) == ["bin_00"]
     assert state.count("bin_01") == 4
-
-
-def test_record_hits_is_the_newly_covered_delta():
-    state = CoverageState(make_plan())
-    assert state.record_hits(["bin_00", "bin_00", "bin_05"]) == 2
-    assert state.record_hits(["bin_00", "bin_05"]) == 0
-    assert state.record_hits([]) == 0
+    assert state.record(["bin_05", "bin_05", "bin_02"]) == ["bin_05", "bin_02"]
+    assert state.record(["bin_00", "bin_05"]) == []
+    assert state.record([]) == []
+    assert state.count("bin_05") == 3
 
 
 def test_unknown_bin_id_is_an_error():

@@ -4,6 +4,9 @@ Frozen expectations were hand-simulated from the instruction semantics
 (register file starts at zero, so JAL's link value is the only way to mint a
 nonzero value). The hazard oracle re-derives read-after-write pairs from the
 executed decode trace, independent of the monitor's incremental bookkeeping.
+The reference interpreter re-reads the documented semantics field by field
+and is compared with the model after every step: bins, pc, registers, both
+memories, extras and malformed-stimulus rejection.
 """
 from __future__ import annotations
 
@@ -284,3 +287,156 @@ def test_x0_zero_and_pc_aligned_invariants(seed, steps):
         dut.feed([(dut.state.pc, rng.getrandbits(32))])
         assert dut.state.regs[0] == 0
         assert dut.state.pc % 4 == 0
+
+
+# --- step differential against a reference interpreter -----------------------------
+
+# standard RV32I encodings, written out here rather than read from the package
+REF_R_OPS = {
+    (0, 0x00): "add", (0, 0x20): "sub", (1, 0x00): "sll", (2, 0x00): "slt",
+    (3, 0x00): "sltu", (4, 0x00): "xor", (5, 0x00): "srl", (5, 0x20): "sra",
+    (6, 0x00): "or", (7, 0x00): "and",
+}
+REF_STORES = {0: ("sb", 1), 1: ("sh", 2), 2: ("sw", 4)}
+
+
+def field(word: int, hi: int, lo: int) -> int:
+    return (word >> lo) & ((1 << (hi - lo + 1)) - 1)
+
+
+def as_signed(value: int, bits: int) -> int:
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+class RefCpu:
+    """Straight-line reading of the model's documented semantics."""
+
+    def __init__(self) -> None:
+        self.pc = 0
+        self.regs = [0] * 32
+        self.imem: dict[int, int] = {}
+        self.dmem: dict[int, int] = {}
+        self.last_word = None
+        self.last_op = "nop"
+        self.prev_write = None  # (op, rd) of the previous instruction if it wrote rd != 0
+
+    def feed(self, updates) -> list[str]:
+        for update in updates:
+            if len(update) != 2 or update[0] % 4:
+                raise MalformedStimulusError(update)
+        for addr, word in updates:
+            self.imem[addr % 2**32] = word % 2**32
+        word = self.imem.get(self.pc, 0)
+        rd, f3, rs1, rs2, f7 = (
+            field(word, 11, 7), field(word, 14, 12), field(word, 19, 15),
+            field(word, 24, 20), field(word, 31, 25),
+        )
+        a, b = self.regs[rs1], self.regs[rs2]
+        next_pc = (self.pc + 4) % 2**32
+        op, reads, writes, offset = "nop", (), None, None
+        if field(word, 6, 0) == 0x33 and (f3, f7) in REF_R_OPS:
+            op, reads, writes = REF_R_OPS[f3, f7], (rs1, rs2), rd
+            result = {
+                "add": a + b, "sub": a - b, "sll": a << (b % 32),
+                "slt": int(as_signed(a, 32) < as_signed(b, 32)), "sltu": int(a < b),
+                "xor": a ^ b, "srl": a >> (b % 32), "sra": as_signed(a, 32) >> (b % 32),
+                "or": a | b, "and": a & b,
+            }[op]
+            if rd:
+                self.regs[rd] = result % 2**32
+        elif field(word, 6, 0) == 0x23 and f3 in REF_STORES:
+            (op, width), reads = REF_STORES[f3], (rs1, rs2)
+            addr = a + as_signed((f7 << 5) | rd, 12)
+            for i in range(width):
+                self.dmem[(addr + i) % 2**32] = (b >> (8 * i)) % 256
+        elif field(word, 6, 0) == 0x6F:
+            op, writes = "jal", rd
+            offset = as_signed(
+                (field(word, 31, 31) << 20) | (field(word, 19, 12) << 12)
+                | (field(word, 20, 20) << 11) | (field(word, 30, 21) << 1),
+                21,
+            )
+            if rd:
+                self.regs[rd] = next_pc
+            next_pc = (self.pc + offset) % 2**32 // 4 * 4
+        bins = []
+        if op != "nop":
+            bins.append(f"{op}_seen")
+            if writes == 0:
+                bins.append(f"{op}_zero_dst")
+            if reads and 0 in reads:
+                bins.append(f"{op}_zero_src")
+            if reads and reads[0] == reads[1]:
+                bins.append(f"{op}_same_src")
+            if offset is not None:
+                bins.append("jump_forward" if offset >= 0 else "jump_backward")
+            if self.prev_write and self.prev_write[1] in reads:
+                bins.append(f"hazard_{self.prev_write[0]}_{op}")
+        self.prev_write = (op, writes) if writes else None
+        self.pc, self.last_word, self.last_op = next_pc, word, op
+        return bins
+
+    def extras(self) -> dict:
+        return {"pc": self.pc, "last_word": self.last_word, "last_op": self.last_op}
+
+
+def jal_word(offset: int, rd: int) -> int:
+    imm = offset & 0x1FFFFE
+    return (
+        (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) | (((imm >> 11) & 1) << 20)
+        | (((imm >> 12) & 0xFF) << 12) | (rd << 7) | 0x6F
+    )
+
+
+def program_word(rng: random.Random) -> int:
+    def reg() -> int:  # mostly x0-x3, so zero/same-source and hazard cases come up often
+        return rng.randrange(4) if rng.random() < 0.7 else rng.randrange(32)
+
+    roll = rng.random()
+    if roll < 0.45:  # R-type; funct7 0x01 decodes to nothing
+        f3, f7 = rng.randrange(8), rng.choice((0x00, 0x00, 0x20, 0x01))
+        return (f7 << 25) | (reg() << 20) | (reg() << 15) | (f3 << 12) | (reg() << 7) | 0x33
+    if roll < 0.7:  # store; funct3 3 decodes to nothing
+        imm, f3 = rng.getrandbits(12), rng.randrange(4)
+        return (
+            ((imm >> 5) << 25) | (reg() << 20) | (reg() << 15) | (f3 << 12)
+            | ((imm & 0x1F) << 7) | 0x23
+        )
+    if roll < 0.9:  # JAL: short hops either way, some to a half-word target, or anywhere
+        kind = rng.random()
+        if kind < 0.8:
+            offset = 4 * rng.randrange(-8, 9) + (2 if kind < 0.2 else 0)
+        else:
+            offset = 2 * rng.randrange(-(2**19), 2**19)
+        return jal_word(offset, reg())
+    return rng.choice((0, rng.getrandbits(32)))  # nearly always a NOP
+
+
+def program_updates(rng: random.Random, pc: int) -> list:
+    """Usually the next instruction at pc (else re-run what is there), and
+    sometimes one more update: misaligned ones and one-element ones are
+    malformed and reject the step."""
+    updates = [[pc, program_word(rng)]] if rng.random() < 0.85 else []
+    if rng.random() < 0.15:
+        where = rng.choice((4, 8, -4, 0, 1, 2, 3, None))
+        updates.append([pc] if where is None else [(pc + where) & MASK, program_word(rng)])
+    return updates
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), steps=st.integers(min_value=0, max_value=150))
+def test_step_matches_reference_interpreter(seed, steps):
+    rng = random.Random(seed)
+    dut, ref = CpuDut(), RefCpu()
+    for _ in range(steps):
+        updates = program_updates(rng, ref.pc)
+        try:
+            expected = ref.feed(updates)
+        except MalformedStimulusError:
+            with pytest.raises(MalformedStimulusError):
+                dut.feed(updates)
+        else:
+            assert dut.feed(updates) == expected
+        s = dut.state
+        assert (s.pc, s.regs, s.imem, s.dmem) == (ref.pc, ref.regs, ref.imem, ref.dmem)
+        assert dut.extras() == ref.extras()

@@ -8,6 +8,7 @@ bins from the raw fixture fields without going through the package decoder.
 from __future__ import annotations
 
 import json
+import random
 import time
 from collections import Counter
 from pathlib import Path
@@ -107,26 +108,89 @@ def test_port_bins_zero_padded():
 
 # --- bins oracle --------------------------------------------------------------
 
-def oracle_bins(entry) -> set[str]:
-    """Expected bins straight from fixture fields."""
+def oracle_bins(entry) -> list[str]:
+    """Expected bins straight from fixture fields, in emission order: the op,
+    then port and cross bins for rs1 (read_a), rs2 (read_b) and rd (write)."""
     if entry["op"] == "illegal":
-        return set()
-    bins = {f"op_{entry['op']}"}
+        return []
+    bins = [f"op_{entry['op']}"]
     for reg, port in (
         (entry["rs1"], "read_a"),
         (entry["rs2"], "read_b"),
         (entry["rd"], "write"),
     ):
         if reg is not None:
-            bins.add(f"port_x{reg:02d}_{port}")
-            bins.add(f"cross_{entry['op']}_x{reg:02d}_{port}")
+            bins.append(f"port_x{reg:02d}_{port}")
+            bins.append(f"cross_{entry['op']}_x{reg:02d}_{port}")
+    return bins
+
+
+def decoder_oracle_bins(word: int) -> list[str]:
+    """Expected bins for a raw word, by a linear scan of the op table."""
+    table = op_table()
+    opcode = word & 0x7F
+    f3 = (word >> 12) & 0x7
+    f7 = (word >> 25) & 0x7F
+    entry = None
+    for op in table["ops"]:
+        if op["opcode"] != opcode or op["funct3"] != f3:
+            continue
+        if op["funct7"] is not None and op["funct7"] != f7:
+            continue
+        entry = op
+        break
+    if entry is None:
+        return []
+    bins = [f"op_{entry['name']}"]
+    fields = (
+        ("read_a", (word >> 15) & 31, entry["uses_rs1"]),
+        ("read_b", (word >> 20) & 31, entry["uses_rs2"]),
+        ("write", (word >> 7) & 31, entry["uses_rd"]),
+    )
+    for port, reg, used in fields:
+        if not used or (reg == 0 and not table["include_x0_ports"]):
+            continue
+        bins.append(f"port_x{reg:02d}_{port}")
+        bins.append(f"cross_{entry['name']}_x{reg:02d}_{port}")
     return bins
 
 
 def test_bins_for_matches_oracle_on_golden(golden):
+    monitor = DecoderMonitor()
     for entry in golden:
-        got = set(bins_for(decode(entry["word"])))
-        assert got == oracle_bins(entry), f"word=0x{entry['word']:08x}"
+        expected = oracle_bins(entry)
+        ctx = f"word=0x{entry['word']:08x}"
+        assert set(bins_for(decode(entry["word"]))) == set(expected), ctx
+        assert monitor.feed(entry["word"]) == expected, ctx
+
+
+def test_feed_matches_oracle_on_seeded_words():
+    rng = random.Random(2310)
+    ops = op_table()["ops"]
+    words = [rng.getrandbits(32) for _ in range(5000)]
+    for _ in range(5000):
+        words.append(
+            encode(
+                rng.choice(ops)["name"],
+                rs1=rng.randrange(32),
+                rs2=rng.randrange(32),
+                rd=rng.randrange(32),
+                imm=rng.randrange(-2048, 2048),
+                shamt=rng.randrange(32),
+            )
+        )
+    # every funct7 under the R-type and immediate opcodes: the unlisted ones
+    # (e.g. 0x86cec133, xor's fields with funct7 0x43) must hit nothing
+    for opcode in (0x33, 0x13):
+        for f3 in range(8):
+            for f7 in range(128):
+                fields = rng.getrandbits(32) & 0x01FF8F80  # rs2, rs1, rd
+                words.append((f7 << 25) | fields | (f3 << 12) | opcode)
+    words.append(0x86CEC133)
+    assert decoder_oracle_bins(0x86CEC133) == []
+    monitor = DecoderMonitor()
+    for word in words:
+        assert monitor.feed(word) == decoder_oracle_bins(word), hex(word)
 
 
 def test_bins_for_add_x0():
