@@ -9,16 +9,14 @@ measured against.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from covstim.agents import CrtAgent
-from covstim.duts import DUT_KINDS, make_dut
-from covstim.runtime import run_crt_trial
+from covstim.duts import DUT_KINDS
+from covstim.runtime import RunConfig, run_experiment
 
 
 def main() -> int:
@@ -35,17 +33,21 @@ def main() -> int:
         rates: list[float] = []
         covered: list[int] = []
         worst = 0.0
-        plan_size = len(make_dut(kind).plan)
         for seed in range(args.seeds):
-            dut = make_dut(kind)
-            agent = CrtAgent(kind, random.Random(seed))
+            config = RunConfig(
+                dut=kind,
+                agent="crt",
+                seed=seed,
+                crt_count=args.count,
+                crt_chunk=max(1, args.count // 10),
+            )
             t0 = time.perf_counter()
-            trial = run_crt_trial(dut, agent, args.count, chunk=max(1, args.count // 10))
+            report = run_experiment(config)
             worst = max(worst, time.perf_counter() - t0)
-            rates.append(100 * trial.rate)
-            covered.append(trial.max_coverage)
+            rates.append(100 * report.max_rate)
+            covered.append(report.max_coverage)
         print(
-            f"{kind:<8} {plan_size:>5} {sum(covered) / len(covered):>9.1f} "
+            f"{kind:<8} {report.plan_size:>5} {sum(covered) / len(covered):>9.1f} "
             f"{sum(rates) / len(rates):>9.2f} {worst:>8.1f}"
         )
     return 0

@@ -2,9 +2,10 @@
 
 Both produce DUT stimuli; the runtime owns the loop. The LLM agent keeps a
 dialogue, asks a chat backend for responses, and extracts stimuli from the
-first fenced code block of each response. Responses that yield nothing
-trigger regeneration, bounded by REGENERATION_CAP so a stubborn model cannot
-silently burn the token budget.
+first fenced code block of each response. A reply that yields no stimuli
+is answered with the format-reminder query; it counts as a response that
+covered nothing, so the runtime's exhaustion rule bounds how many unusable
+replies come in a row and the budget gate bounds their cost.
 
 Extraction is deliberately forgiving: values are masked to 32 bits rather
 than rejected, and unparseable tokens inside an otherwise valid block are
@@ -17,11 +18,10 @@ import dataclasses
 import json
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from covstim.backend import Completion, estimate_tokens
+from covstim.backend import Completion, estimate_prompt
 from covstim.coverage import BinDescriptor, CoveragePlan
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 from covstim.prompting import (
@@ -36,9 +36,6 @@ from covstim.prompting import (
 )
 
 MASK32 = 0xFFFFFFFF
-
-# consecutive empty extractions one generation cycle tolerates before giving up
-REGENERATION_CAP = 5
 
 # below this fraction of integer-ish tokens, an unfenced response is nonsense
 GIBBERISH_INT_RATIO = 0.20
@@ -59,29 +56,6 @@ class AgentFeedback:
 
     rate: float
     uncovered: list[BinDescriptor]  # plan order
-    extras: dict
-
-
-class StimulusBuffer:
-    """Strict FIFO of pending stimuli; drained fully between generations."""
-
-    def __init__(self) -> None:
-        self._queue: deque = deque()
-
-    def extend(self, stimuli: Sequence) -> None:
-        self._queue.extend(stimuli)
-
-    def pop(self):
-        return self._queue.popleft()
-
-    def clear(self) -> None:
-        self._queue.clear()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
 
 
 # --- response extraction -----------------------------------------------------------
@@ -236,13 +210,6 @@ class ResponseRecord:
     extraction: ExtractionResult
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    stimuli: list
-    records: list[ResponseRecord]
-    capped: bool
-
-
 class LlmAgent:
     """Dialogue-driven stimulus generator.
 
@@ -293,8 +260,7 @@ class LlmAgent:
             )
         messages = select_context(self.dialogue, self.strategy, self.rng)
         messages.append({"role": "user", "content": query})
-        estimate = sum(estimate_tokens(m["content"]) for m in messages)
-        return PreparedQuery(kind, query, messages, estimate)
+        return PreparedQuery(kind, query, messages, estimate_prompt(messages))
 
     def submit(self, prepared: PreparedQuery) -> ResponseRecord:
         completion = self.backend.complete(prepared.messages)
@@ -323,21 +289,3 @@ class LlmAgent:
         self.dialogue.restart(self.strategy.buffer_reset)
         self.sampler.on_restart()
         self.last_outcome = None
-
-
-def llm_agent_cycle(agent: LlmAgent, feedback: AgentFeedback) -> CycleResult:
-    """One generation cycle: backend responses until stimuli appear.
-
-    Empty extractions regenerate with the format-reminder query, up to
-    REGENERATION_CAP consecutive attempts; a capped cycle returns no stimuli
-    and the caller's exhaustion accounting moves on. Backend errors
-    propagate (the trial aborts).
-    """
-    records: list[ResponseRecord] = []
-    while len(records) < REGENERATION_CAP:
-        record = agent.submit(agent.prepare(feedback))
-        records.append(record)
-        if record.extraction.stimuli:
-            return CycleResult(stimuli=list(record.extraction.stimuli), records=records, capped=False)
-        agent.credit(0, 0, feedback.rate)
-    return CycleResult(stimuli=[], records=records, capped=True)

@@ -77,7 +77,8 @@ def _check_messages(messages: Sequence[Message]) -> None:
         raise ValueError("first message must have the system role")
 
 
-def _estimate_prompt(messages: Sequence[Message]) -> int:
+def estimate_prompt(messages: Sequence[Message]) -> int:
+    """Approximate prompt token count: the per-message estimates summed."""
     return sum(estimate_tokens(m["content"]) for m in messages)
 
 
@@ -135,7 +136,7 @@ class HttpBackend:
         tokens_in = usage.get("prompt_tokens")
         tokens_out = usage.get("completion_tokens")
         if tokens_in is None:
-            tokens_in = _estimate_prompt(messages)
+            tokens_in = estimate_prompt(messages)
         if tokens_out is None:
             tokens_out = estimate_tokens(text)
         return Completion(
@@ -179,7 +180,7 @@ class ReplayBackend:
         self.calls += 1
         return Completion(
             text=text,
-            tokens_in=_estimate_prompt(messages),
+            tokens_in=estimate_prompt(messages),
             tokens_out=estimate_tokens(text),
             latency=0.0,
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from covstim.agents import AgentFeedback, CrtAgent, LlmAgent
@@ -93,6 +93,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TrialSummary:
+    """Per-trial outcome: the only list of per-trial fields; the trial_end log
+    record and the report's trial rows are built from it."""
+
     trial: int
     status: str
     coverage: int
@@ -106,47 +109,25 @@ class TrialSummary:
         return self.tokens_in + self.tokens_out
 
 
-@dataclass
-class TrialRecord:
-    index: int
-    status: str
+@dataclass(frozen=True)
+class TrialRecord(TrialSummary):
+    """A finished trial: its summary plus what only the log keeps."""
+
     events: list  # JSONL-ready event dicts, one per response (or crt chunk)
-    messages: int
-    tokens_in: int
-    tokens_out: int
-    max_coverage: int
-    rate: float
     malformed: int = 0
     error: Optional[str] = None
 
-    @property
-    def tokens(self) -> int:
-        return self.tokens_in + self.tokens_out
-
     def summary(self) -> TrialSummary:
-        return TrialSummary(
-            trial=self.index,
-            status=self.status,
-            coverage=self.max_coverage,
-            rate=self.rate,
-            messages=self.messages,
-            tokens_in=self.tokens_in,
-            tokens_out=self.tokens_out,
-        )
+        return _from_record(TrialSummary, vars(self))
 
     def trial_end_record(self) -> dict:
-        return {
-            "type": "trial_end",
-            "trial": self.index,
-            "status": self.status,
-            "coverage": self.max_coverage,
-            "rate": self.rate,
-            "messages": self.messages,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "malformed": self.malformed,
-            "error": self.error,
-        }
+        kept = (f.name for f in fields(self) if f.name != "events")
+        return {"type": "trial_end", **{name: getattr(self, name) for name in kept}}
+
+
+def _from_record(cls, record: dict):
+    """Build dataclass `cls` from the same-named keys of `record`."""
+    return cls(**{f.name: record[f.name] for f in fields(cls)})
 
 
 def _event(
@@ -212,10 +193,7 @@ def run_trial(
         ):
             agent.restart()
             restarted = True
-        feedback = AgentFeedback(
-            rate=state.rate(), uncovered=state.uncovered(), extras=dut.extras()
-        )
-        prepared = agent.prepare(feedback)
+        prepared = agent.prepare(AgentFeedback(rate=state.rate(), uncovered=state.uncovered()))
         spent = tokens_in + tokens_out
         if spent + prepared.prompt_token_estimate + max_tokens > budget_remaining:
             status = BUDGET_EXHAUSTED
@@ -255,14 +233,14 @@ def run_trial(
             )
         )
     return TrialRecord(
-        index=trial_index,
+        trial=trial_index,
         status=status,
-        events=events,
+        coverage=state.covered_count,
+        rate=state.rate(),
         messages=messages,
         tokens_in=tokens_in,
         tokens_out=tokens_out,
-        max_coverage=state.covered_count,
-        rate=state.rate(),
+        events=events,
         malformed=malformed,
         error=error,
     )
@@ -301,14 +279,14 @@ def run_crt_trial(
                 status = FULL_COVERAGE
                 break
     return TrialRecord(
-        index=trial_index,
+        trial=trial_index,
         status=status,
-        events=events,
+        coverage=state.covered_count,
+        rate=state.rate(),
         messages=0,
         tokens_in=0,
         tokens_out=0,
-        max_coverage=state.covered_count,
-        rate=state.rate(),
+        events=events,
     )
 
 
@@ -335,8 +313,9 @@ class ExperimentReport:
 
 
 def compute_metrics(summaries: Sequence[TrialSummary], plan_size: int) -> dict:
-    """Aggregate metrics: max coverage over all trials; message statistics
-    over completed trials only (sample stdev, absent below two samples)."""
+    """Aggregate metrics: max coverage and token totals over all trials;
+    message statistics over completed trials only (sample stdev, absent below
+    two samples)."""
     completed = [t for t in summaries if t.status in COMPLETED_STATUSES]
     max_coverage = max((t.coverage for t in summaries), default=0)
     metrics = {
@@ -350,6 +329,8 @@ def compute_metrics(summaries: Sequence[TrialSummary], plan_size: int) -> dict:
         metrics[f"stdev_{name}"] = (
             statistics.stdev(series) if len(series) >= 2 else None
         )
+    metrics["tokens_in"] = sum(t.tokens_in for t in summaries)
+    metrics["tokens_out"] = sum(t.tokens_out for t in summaries)
     return metrics
 
 
@@ -357,22 +338,14 @@ def build_report(
     config: RunConfig, plan_size: int, trials: Sequence[TrialRecord], note: Optional[str]
 ) -> ExperimentReport:
     summaries = [t.summary() for t in trials]
-    metrics = compute_metrics(summaries, plan_size)
     return ExperimentReport(
         dut=config.dut,
         agent=config.agent,
         plan_size=plan_size,
         budget=config.budget_tokens if config.agent == "llm" else 0,
         trials=summaries,
-        max_coverage=metrics["max_coverage"],
-        max_rate=metrics["max_rate"],
-        avg_messages=metrics["avg_messages"],
-        stdev_messages=metrics["stdev_messages"],
-        avg_cov_per_msg=metrics["avg_cov_per_msg"],
-        stdev_cov_per_msg=metrics["stdev_cov_per_msg"],
-        tokens_in=sum(t.tokens_in for t in trials),
-        tokens_out=sum(t.tokens_out for t in trials),
         note=note,
+        **compute_metrics(summaries, plan_size),
     )
 
 
@@ -423,7 +396,7 @@ def run_experiment(
             if trial.status == BUDGET_EXHAUSTED:
                 break
             if trial.status == ABORTED:
-                note = f"trial {trial.index} aborted: {trial.error}"
+                note = f"trial {trial.trial} aborted: {trial.error}"
                 break
     report = build_report(config, len(dut.plan), trials, note)
     if log_path is not None:
@@ -452,35 +425,7 @@ def header_record(config: RunConfig, plan_size: int) -> dict:
 
 
 def report_record(report: ExperimentReport) -> dict:
-    return {
-        "type": "report",
-        "schema_version": SCHEMA_VERSION,
-        "dut": report.dut,
-        "agent": report.agent,
-        "plan_size": report.plan_size,
-        "budget": report.budget,
-        "trials": [
-            {
-                "trial": t.trial,
-                "status": t.status,
-                "coverage": t.coverage,
-                "rate": t.rate,
-                "messages": t.messages,
-                "tokens_in": t.tokens_in,
-                "tokens_out": t.tokens_out,
-            }
-            for t in report.trials
-        ],
-        "max_coverage": report.max_coverage,
-        "max_rate": report.max_rate,
-        "avg_messages": report.avg_messages,
-        "stdev_messages": report.stdev_messages,
-        "avg_cov_per_msg": report.avg_cov_per_msg,
-        "stdev_cov_per_msg": report.stdev_cov_per_msg,
-        "tokens_in": report.tokens_in,
-        "tokens_out": report.tokens_out,
-        "note": report.note,
-    }
+    return {"type": "report", "schema_version": SCHEMA_VERSION, **asdict(report)}
 
 
 def write_log(
@@ -496,10 +441,12 @@ def write_log(
 
 
 def report_from_log(path) -> ExperimentReport:
-    """Rebuild the report from a JSONL log and verify the embedded metrics.
+    """Rebuild the report from a JSONL log and verify it.
 
-    Raises ValueError when the log's report record disagrees with metrics
-    recomputed from its trial_end records (a corrupted or edited log)."""
+    Raises ValueError when the log's report record differs from the record
+    of the report rebuilt from the header and the trial_end records: the
+    fields it shares with the header, its per-trial rows, or the metrics
+    recomputed from them (a corrupted or edited log)."""
     header = None
     summaries: list[TrialSummary] = []
     embedded: Optional[dict] = None
@@ -513,46 +460,26 @@ def report_from_log(path) -> ExperimentReport:
             if kind == "header":
                 header = record
             elif kind == "trial_end":
-                summaries.append(
-                    TrialSummary(
-                        trial=record["trial"],
-                        status=record["status"],
-                        coverage=record["coverage"],
-                        rate=record["rate"],
-                        messages=record["messages"],
-                        tokens_in=record["tokens_in"],
-                        tokens_out=record["tokens_out"],
-                    )
-                )
+                summaries.append(_from_record(TrialSummary, record))
             elif kind == "report":
                 embedded = record
     if header is None:
         raise ValueError(f"log {path} has no header record")
     if embedded is None:
         raise ValueError(f"log {path} has no report record")
-    metrics = compute_metrics(summaries, header["plan_size"])
-    for key, value in metrics.items():
+    shared = {key: header[key] for key in header.keys() & embedded.keys() - {"type"}}
+    rebuilt = replace(
+        _from_record(ExperimentReport, {**embedded, **shared}),
+        trials=summaries,
+        **compute_metrics(summaries, header["plan_size"]),
+    )
+    for key, value in report_record(rebuilt).items():
         if embedded.get(key) != value:
             raise ValueError(
                 f"log {path} report mismatch on {key}: "
                 f"logged {embedded.get(key)!r}, recomputed {value!r}"
             )
-    return ExperimentReport(
-        dut=header["dut"],
-        agent=header["agent"],
-        plan_size=header["plan_size"],
-        budget=embedded["budget"],
-        trials=summaries,
-        max_coverage=metrics["max_coverage"],
-        max_rate=metrics["max_rate"],
-        avg_messages=metrics["avg_messages"],
-        stdev_messages=metrics["stdev_messages"],
-        avg_cov_per_msg=metrics["avg_cov_per_msg"],
-        stdev_cov_per_msg=metrics["stdev_cov_per_msg"],
-        tokens_in=embedded["tokens_in"],
-        tokens_out=embedded["tokens_out"],
-        note=embedded.get("note"),
-    )
+    return rebuilt
 
 
 # --- human-facing reports ---------------------------------------------------------

@@ -1,11 +1,18 @@
-"""CLI subcommands: run, baseline, plans, report."""
+"""CLI subcommands (run, baseline, plans, report) and the baselines script."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from covstim.cli import main
+from covstim.duts import DUT_KINDS
+from covstim.runtime import RunConfig, run_experiment
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_plans_dump_is_full_plan_json(capsys):
@@ -173,3 +180,23 @@ def test_run_rejects_bogus_backend_spec(tmp_path, capsys):
     rc = main(["run", "--config", str(config), "--backend", "bogus"])
     assert rc == 1
     assert "unknown backend" in capsys.readouterr().err
+
+
+def test_run_baselines_script_matches_run_experiment():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_baselines.py"), "--count", "300", "--seeds", "2"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(DUT_KINDS)
+    for kind, plan_size, avg_bins, avg_rate, _worst in rows:
+        reports = [
+            run_experiment(RunConfig(dut=kind, agent="crt", seed=seed, crt_count=300))
+            for seed in range(2)
+        ]
+        assert int(plan_size) == reports[0].plan_size
+        assert avg_bins == f"{sum(r.max_coverage for r in reports) / 2:.1f}"
+        assert avg_rate == f"{sum(100 * r.max_rate for r in reports) / 2:.2f}"

@@ -1,4 +1,4 @@
-"""Response extraction, stimulus buffer, CRT baseline, and generation-cycle tests."""
+"""Response extraction, CRT baseline, and LLM agent tests."""
 from __future__ import annotations
 
 import json
@@ -8,18 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from covstim.agents import (
-    REGENERATION_CAP,
-    AgentFeedback,
-    CrtAgent,
-    CycleResult,
-    ExtractionResult,
-    LlmAgent,
-    StimulusBuffer,
-    extract_stimuli,
-    llm_agent_cycle,
-)
-from covstim.backend import BackendError, ReplayBackend
+from covstim.agents import AgentFeedback, CrtAgent, LlmAgent, extract_stimuli
+from covstim.backend import ReplayBackend
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 from covstim.prompting import StrategyConfig
@@ -143,28 +133,6 @@ def test_extraction_is_total_and_consistent(text):
             assert out.stimuli
 
 
-# --- stimulus buffer -----------------------------------------------------------
-
-def test_buffer_is_strict_fifo():
-    buf = StimulusBuffer()
-    buf.extend([3, 1, 2])
-    buf.extend([9])
-    assert [buf.pop() for _ in range(4)] == [3, 1, 2, 9]
-    assert not buf
-
-
-def test_buffer_pop_empty_raises():
-    with pytest.raises(IndexError):
-        StimulusBuffer().pop()
-
-
-def test_buffer_clear():
-    buf = StimulusBuffer()
-    buf.extend([1, 2])
-    buf.clear()
-    assert len(buf) == 0
-
-
 # --- crt baseline -----------------------------------------------------------------
 
 def golden():
@@ -203,7 +171,7 @@ def test_crt_rejects_unknown_kind():
         CrtAgent("fpga", random.Random(0))
 
 
-# --- llm agent generation cycle -------------------------------------------------------
+# --- llm agent: one prepare/submit/credit cycle per response -------------------------
 
 def toy_plan(n=6):
     bins = [
@@ -227,51 +195,36 @@ def make_agent(script, strategy=None):
         backend=ReplayBackend(script),
         rng=random.Random(11),
     )
-    feedback = AgentFeedback(rate=0.0, uncovered=list(plan), extras={})
+    feedback = AgentFeedback(rate=0.0, uncovered=list(plan))
     return agent, feedback
 
 
 def test_cycle_returns_stimuli_and_appends_one_exchange():
     agent, feedback = make_agent(["```\n7\n```"])
-    result = llm_agent_cycle(agent, feedback)
-    assert result.stimuli == [7]
-    assert not result.capped
-    assert len(result.records) == 1
+    record = agent.submit(agent.prepare(feedback))
+    assert record.extraction.stimuli == [7]
+    assert record.kind == "initial"
     assert agent.dialogue.initial is not None
     assert agent.dialogue.iterative == []
 
 
 def test_cycle_regenerates_once_after_gibberish():
     agent, feedback = make_agent(["utter nonsense words only", "```\n1\n```"])
-    result = llm_agent_cycle(agent, feedback)
-    assert result.stimuli == [1]
-    assert len(result.records) == 2
-    assert result.records[0].extraction.gibberish
+    first = agent.submit(agent.prepare(feedback))
+    agent.credit(0, 0, feedback.rate)
+    second = agent.submit(agent.prepare(feedback))
+    assert first.extraction.gibberish
+    assert second.extraction.stimuli == [1]
     # the failed attempt became the initial exchange; the retry is iterative
-    assert result.records[0].kind == "initial"
-    assert result.records[1].kind == "iterative"
+    assert first.kind == "initial"
+    assert second.kind == "iterative"
     # the regeneration query restates the format contract
-    assert "format" in result.records[1].query
-
-
-def test_cycle_caps_consecutive_empty_extractions():
-    agent, feedback = make_agent(["nonsense"] * (REGENERATION_CAP + 3))
-    result = llm_agent_cycle(agent, feedback)
-    assert result.capped
-    assert result.stimuli == []
-    assert len(result.records) == REGENERATION_CAP
-    assert agent.backend.calls == REGENERATION_CAP
-
-
-def test_cycle_propagates_backend_errors():
-    agent, feedback = make_agent([])  # empty script: first call explodes
-    with pytest.raises(BackendError):
-        llm_agent_cycle(agent, feedback)
+    assert "format" in second.query
 
 
 def test_credit_patches_exchange_and_outcome():
     agent, feedback = make_agent(["```\n7\n```", "```\n8\n```"])
-    llm_agent_cycle(agent, feedback)
+    agent.submit(agent.prepare(feedback))
     agent.credit(easier_hits=2, harder_hits=1, rate=0.5)
     assert agent.dialogue.initial.hits == 3
     assert agent.last_outcome.new_hits == 3
@@ -294,9 +247,9 @@ def test_prepare_is_side_effect_free_and_estimates_tokens():
 
 def test_agent_restart_resets_dialogue_to_initial_query():
     agent, feedback = make_agent(["```\n7\n```", "```\n8\n```", "```\n9\n```"])
-    llm_agent_cycle(agent, feedback)
+    agent.submit(agent.prepare(feedback))
     agent.credit(1, 0, 0.2)
-    llm_agent_cycle(agent, feedback)
+    agent.submit(agent.prepare(feedback))
     agent.credit(0, 0, 0.2)
     agent.restart()
     assert agent.dialogue.initial is None

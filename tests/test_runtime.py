@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import ReplayBackend
 from covstim.duts import make_dut
-from covstim.prompting import StrategyConfig
+from covstim.prompting import RESTART_PLANS, StrategyConfig, format_requirement
 from covstim.runtime import (
     ABORTED,
     BUDGET_EXHAUSTED,
@@ -172,7 +172,7 @@ def test_crt_trial_chunks_and_status():
     assert trial.tokens == 0
     assert [e["stimuli"] for e in trial.events] == [10, 10, 5]
     assert [e["response_idx"] for e in trial.events] == [1, 2, 3]
-    assert trial.max_coverage == 0
+    assert trial.coverage == 0
 
 
 def test_crt_trial_stops_on_full_coverage():
@@ -181,7 +181,7 @@ def test_crt_trial_stops_on_full_coverage():
     assert len(trial.events) == 1
     assert trial.events[0]["stimuli"] == 10
     assert trial.events[0]["coverage"] == 10
-    assert trial.max_coverage == 10
+    assert trial.coverage == 10
 
 
 def test_crt_trial_on_real_dut():
@@ -190,7 +190,7 @@ def test_crt_trial_on_real_dut():
     assert trial.status == EXHAUSTED
     assert sum(e["stimuli"] for e in trial.events) == 2000
     assert len(trial.events) == 4
-    assert trial.events[-1]["coverage"] == trial.max_coverage
+    assert trial.events[-1]["coverage"] == trial.coverage
 
 
 # --- llm trials ---------------------------------------------------------------------
@@ -217,6 +217,35 @@ def test_trial_exhausts_after_25_empty_responses():
     assert trial.status == EXHAUSTED
     assert trial.messages == 25
     assert backend.calls == 25
+
+
+class QueryLog(ReplayBackend):
+    """Replay backend that keeps the last user message of every call."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.queries = []
+
+    def complete(self, messages):
+        self.queries.append(messages[-1]["content"])
+        return super().complete(messages)
+
+
+@pytest.mark.parametrize("window", [25, 3])
+@pytest.mark.parametrize("restart", RESTART_PLANS)
+def test_unusable_replies_end_in_exhaustion(restart, window):
+    # an unusable reply gets the format reminder and counts as covering nothing,
+    # so the exhaustion window bounds a run of them whatever the restart plan
+    config = llm_config(strategy=StrategyConfig(restart=restart), exhaust_zero_window=window)
+    dut = ToyDut()
+    backend = QueryLog(["I cannot help with that."] * (window + 5))
+    agent = LlmAgent(dut.plan, dut.stimulus_format, config.strategy, backend, random.Random(7))
+    trial = run_trial(dut, agent, config, 10**9)
+    assert trial.status == EXHAUSTED
+    assert trial.messages == backend.calls == config.exhaust_zero_window
+    for query, restarted in zip(backend.queries[1:], [e["restart"] for e in trial.events[1:]]):
+        assert format_requirement(dut.stimulus_format) in query
+        assert restarted or "could not be used" in query
 
 
 def test_budget_gate_blocks_first_call():
@@ -264,7 +293,7 @@ def test_malformed_stimuli_counted_not_covered():
     trial = run_trial(dut, agent, config, 10**9)
     assert trial.status == EXHAUSTED
     assert trial.malformed == 2
-    assert trial.max_coverage == 0
+    assert trial.coverage == 0
     assert [e["stimuli"] for e in trial.events] == [1, 1]
 
 
@@ -383,18 +412,18 @@ def test_report_from_log_reproduces_metrics(tmp_path):
 
 
 def test_report_from_log_rejects_tampered_metrics(tmp_path):
-    path, _ = write_toy_log(tmp_path)
-    lines = path.read_text().splitlines()
-    doctored = []
-    for line in lines:
-        record = json.loads(line)
-        if record["type"] == "trial_end":
-            record["coverage"] = record["coverage"] + 1
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        doctored.append(line)
-    path.write_text("\n".join(doctored) + "\n")
-    with pytest.raises(ValueError, match="mismatch"):
-        report_from_log(path)
+    # each edit changes every trial_end record and leaves the report record alone
+    for key, delta in (("coverage", 1), ("tokens_in", 1000)):
+        path, _ = write_toy_log(tmp_path, f"{key}.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record["type"] == "trial_end":
+                record[key] += delta
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+        )
+        with pytest.raises(ValueError, match="mismatch"):
+            report_from_log(path)
 
 
 def sample_report() -> ExperimentReport:
