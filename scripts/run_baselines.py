@@ -27,6 +27,8 @@ def main() -> int:
         "--dut", choices=DUT_KINDS, default=None, help="one device (default: all)"
     )
     args = parser.parse_args()
+    if args.count < 1 or args.seeds < 1:
+        parser.error("--count and --seeds must be at least 1")
     kinds = [args.dut] if args.dut else list(DUT_KINDS)
     print(f"{'dut':<8} {'plan':>5} {'avg bins':>9} {'avg rate%':>9} {'worst s':>8}")
     for kind in kinds:

@@ -7,6 +7,10 @@ assistant responses for deterministic tests and offline reruns.
 RecordingBackend wraps a live backend and captures its responses into the
 same script format.
 
+`requests` is imported on first use of the module attribute
+`covstim.backend.requests` (PEP 562), which `HttpBackend` makes when it is
+built, so commands that make no HTTP call do not pay for importing it.
+
 Token accounting prefers server-reported usage; when a server omits the
 usage block, counts fall back to a chars/4 estimate. The estimate only has
 to be roughly right: it feeds budget bookkeeping, not any correctness
@@ -16,13 +20,26 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 Message = dict  # {"role": "system"|"user"|"assistant", "content": str}
+
+RETRY_AFTER_CAP = 60.0  # seconds; the longest server-requested wait honoured
+
+
+def __getattr__(name: str):
+    if name != "requests":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import requests
+
+    globals()["requests"] = requests
+    return requests
 
 
 class BackendError(RuntimeError):
@@ -83,12 +100,24 @@ def estimate_prompt(messages: Sequence[Message]) -> int:
 
 
 class HttpBackend:
-    """Blocking chat-completion client with retry and exponential backoff."""
+    """Blocking chat-completion client over one keep-alive session.
+
+    Proxy and CA-bundle variables are read once, when the backend is built;
+    netrc is not read. Connection errors, 429 and 5xx are retried, after the
+    server's delta-seconds Retry-After (capped at RETRY_AFTER_CAP) or else
+    an exponential backoff; any other non-200 status fails at once.
+    """
 
     _BACKOFF_BASE = 0.5  # seconds; doubles per retry
 
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
+        session = sys.modules[__name__].requests.Session()
+        self._settings = session.merge_environment_settings(
+            config.endpoint, {}, None, None, None
+        )
+        session.trust_env = False
+        self._session = session
 
     def complete(self, messages: Sequence[Message]) -> Completion:
         _check_messages(messages)
@@ -108,18 +137,24 @@ class HttpBackend:
         last_error: Optional[str] = None
         for attempt in range(cfg.retries + 1):
             if attempt:
-                time.sleep(self._BACKOFF_BASE * 2 ** (attempt - 1))
+                time.sleep(wait)
+            backoff = self._BACKOFF_BASE * 2**attempt
             try:
-                resp = requests.post(
-                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout
+                resp = self._session.post(
+                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout,
+                    **self._settings,
                 )
             except requests.RequestException as exc:
                 last_error = str(exc)
+                wait = backoff
                 continue
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                continue
-            return self._parse(resp, messages, time.perf_counter() - start)
+            status = resp.status_code
+            if status == 200:
+                return self._parse(resp, messages, time.perf_counter() - start)
+            last_error = f"HTTP {status}: {resp.text[:200]}"
+            if status != 429 and status < 500:
+                raise BackendError(f"chat completion failed: {last_error}")
+            wait = _retry_wait(resp.headers.get("Retry-After"), backoff)
         raise BackendError(
             f"chat completion failed after {cfg.retries + 1} attempts: {last_error}"
         )
@@ -142,6 +177,14 @@ class HttpBackend:
         return Completion(
             text=text, tokens_in=int(tokens_in), tokens_out=int(tokens_out), latency=latency
         )
+
+
+def _retry_wait(retry_after: Optional[str], backoff: float) -> float:
+    """Seconds before the next attempt: a delta-seconds Retry-After capped at
+    RETRY_AFTER_CAP, else `backoff` (also for the HTTP-date form)."""
+    if retry_after and retry_after.strip().isdecimal():
+        return min(float(retry_after), RETRY_AFTER_CAP)
+    return backoff
 
 
 _REPLAY_CONFIG = BackendConfig(endpoint="replay:", model="replay")

@@ -126,8 +126,15 @@ class TrialRecord(TrialSummary):
 
 
 def _from_record(cls, record: dict):
-    """Build dataclass `cls` from the same-named keys of `record`."""
-    return cls(**{f.name: record[f.name] for f in fields(cls)})
+    """Build dataclass `cls` from the same-named keys of `record`.
+
+    Raises ValueError naming the record type and the first missing field."""
+    try:
+        values = {f.name: record[f.name] for f in fields(cls)}
+    except KeyError as exc:
+        kind = record.get("type", cls.__name__)
+        raise ValueError(f"{kind} record lacks field {exc.args[0]!r}") from None
+    return cls(**values)
 
 
 def _event(
@@ -467,6 +474,8 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(f"log {path} has no header record")
     if embedded is None:
         raise ValueError(f"log {path} has no report record")
+    if "plan_size" not in header:
+        raise ValueError(f"log {path}: header record lacks field 'plan_size'")
     shared = {key: header[key] for key in header.keys() & embedded.keys() - {"type"}}
     rebuilt = replace(
         _from_record(ExperimentReport, {**embedded, **shared}),

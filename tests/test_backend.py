@@ -1,13 +1,17 @@
 """Chat-backend tests: token estimation, replay contract, HTTP transport.
 
-The HTTP tests run against a stdlib http.server stub so the request wire
-format (body fields, auth header, retry behavior) is pinned without any
-network dependency.
+The HTTP tests run against a stdlib http.server stub (HTTP/1.1, keep-alive)
+so the request wire format (body fields, auth header), retry and fail-fast
+behavior, connection reuse and proxy routing are pinned without any network
+dependency.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -125,15 +129,26 @@ def test_recording_backend_captures_replayable_script(tmp_path):
 # --- http backend against a stub server --------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         server.requests.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {
+                "body": body,
+                "auth": self.headers.get("Authorization"),
+                "path": self.path,
+                "port": self.client_address[1],
+            }
         )
-        status, payload = server.responses[min(len(server.requests) - 1, len(server.responses) - 1)]
+        status, payload, *headers = server.responses[
+            min(len(server.requests) - 1, len(server.responses) - 1)
+        ]
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -141,6 +156,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+@pytest.fixture(autouse=True)
+def no_proxy_env(monkeypatch):
+    """Keep the caller's proxy variables away from the transport tests."""
+    for name in list(os.environ):
+        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture
@@ -234,6 +257,96 @@ def test_http_retries_exhausted_raises(stub_server, monkeypatch):
     with pytest.raises(BackendError):
         HttpBackend(_config(stub_server, retries=1)).complete([SYSTEM])
     assert len(stub_server.requests) == 2  # initial try + one retry
+
+
+def _sleeps(monkeypatch):
+    import covstim.backend as backend_mod
+
+    slept = []
+    monkeypatch.setattr(backend_mod.time, "sleep", slept.append)
+    return slept
+
+
+def test_http_fails_fast_on_client_errors(stub_server, monkeypatch):
+    slept = _sleeps(monkeypatch)
+    for status in (400, 401, 404):
+        stub_server.requests.clear()
+        stub_server.responses = [(status, {"error": "nope"}), (200, _chat_payload("late"))]
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            HttpBackend(_config(stub_server, retries=3)).complete([SYSTEM])
+        assert len(stub_server.requests) == 1
+    assert slept == []
+
+
+def test_http_retry_waits(stub_server, monkeypatch):
+    import covstim.backend as backend_mod
+
+    cases = [
+        # (failing responses before a 200, expected sleeps)
+        ([(429, {}, {"Retry-After": "7"})], [7.0]),
+        ([(503, {}, {"Retry-After": "86400"})], [backend_mod.RETRY_AFTER_CAP]),
+        ([(429, {}), (502, {}), (500, {})], [0.5, 1.0, 2.0]),
+        ([(429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"})], [0.5]),
+        ([(500, {}, {"Retry-After": "3"}), (500, {})], [3.0, 1.0]),
+    ]
+    for failures, expected in cases:
+        slept = _sleeps(monkeypatch)
+        stub_server.requests.clear()
+        stub_server.responses = failures + [(200, _chat_payload("ok"))]
+        out = HttpBackend(_config(stub_server, retries=3)).complete([SYSTEM])
+        assert out.text == "ok"
+        assert slept == expected
+        assert len(stub_server.requests) == len(failures) + 1
+
+
+def test_http_retries_connection_errors(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    cfg = BackendConfig(endpoint="http://127.0.0.1:1/v1", model="m", retries=2, timeout=5)
+    with pytest.raises(BackendError, match="after 3 attempts"):
+        HttpBackend(cfg).complete([SYSTEM])
+    assert slept == [0.5, 1.0]
+
+
+# --- session, start-up import and proxy environment --------------------------------
+
+def test_cli_import_does_not_load_requests():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, covstim.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_http_calls_share_one_keep_alive_connection(stub_server):
+    backend = HttpBackend(_config(stub_server))
+    for _ in range(5):
+        backend.complete([SYSTEM, USER])
+    assert len({r["port"] for r in stub_server.requests}) == 1
+    assert len(stub_server.requests) == 5
+
+
+DEAD_PROXY = "http://127.0.0.1:1"  # nothing listens there
+
+
+def test_http_proxy_read_when_backend_is_built(stub_server, monkeypatch):
+    # An address literal nothing serves: a call that skipped the proxy would
+    # be refused locally instead of resolving a name.
+    endpoint = "http://127.0.0.2:9/v1/chat/completions"
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{stub_server.server_address[1]}")
+    backend = HttpBackend(BackendConfig(endpoint=endpoint, model="m", retries=0))
+    monkeypatch.setenv("HTTP_PROXY", DEAD_PROXY)
+    assert backend.complete([SYSTEM]).text == "ok"
+    assert stub_server.requests[0]["path"] == endpoint  # absolute form: proxied
+
+
+def test_http_no_proxy_bypasses_proxy(stub_server, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", DEAD_PROXY)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    assert HttpBackend(_config(stub_server)).complete([SYSTEM]).text == "ok"
+    assert stub_server.requests[0]["path"] == "/v1/chat/completions"
 
 
 def test_messages_must_start_with_system(stub_server):

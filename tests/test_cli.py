@@ -168,6 +168,26 @@ def test_report_flags_tampered_log(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_report_rejects_record_missing_a_field(tmp_path, capsys):
+    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "log.jsonl"
+    lines = log.read_text().splitlines()
+    for kind, field in [("trial_end", "messages"), ("header", "plan_size"), ("report", "max_rate")]:
+        doctored = []
+        for line in lines:
+            record = json.loads(line)
+            if record["type"] == kind:
+                del record[field]
+            doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        log.write_text("\n".join(doctored) + "\n")
+        rc = main(["report", "--log", str(log)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("covstim: ")
+        assert f"{kind} record lacks field {field!r}" in err
+
+
 def test_run_llm_without_backend_fails(tmp_path, capsys):
     config, _ = write_run_setup(tmp_path)
     rc = main(["run", "--config", str(config)])
@@ -200,3 +220,16 @@ def test_run_baselines_script_matches_run_experiment():
         assert int(plan_size) == reports[0].plan_size
         assert avg_bins == f"{sum(r.max_coverage for r in reports) / 2:.1f}"
         assert avg_rate == f"{sum(100 * r.max_rate for r in reports) / 2:.2f}"
+
+
+def test_run_baselines_script_rejects_counts_below_one():
+    for flag in ("--seeds", "--count"):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_baselines.py"), flag, "0"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
