@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from covstim.backend import Completion, estimate_prompt
-from covstim.coverage import BinDescriptor, CoveragePlan
+from covstim.coverage import CoveragePlan, UncoveredBins
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 from covstim.prompting import (
     Dialogue,
@@ -52,10 +52,10 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class AgentFeedback:
-    """Coverage snapshot handed to the agent before each generation."""
+    """Coverage feedback handed to the agent before each generation."""
 
     rate: float
-    uncovered: list[BinDescriptor]  # plan order
+    uncovered: UncoveredBins  # live view: read it before the next record
 
 
 # --- response extraction -----------------------------------------------------------

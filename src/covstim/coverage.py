@@ -1,16 +1,16 @@
 """Functional coverage primitives: bin descriptors, plans, and hit accounting.
 
 A coverage plan is an ordered collection of named bins. Monitors translate
-design activity into bin ids; the coverage state counts hits and reports which
-bins remain uncovered. Plans are immutable once built so every consumer sees
-the same ordering.
+design activity into bin ids; the coverage state counts hits and keeps the
+bins that remain uncovered up to date as hits arrive. Plans are immutable
+once built so every consumer sees the same ordering.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, ValuesView
 
 
 class Difficulty(str, Enum):
@@ -43,6 +43,12 @@ class CoveragePlan:
         self._by_id = {b.id: b for b in self.bins}
         if len(self._by_id) != len(self.bins):
             raise ValueError(f"duplicate bin ids in plan {name!r}")
+        # uncovered-bin views start from copies of `_by_id` and of these
+        self._easier = {}
+        self._harder = {}
+        for b in self.bins:
+            side = self._easier if b.difficulty is Difficulty.EASIER else self._harder
+            side[b.id] = b
 
     def __len__(self) -> int:
         return len(self.bins)
@@ -78,12 +84,50 @@ class CoveragePlan:
         return json.dumps(self.to_records(), indent=2, sort_keys=True)
 
 
+class UncoveredBins:
+    """Live view of a state's unhit bins: in plan order, and split by difficulty.
+
+    Like a dict view it follows every later `record`; copy what must outlast
+    one. `easier` and `harder` iterate their bins in plan order. The bins
+    are insertion-ordered dicts copied from the plan, and covering a bin
+    deletes it, so keeping the view current costs O(new bins).
+    """
+
+    __slots__ = ("_all", "_easier", "_harder", "easier", "harder")
+
+    def __init__(self, plan: CoveragePlan) -> None:
+        self._all = plan._by_id.copy()
+        self._easier = plan._easier.copy()
+        self._harder = plan._harder.copy()
+        self.easier: ValuesView[BinDescriptor] = self._easier.values()
+        self.harder: ValuesView[BinDescriptor] = self._harder.values()
+
+    def __len__(self) -> int:
+        return len(self._all)
+
+    def __iter__(self) -> Iterator[BinDescriptor]:
+        return iter(self._all.values())
+
+    def _cover(self, bin_ids: Iterable[str]) -> None:
+        for bin_id in bin_ids:
+            if self._all.pop(bin_id).difficulty is Difficulty.EASIER:
+                del self._easier[bin_id]
+            else:
+                del self._harder[bin_id]
+
+
 class CoverageState:
-    """Hit counts for one plan. Counts only grow; ids outside the plan are bugs."""
+    """Hit counts for one plan. Counts only grow; ids outside the plan are bugs.
+
+    The uncovered-bin view is built by the first `uncovered()` call and kept
+    current by `record` from then on, so a state that is never asked (the
+    constrained-random loop) pays nothing for it.
+    """
 
     def __init__(self, plan: CoveragePlan) -> None:
         self.plan = plan
         self.hits: dict[str, int] = {}
+        self._view: Optional[UncoveredBins] = None
 
     def record(self, bin_ids: Iterable[str]) -> list[str]:
         """Count hits; return ids that just went from unhit to hit, in hit order."""
@@ -102,6 +146,8 @@ class CoverageState:
                 )
             newly_covered.append(bin_id)
             hits[bin_id] = 1
+        if newly_covered and self._view is not None:
+            self._view._cover(newly_covered)
         return newly_covered
 
     def count(self, bin_id: str) -> int:
@@ -119,6 +165,9 @@ class CoverageState:
     def is_full(self) -> bool:
         return self.covered_count == len(self.plan)
 
-    def uncovered(self) -> list[BinDescriptor]:
-        """Unhit bins in plan order."""
-        return [b for b in self.plan.bins if b.id not in self.hits]
+    def uncovered(self) -> UncoveredBins:
+        """Unhit bins in plan order: a live view, O(1) after the first call."""
+        if self._view is None:
+            self._view = UncoveredBins(self.plan)
+            self._view._cover(self.hits)
+        return self._view

@@ -21,11 +21,14 @@ under tests/fixtures/prompts/.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
-from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
+from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty, UncoveredBins
 from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 
 TEMPLATE_VARIANTS = ("original", "one_line_intro", "negative_feedback")
@@ -94,6 +97,51 @@ class Exchange:
         return self.easier_hits + HARDER_WEIGHT * self.harder_hits
 
 
+_by_seq = attrgetter("seq")
+
+
+def _chronological(exchanges: Iterable[Exchange]) -> list[Exchange]:
+    return sorted(exchanges, key=_by_seq)
+
+
+class ExchangePool:
+    """The best-exchange buffer: exchanges grouped by outcome.
+
+    A group holds the exchanges with one (easier_hits, harder_hits) pair in
+    seq order, so ranking scores one member per group. The pool is sized
+    and iterates in seq order.
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[tuple[int, int], list[Exchange]] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Exchange]:
+        return iter(_chronological(chain.from_iterable(self._groups.values())))
+
+    def groups(self):
+        """The non-empty groups, each a list in seq order."""
+        return self._groups.values()
+
+    def append(self, ex: Exchange) -> None:
+        """Add an exchange newer than every member."""
+        self._groups.setdefault((ex.easier_hits, ex.harder_hits), []).append(ex)
+        self._size += 1
+
+    def replace_last(self, old: Exchange, new: Exchange) -> None:
+        """Swap the newest exchange `old`, the last of its group, for `new`."""
+        key = (old.easier_hits, old.harder_hits)
+        group = self._groups[key]
+        group.pop()
+        if not group:
+            del self._groups[key]
+        self._size -= 1
+        self.append(new)
+
+
 class Dialogue:
     """Conversation state for one trial.
 
@@ -107,7 +155,7 @@ class Dialogue:
         self.system_text = system_text
         self.initial: Optional[Exchange] = None
         self.iterative: list[Exchange] = []
-        self.pool: list[Exchange] = []
+        self.pool = ExchangePool()
         self.restarts = 0
         self.deltas_since_restart: list[int] = []
         self._seq = 0
@@ -149,11 +197,12 @@ class Dialogue:
         with them.
         """
         if self.iterative:
+            last = self.iterative[-1]
             patched = dataclasses.replace(
-                self.iterative[-1], easier_hits=easier_hits, harder_hits=harder_hits
+                last, easier_hits=easier_hits, harder_hits=harder_hits
             )
             self.iterative[-1] = patched
-            self.pool[-1] = patched  # record_iterative appends to both
+            self.pool.replace_last(last, patched)  # record_iterative adds to both
         elif self.initial is not None:
             self.initial = dataclasses.replace(
                 self.initial, easier_hits=easier_hits, harder_hits=harder_hits
@@ -171,7 +220,7 @@ class Dialogue:
         self.iterative = []
         self.deltas_since_restart = []
         if buffer_reset == "clear":
-            self.pool = []
+            self.pool = ExchangePool()
 
 
 # --- restart policy ---------------------------------------------------------------
@@ -201,18 +250,19 @@ def should_restart(
 # --- missed-bin sampling -------------------------------------------------------------
 
 def sample_missed_bins(
-    uncovered: Sequence[BinDescriptor],
+    uncovered: UncoveredBins,
     config: StrategyConfig,
     rng: random.Random,
     method: Optional[str] = None,
 ) -> list[BinDescriptor]:
     """Pick the <= sample_size uncovered bins the next query will list.
 
-    `uncovered` must be in plan order. pure_random samples uniformly without
-    replacement; type_based keeps the first two in plan order and fills the
-    rest with 3 easier + 2 harder bins (topping up from the other pool when
-    one runs short, or 5 uniform when no easier bins remain). The stateless
-    form of "mixed" is its below-threshold behavior, type_based; use
+    `uncovered` is a coverage state's view, so the easier/harder split comes
+    ready in plan order. pure_random samples uniformly without replacement;
+    type_based keeps the first two in plan order and fills the rest with
+    3 easier + 2 harder bins (topping up from the other pool when one runs
+    short, or 5 uniform when no easier bins remain). The stateless form of
+    "mixed" is its below-threshold behavior, type_based; use
     MissedBinSampler for the toggling version.
     """
     if not uncovered:
@@ -225,13 +275,17 @@ def sample_missed_bins(
         return rng.sample(list(uncovered), min(k, len(uncovered)))
     if method != "type_based":
         raise ValueError(f"unknown missed-bin method {method!r}")
-    head = list(uncovered[:2])
-    rest = list(uncovered[2:])
-    want = min(k - len(head), len(rest))
-    easier = [b for b in rest if b.difficulty is Difficulty.EASIER]
-    harder = [b for b in rest if b.difficulty is Difficulty.HARDER]
-    if not easier:
-        return head + rng.sample(rest, want)
+    head = list(islice(uncovered, 2))
+    want = min(k - len(head), len(uncovered) - len(head))
+    # the head's easier (harder) members are the first of their difficulty,
+    # so the rest of each side is what follows them
+    m = sum(1 for b in head if b.difficulty is Difficulty.EASIER)
+    easier = list(uncovered.easier)
+    del easier[:m]
+    harder = list(uncovered.harder)
+    del harder[: len(head) - m]
+    if not easier:  # the rest is all harder
+        return head + rng.sample(harder, want)
     n_easier = min(3, len(easier))
     n_harder = min(2, len(harder))
     shortfall = want - n_easier - n_harder
@@ -272,26 +326,31 @@ class MissedBinSampler:
     def on_restart(self) -> None:
         self._window = []
 
-    def sample(
-        self, uncovered: Sequence[BinDescriptor], rng: random.Random
-    ) -> list[BinDescriptor]:
+    def sample(self, uncovered: UncoveredBins, rng: random.Random) -> list[BinDescriptor]:
         return sample_missed_bins(uncovered, self.config, rng, method=self.method)
 
 
 # --- context selection ---------------------------------------------------------------
 
-def _chronological(exchanges: Sequence[Exchange]) -> list[Exchange]:
-    return sorted(exchanges, key=lambda e: e.seq)
+def _top_k(pool: ExchangePool, k: int, score, rng: random.Random) -> list[Exchange]:
+    """Best k by score; exchanges tied at the boundary are sampled uniformly.
 
-
-def _top_k(pool: Sequence[Exchange], k: int, score, rng: random.Random) -> list[Exchange]:
-    """Best k by score; exchanges tied at the boundary are sampled uniformly."""
+    `score` must depend on an exchange's hit counts only, so each group is
+    scored once. Scores are walked from the top; the boundary score's
+    groups, merged in seq order, are the ties.
+    """
     if len(pool) <= k:
-        return _chronological(pool)
-    ranked = sorted((score(e) for e in pool), reverse=True)
-    boundary = ranked[k - 1]
-    sure = [e for e in pool if score(e) > boundary]
-    ties = [e for e in pool if score(e) == boundary]
+        return list(pool)
+    by_score: dict = {}
+    for group in pool.groups():
+        by_score.setdefault(score(group[0]), []).append(group)
+    sure: list[Exchange] = []
+    for value in sorted(by_score, reverse=True):
+        groups = by_score[value]
+        if len(sure) + sum(map(len, groups)) >= k:
+            break  # the pool holds more than k, so some score is the boundary
+        sure.extend(chain.from_iterable(groups))
+    ties = _chronological(chain.from_iterable(groups))
     return _chronological(sure + rng.sample(ties, k - len(sure)))
 
 
@@ -383,7 +442,9 @@ def build_system_message(stimulus_format: str) -> str:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _plan_summary(plan: CoveragePlan) -> str:
+    """Once per plan (plans hash by identity and never change)."""
     groups: dict[str, list[BinDescriptor]] = {}
     for b in plan:
         groups.setdefault(b.group, []).append(b)

@@ -161,15 +161,44 @@ def _event(
     }
 
 
+class PromptScale:
+    """Running maximum of reported/estimated prompt tokens, starting at 1.
+
+    The budget gate charges the prompt estimate times this ratio, rounded
+    up, so a server that counts more prompt tokens than the chars/4
+    estimate cannot push spending past the budget. The ratio is kept as an
+    exact fraction: while every call reports its estimate, the gate charges
+    the estimate itself.
+    """
+
+    def __init__(self) -> None:
+        self.num = self.den = 1
+
+    def scaled(self, estimate: int) -> int:
+        return -(-estimate * self.num // self.den)
+
+    def observe(self, estimate: int, reported: int) -> None:
+        if estimate > 0 and reported * self.den > self.num * estimate:
+            self.num, self.den = reported, estimate
+
+
 def run_trial(
-    dut, agent: LlmAgent, config: RunConfig, budget_remaining: int, trial_index: int = 1
+    dut,
+    agent: LlmAgent,
+    config: RunConfig,
+    budget_remaining: int,
+    trial_index: int = 1,
+    prompt_scale: Optional[PromptScale] = None,
 ) -> TrialRecord:
     """One dialogue-driven trial against a freshly reset DUT.
 
     Stops on full coverage, the exhaustion rule, the budget gate (a call is
-    made only when the prompt estimate plus the response allowance still
-    fits), or a backend error (status aborted).
+    made only when the scaled prompt estimate plus the response allowance
+    still fits), or a backend error (status aborted). `prompt_scale` carries
+    the reported/estimated ratio across an experiment's trials.
     """
+    if prompt_scale is None:
+        prompt_scale = PromptScale()
     state = CoverageState(dut.plan)
     plan = dut.plan
     events: list[dict] = []
@@ -201,8 +230,9 @@ def run_trial(
             agent.restart()
             restarted = True
         prepared = agent.prepare(AgentFeedback(rate=state.rate(), uncovered=state.uncovered()))
+        estimate = prepared.prompt_token_estimate
         spent = tokens_in + tokens_out
-        if spent + prepared.prompt_token_estimate + max_tokens > budget_remaining:
+        if spent + prompt_scale.scaled(estimate) + max_tokens > budget_remaining:
             status = BUDGET_EXHAUSTED
             break
         try:
@@ -212,6 +242,7 @@ def run_trial(
             error = str(exc)
             break
         messages += 1
+        prompt_scale.observe(estimate, record.completion.tokens_in)
         tokens_in += record.completion.tokens_in
         tokens_out += record.completion.tokens_out
         new_ids: list[str] = []
@@ -386,12 +417,16 @@ def run_experiment(
             note = "zero token budget: no trials were run"
         used = 0
         index = 1
+        prompt_scale = PromptScale()
         while used < budget:
             dut.reset()
             agent = LlmAgent(
                 dut.plan, dut.stimulus_format, config.strategy, backend, rng
             )
-            trial = run_trial(dut, agent, config, budget - used, trial_index=index)
+            trial = run_trial(
+                dut, agent, config, budget - used, trial_index=index,
+                prompt_scale=prompt_scale,
+            )
             if trial.messages == 0 and trial.status in (BUDGET_EXHAUSTED, ABORTED):
                 note = f"stopped before trial {index}: " + (
                     trial.error or "remaining budget cannot cover another call"
@@ -458,11 +493,13 @@ def report_from_log(path) -> ExperimentReport:
     summaries: list[TrialSummary] = []
     embedded: Optional[dict] = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"log {path} line {number} is not a JSON object")
             kind = record.get("type")
             if kind == "header":
                 header = record

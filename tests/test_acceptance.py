@@ -7,6 +7,7 @@ exact values; everything else is exact or a hard bound.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import threading
@@ -39,11 +40,11 @@ from covstim.runtime import (
     run_crt_trial,
     run_experiment,
 )
-from test_backend import _StubHandler, _chat_payload
+from test_backend import POLL_S, _StubHandler, _chat_payload
 from test_cpu import oracle_hazards, random_word
 from test_decoder import decoder_oracle_bins
 from test_golden import FIXTURES, replay_golden
-from test_prompting import make_bins
+from test_prompting import make_bins, uncovered_of
 from test_stride import monitor_stream_bins, oracle_stream_bins
 from toydut import ToyDut
 
@@ -242,16 +243,16 @@ def test_criterion_5_strategy_examples():
 
     bins = make_bins(easier=6, harder=6)
     config = StrategyConfig()
-    few = sample_missed_bins(bins[:5], config, rng)
+    few = sample_missed_bins(uncovered_of(bins[:5]), config, rng)
     checks.append(
         ("fewer-than-k returns all", sorted(b.id for b in few) == [b.id for b in bins[:5]])
     )
-    drawn = sample_missed_bins(bins, config, rng)
+    drawn = sample_missed_bins(uncovered_of(bins), config, rng)
     checks.append(
         ("pure_random 7 unique", len(drawn) == 7 and len(set(d.id for d in drawn)) == 7)
     )
     typed = sample_missed_bins(
-        bins, StrategyConfig(missed_bin="type_based"), rng
+        uncovered_of(bins), StrategyConfig(missed_bin="type_based"), rng
     )
     head, tail = typed[:2], typed[2:]
     easier_tail = sum(1 for b in tail if b.difficulty.value == "easier")
@@ -358,6 +359,38 @@ def test_criterion_6_budget_conservation():
     assert ok
 
 
+class InflatingBackend(ReplayBackend):
+    """Reports 1.5x the chars/4 prompt estimate, as a denser tokenizer would."""
+
+    def complete(self, messages):
+        out = super().complete(messages)
+        return dataclasses.replace(out, tokens_in=(3 * out.tokens_in + 1) // 2)
+
+
+def stride_script(rng: random.Random, length: int) -> list[str]:
+    """Replies of strided runs, a few without a fence."""
+    script = []
+    for _ in range(length):
+        if rng.random() < 0.1:
+            script.append("I would try a few strided addresses next.")
+            continue
+        start, stride = rng.randrange(1 << 16), rng.randrange(-64, 65)
+        values = " ".join(str((start + i * stride) & 0xFFFFFFFF) for i in range(20))
+        script.append(f"```\n{values}\n```")
+    return script
+
+
+def test_budget_holds_when_the_server_counts_more_prompt_tokens():
+    script = stride_script(random.Random(6), 150)
+    overshot = []
+    for budget in range(5_000, 60_001, 1_000):
+        config = RunConfig(dut="stride", agent="llm", seed=budget, budget_tokens=budget)
+        report = run_experiment(config, backend=InflatingBackend(script))
+        if report.total_tokens > budget:
+            overshot.append((budget, report.total_tokens))
+    assert not overshot
+
+
 # --- 7: live pipeline produces a structured report ----------------------------------
 
 # The dialogue-driven coverage results depend on whichever live model serves
@@ -389,7 +422,9 @@ def acceptance_stub():
     server.requests = []
     usage = {"prompt_tokens": 120, "completion_tokens": 30}
     server.responses = [(200, _chat_payload(RESPONSE_TEXT, usage=usage))]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": POLL_S}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

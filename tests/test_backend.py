@@ -158,6 +158,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+# how often the stub's serve loop checks for shutdown: teardown waits up to this
+POLL_S = 0.05
+
+
 @pytest.fixture(autouse=True)
 def no_proxy_env(monkeypatch):
     """Keep the caller's proxy variables away from the transport tests."""
@@ -171,7 +175,9 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.responses = [(200, _chat_payload("ok"))]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": POLL_S}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

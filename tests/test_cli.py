@@ -188,6 +188,20 @@ def test_report_rejects_record_missing_a_field(tmp_path, capsys):
         assert f"{kind} record lacks field {field!r}" in err
 
 
+def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
+    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "log.jsonl"
+    lines = log.read_text().splitlines()
+    for junk in ("[1,2]", "7", '"event"', "null"):
+        log.write_text("\n".join([lines[0], junk, *lines[1:]]) + "\n")
+        rc = main(["report", "--log", str(log)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("covstim: ")
+        assert "line 2 is not a JSON object" in err
+
+
 def test_run_llm_without_backend_fails(tmp_path, capsys):
     config, _ = write_run_setup(tmp_path)
     rc = main(["run", "--config", str(config)])

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
+from covstim.duts.cpu import cpu_plan
+from covstim.duts.decoder import decoder_plan
+from covstim.duts.stride import stride_plan
 
 
 def make_plan(n=6, name="toy"):
@@ -107,3 +111,61 @@ def test_uncovered_matches_set_difference_oracle(hits):
         seen |= set(batch)
     assert {b.id for b in state.uncovered()} == set(plan.ids()) - seen
     assert state.covered_count == len(seen)
+
+
+# --- incremental uncovered bins against the rebuild-per-call oracle ------------------
+
+def oracle_uncovered(plan: CoveragePlan, hits) -> list[BinDescriptor]:
+    """The list every call used to rebuild: unhit bins in plan order."""
+    return [b for b in plan.bins if b.id not in hits]
+
+
+REAL_PLANS = {"stride": stride_plan, "decoder": decoder_plan, "cpu": cpu_plan}
+
+
+@given(
+    device=st.sampled_from(sorted(REAL_PLANS)),
+    batches=st.lists(
+        st.tuples(st.sampled_from(["few", "many", "easier", "head"]), st.integers(0, 2**16)),
+        max_size=12,
+    ),
+    first_asked=st.integers(min_value=0, max_value=12),
+)
+def test_uncovered_view_matches_oracle_on_real_plans(device, batches, first_asked):
+    plan = REAL_PLANS[device]()
+    state = CoverageState(plan)
+    view = None
+    for step, (kind, seed) in enumerate(batches):
+        if step == first_asked:  # the view is built on demand, after some hits
+            view = state.uncovered()
+        rng = random.Random(seed)
+        ids = plan.ids()
+        if kind == "few":
+            batch = rng.sample(ids, 5)
+        elif kind == "many":
+            batch = rng.sample(ids, len(ids) // 3)
+        elif kind == "easier":  # every easier bin but at most one
+            batch = [b.id for b in plan if b.difficulty is Difficulty.EASIER][rng.randrange(2):]
+        else:  # the first uncovered bins, so the plan-order head moves
+            batch = [b.id for b in oracle_uncovered(plan, state.hits)[: rng.randrange(1, 4)]]
+        state.record(batch)
+        if view is None:
+            continue
+        expected = oracle_uncovered(plan, state.hits)
+        assert state.uncovered() is view  # one live view per state
+        assert list(view) == expected and len(view) == len(expected)
+        assert list(view.easier) == [b for b in expected if b.difficulty is Difficulty.EASIER]
+        assert list(view.harder) == [b for b in expected if b.difficulty is Difficulty.HARDER]
+
+
+def test_uncovered_view_does_not_depend_on_when_it_is_first_asked_for():
+    plan = make_plan(4)
+    early, late = CoverageState(plan), CoverageState(plan)
+    view = early.uncovered()
+    for state in (early, late):
+        state.record(["bin_00", "bin_03"])
+    assert [b.id for b in view] == [b.id for b in late.uncovered()] == ["bin_01", "bin_02"]
+    assert [b.id for b in late.uncovered().easier] == ["bin_01"]
+    assert [b.id for b in late.uncovered().harder] == ["bin_02"]
+    # states of one plan share nothing
+    assert [b.id for b in CoverageState(plan).uncovered()] == plan.ids()

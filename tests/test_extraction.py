@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from covstim.agents import AgentFeedback, CrtAgent, LlmAgent, extract_stimuli
 from covstim.backend import ReplayBackend
-from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
+from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
 from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 from covstim.prompting import StrategyConfig
 
@@ -195,7 +195,7 @@ def make_agent(script, strategy=None):
         backend=ReplayBackend(script),
         rng=random.Random(11),
     )
-    feedback = AgentFeedback(rate=0.0, uncovered=list(plan))
+    feedback = AgentFeedback(rate=0.0, uncovered=CoverageState(plan).uncovered())
     return agent, feedback
 
 

@@ -6,21 +6,29 @@ the implementation's pool bookkeeping.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
+import covstim.prompting as prompting
+
+from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
 from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
+from covstim.duts.cpu import cpu_plan
 from covstim.duts.decoder import decoder_plan
 from covstim.duts.stride import stride_plan
 from covstim.prompting import (
+    BUFFER_RESETS,
+    CONTEXT_STRATEGIES,
     Dialogue,
     Exchange,
     MissedBinSampler,
     ResponseOutcome,
     StrategyConfig,
+    _top_k,
     build_initial_query,
     build_iterative_query,
     build_system_message,
@@ -44,6 +52,11 @@ def make_bins(easier: int, harder: int) -> list[BinDescriptor]:
             )
         )
     return out
+
+
+def uncovered_of(bins: list[BinDescriptor]):
+    """What a run hands the sampler: a fresh state's view over a plan of `bins`."""
+    return CoverageState(CoveragePlan("toy", bins)).uncovered()
 
 
 # --- strategy config --------------------------------------------------------------
@@ -81,14 +94,14 @@ def test_config_rejects_unknown_variants():
 def test_pure_random_returns_all_when_fewer_than_sample_size():
     cfg = StrategyConfig(missed_bin="pure_random")
     uncovered = make_bins(3, 2)
-    out = sample_missed_bins(uncovered, cfg, random.Random(1))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(1))
     assert sorted(b.id for b in out) == [b.id for b in uncovered]
 
 
 def test_pure_random_is_seven_without_replacement():
     cfg = StrategyConfig(missed_bin="pure_random")
     uncovered = make_bins(10, 10)
-    out = sample_missed_bins(uncovered, cfg, random.Random(1))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(1))
     assert len(out) == 7
     assert len({b.id for b in out}) == 7
     assert all(b in uncovered for b in out)
@@ -97,7 +110,7 @@ def test_pure_random_is_seven_without_replacement():
 def test_type_based_head_then_three_easier_two_harder():
     cfg = StrategyConfig(missed_bin="type_based")
     uncovered = make_bins(8, 8)  # plan order: easier first here
-    out = sample_missed_bins(uncovered, cfg, random.Random(3))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(3))
     assert out[0] is uncovered[0] and out[1] is uncovered[1]
     tail = out[2:]
     assert len(tail) == 5
@@ -109,7 +122,7 @@ def test_type_based_head_then_three_easier_two_harder():
 def test_type_based_falls_back_to_random_five_when_easier_exhausted():
     cfg = StrategyConfig(missed_bin="type_based")
     uncovered = make_bins(0, 12)  # nothing easier anywhere
-    out = sample_missed_bins(uncovered, cfg, random.Random(3))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(3))
     assert out[0] is uncovered[0] and out[1] is uncovered[1]
     assert len(out) == 7
     assert len({b.id for b in out}) == 7
@@ -119,14 +132,14 @@ def test_type_based_tops_up_when_one_pool_runs_short():
     cfg = StrategyConfig(missed_bin="type_based")
     # after the first-two head, one easier and many harder remain
     uncovered = make_bins(3, 10)
-    out = sample_missed_bins(uncovered, cfg, random.Random(5))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(5))
     tail = out[2:]
     assert len(out) == 7
     assert sum(1 for b in tail if b.difficulty is Difficulty.EASIER) == 1
     assert sum(1 for b in tail if b.difficulty is Difficulty.HARDER) == 4
     # and the mirror case: plenty easier, one harder
     uncovered = make_bins(10, 1)
-    out = sample_missed_bins(uncovered, cfg, random.Random(5))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(5))
     tail = out[2:]
     assert sum(1 for b in tail if b.difficulty is Difficulty.HARDER) == 1
     assert sum(1 for b in tail if b.difficulty is Difficulty.EASIER) == 4
@@ -134,7 +147,7 @@ def test_type_based_tops_up_when_one_pool_runs_short():
 
 def test_empty_uncovered_is_a_hard_error():
     with pytest.raises(ValueError):
-        sample_missed_bins([], StrategyConfig(), random.Random(0))
+        sample_missed_bins(uncovered_of([]), StrategyConfig(), random.Random(0))
 
 
 @settings(max_examples=120, deadline=None)
@@ -149,7 +162,7 @@ def test_sampler_never_duplicates_and_bounds_size(easier, harder, method, seed):
     if not uncovered:
         return
     cfg = StrategyConfig(missed_bin=method)
-    out = sample_missed_bins(uncovered, cfg, random.Random(seed))
+    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(seed))
     assert len(out) == min(7, len(uncovered))
     assert len({b.id for b in out}) == len(out)
     ids = {b.id for b in uncovered}
@@ -160,8 +173,10 @@ def test_mixed_below_threshold_equals_type_based():
     uncovered = make_bins(8, 8)
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
     sampler.observe(1, rate=0.10)
-    a = sampler.sample(uncovered, random.Random(7))
-    b = sample_missed_bins(uncovered, StrategyConfig(missed_bin="type_based"), random.Random(7))
+    a = sampler.sample(uncovered_of(uncovered), random.Random(7))
+    b = sample_missed_bins(
+        uncovered_of(uncovered), StrategyConfig(missed_bin="type_based"), random.Random(7)
+    )
     assert [x.id for x in a] == [x.id for x in b]
 
 
@@ -493,3 +508,204 @@ def test_iterative_query_handles_complete_plan():
         ResponseOutcome(well_formed=True, gibberish=False, new_hits=3), []
     )
     assert "covered" in text
+
+
+# --- incremental state against the list-based oracles ------------------------------
+# The oracles are the list-based functions the incremental code replaced; a
+# run must draw the same random stream and pick the same bins and exchanges.
+
+def oracle_sample(uncovered, config, rng, method=None):
+    """List-based sampler: partitions the plan-order uncovered list each call."""
+    if not uncovered:
+        raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
+    method = method or config.missed_bin
+    if method == "mixed":
+        method = "type_based"
+    k = config.sample_size
+    if method == "pure_random":
+        return rng.sample(list(uncovered), min(k, len(uncovered)))
+    head = list(uncovered[:2])
+    rest = list(uncovered[2:])
+    want = min(k - len(head), len(rest))
+    easier = [b for b in rest if b.difficulty is Difficulty.EASIER]
+    harder = [b for b in rest if b.difficulty is Difficulty.HARDER]
+    if not easier:
+        return head + rng.sample(rest, want)
+    n_easier = min(3, len(easier))
+    n_harder = min(2, len(harder))
+    shortfall = want - n_easier - n_harder
+    if shortfall > 0:
+        extra = min(shortfall, len(easier) - n_easier)
+        n_easier += extra
+        n_harder += min(shortfall - extra, len(harder) - n_harder)
+    return head + rng.sample(easier, n_easier) + rng.sample(harder, n_harder)
+
+
+def oracle_top_k(pool, k, score, rng):
+    """List-based ranking: scores every exchange of a seq-ordered list."""
+    if len(pool) <= k:
+        return sorted(pool, key=lambda e: e.seq)
+    ranked = sorted((score(e) for e in pool), reverse=True)
+    boundary = ranked[k - 1]
+    sure = [e for e in pool if score(e) > boundary]
+    ties = [e for e in pool if score(e) == boundary]
+    return sorted(sure + rng.sample(ties, k - len(sure)), key=lambda e: e.seq)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_samplers_agree(state, seed):
+    expected = [b for b in state.plan.bins if b.id not in state.hits]
+    assert list(state.uncovered()) == expected
+    if not expected:
+        return
+    for method in ("pure_random", "type_based", "mixed"):
+        for k in (1, 2, 5, 7, 12):
+            config = StrategyConfig(missed_bin=method, sample_size=k)
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = outcome(sample_missed_bins, state.uncovered(), config, fast)
+            assert got == outcome(oracle_sample, expected, config, slow), (method, k)
+            assert fast.getstate() == slow.getstate(), (method, k)
+
+
+REAL_PLANS = {"stride": stride_plan, "decoder": decoder_plan, "cpu": cpu_plan}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    device=st.sampled_from(sorted(REAL_PLANS)),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["few", "many", "easier", "head"]), st.integers(0, 2**16)),
+        max_size=10,
+    ),
+)
+def test_sampler_matches_list_oracle_on_real_plans(device, steps):
+    plan = REAL_PLANS[device]()
+    state = CoverageState(plan)
+    assert_samplers_agree(state, 0)
+    easier_ids = [b.id for b in plan if b.difficulty is Difficulty.EASIER]
+    for kind, seed in steps:
+        rng = random.Random(seed)
+        if kind == "few":
+            batch = rng.sample(plan.ids(), 5)
+        elif kind == "many":
+            batch = rng.sample(plan.ids(), len(plan) // 3)
+        elif kind == "easier":  # every easier bin but at most one
+            batch = easier_ids[rng.randrange(2):]
+        else:  # the plan-order head itself, so the head's make-up changes
+            batch = [b.id for b in state.uncovered()][: rng.randrange(1, 4)]
+        state.record(batch)
+        assert_samplers_agree(state, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    easier_flags=st.lists(st.booleans(), max_size=24),
+    order=st.randoms(use_true_random=False),
+    seed=st.integers(min_value=0, max_value=999),
+)
+@example(easier_flags=[True, False] * 6, order=random.Random(0), seed=0)  # mixed heads
+def test_sampler_matches_list_oracle_on_small_plans(easier_flags, order, seed):
+    bins = [
+        BinDescriptor(
+            f"bin_{i:02d}",
+            f"toy behavior {i}",
+            Difficulty.EASIER if easy else Difficulty.HARDER,
+            "toy",
+        )
+        for i, easy in enumerate(easier_flags)
+    ]
+    state = CoverageState(CoveragePlan("toy", bins))
+    ids = [b.id for b in bins]
+    order.shuffle(ids)
+    assert_samplers_agree(state, seed)
+    for bin_id in ids:  # cover one bin at a time down to an empty plan
+        state.record([bin_id])
+        assert_samplers_agree(state, seed)
+
+
+class OracleDialogue:
+    """The list-based pool bookkeeping the grouped pool replaced."""
+
+    def __init__(self) -> None:
+        self.pool: list[Exchange] = []
+        self.iterative = 0  # exchanges since the last restart
+
+    def credit(self, easier_hits, harder_hits) -> None:
+        if self.iterative:
+            self.pool[-1] = dataclasses.replace(
+                self.pool[-1], easier_hits=easier_hits, harder_hits=harder_hits
+            )
+
+    def restart(self, buffer_reset) -> None:
+        self.iterative = 0
+        if buffer_reset == "clear":
+            self.pool = []
+
+
+SCORES = (lambda e: e.hits, lambda e: e.weighted_score)
+# small hit counts, so that different outcomes often tie on a score
+DIALOGUE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["initial", "iterative", "credit", "restart"]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=DIALOGUE_OPS,
+    buffer_reset=st.sampled_from(BUFFER_RESETS),
+    seed=st.integers(min_value=0, max_value=999),
+)
+@example(  # ties at score 1 span two groups whose members interleave in seq
+    ops=[("initial", 0, 0)] + [("iterative", 1, 0), ("iterative", 0, 1)] * 3,
+    buffer_reset="keep",
+    seed=0,
+)
+def test_pool_and_context_match_list_oracle(ops, buffer_reset, seed):
+    d = Dialogue("sys")
+    oracle = OracleDialogue()
+    for step, (op, easier, harder) in enumerate(ops):
+        if op == "restart":
+            d.restart(buffer_reset)
+            oracle.restart(buffer_reset)
+        elif op == "credit":
+            if d.initial is None:
+                continue
+            d.credit_last(easier, harder)
+            oracle.credit(easier, harder)
+        elif d.initial is None:
+            d.record_initial(f"init{step}", "r", easier, harder)
+        else:
+            ex = d.record_iterative(f"q{step}", "r", easier, harder)
+            oracle.pool.append(dataclasses.replace(ex))
+            oracle.iterative += 1
+        assert list(d.pool) == oracle.pool and len(d.pool) == len(oracle.pool)
+        for k in (1, 2, 3, 4):
+            for score in SCORES:
+                fast, slow = random.Random(seed + step), random.Random(seed + step)
+                assert _top_k(d.pool, k, score, fast) == oracle_top_k(
+                    oracle.pool, k, score, slow
+                )
+                assert fast.getstate() == slow.getstate()
+
+        def ranked_by_oracle(pool, k, score, rng):
+            return oracle_top_k(oracle.pool, k, score, rng)
+
+        for context in CONTEXT_STRATEGIES:
+            config = StrategyConfig(context=context, buffer_reset=buffer_reset)
+            fast, slow = random.Random(seed + step), random.Random(seed + step)
+            got = select_context(d, config, fast)
+            with mock.patch.object(prompting, "_top_k", ranked_by_oracle):
+                want = select_context(d, config, slow)
+            assert got == want, context
+            assert fast.getstate() == slow.getstate(), context
