@@ -14,7 +14,6 @@ flagged gibberish.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import re
@@ -215,9 +214,9 @@ class LlmAgent:
 
     The runtime drives it in three steps per response: prepare (build the
     query and context, cheap and side-effect free, so the caller can apply
-    its token-budget gate first), submit (backend call, extraction, exchange
-    appended with zero hits), and credit (after the stimuli ran, patch the
-    exchange's hit counts and advance the restart/sampler windows).
+    its token-budget gate first), submit (backend call and extraction; the
+    reply is held pending), and credit (after the stimuli ran, record the
+    exchange with its hit counts and advance the restart/sampler windows).
     """
 
     kind = "llm"
@@ -238,6 +237,7 @@ class LlmAgent:
         self.dialogue = Dialogue(build_system_message(stimulus_format))
         self.sampler = MissedBinSampler(strategy)
         self.last_outcome: Optional[ResponseOutcome] = None
+        self._pending: Optional[tuple[PreparedQuery, str, ExtractionResult]] = None
 
     def prepare(self, feedback: AgentFeedback) -> PreparedQuery:
         if self.dialogue.initial is None:
@@ -265,25 +265,26 @@ class LlmAgent:
     def submit(self, prepared: PreparedQuery) -> ResponseRecord:
         completion = self.backend.complete(prepared.messages)
         extraction = extract_stimuli(completion.text, self.stimulus_format)
-        if prepared.kind == "initial":
-            self.dialogue.record_initial(prepared.query, completion.text)
-        else:
-            self.dialogue.record_iterative(prepared.query, completion.text)
-        self.last_outcome = ResponseOutcome(
-            well_formed=extraction.well_formed,
-            gibberish=extraction.gibberish,
-            new_hits=0,
-        )
+        self._pending = (prepared, completion.text, extraction)
         return ResponseRecord(prepared.kind, prepared.query, completion, extraction)
 
     def credit(self, easier_hits: int, harder_hits: int, rate: float) -> None:
-        """Attribute the newly covered bins to the most recent exchange."""
-        self.dialogue.credit_last(easier_hits, harder_hits)
-        if self.last_outcome is not None:
-            self.last_outcome = dataclasses.replace(
-                self.last_outcome, new_hits=easier_hits + harder_hits
-            )
-        self.sampler.observe(easier_hits + harder_hits, rate)
+        """Record the pending reply with the bins its stimuli newly covered."""
+        if self._pending is None:
+            raise ValueError("no submitted reply to credit")
+        prepared, text, extraction = self._pending
+        self._pending = None
+        if prepared.kind == "initial":
+            self.dialogue.record_initial(prepared.query, text, easier_hits, harder_hits)
+        else:
+            self.dialogue.record_iterative(prepared.query, text, easier_hits, harder_hits)
+        new_hits = easier_hits + harder_hits
+        self.last_outcome = ResponseOutcome(
+            well_formed=extraction.well_formed,
+            gibberish=extraction.gibberish,
+            new_hits=new_hits,
+        )
+        self.sampler.observe(new_hits, rate)
 
     def restart(self) -> None:
         self.dialogue.restart(self.strategy.buffer_reset)

@@ -1,8 +1,9 @@
 """Behavioral designs under test and their coverage monitors.
 
 Every DUT exposes the same surface: a coverage plan, a `feed` method that
-consumes one stimulus and returns the bin ids it hit, `reset` for trial
-boundaries, and `extras` for agent-facing state (the CPU reports its pc).
+consumes one stimulus and returns the bin ids it hit (the device's only
+decode), `reset` for trial boundaries, and `extras` for agent-facing state
+(the CPU reports its `pc`, which the crt CPU draw reads; the rest, nothing).
 """
 from __future__ import annotations
 

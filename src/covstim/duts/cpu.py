@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from covstim import rv32i
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
@@ -38,20 +38,6 @@ CPU_OPS = R_OPS + STORE_OPS + ("jal",)
 CPU_WRITERS = frozenset(R_OPS) | {"jal"}
 CPU_READERS = frozenset(R_OPS) | set(STORE_OPS)
 
-NOP = "nop"
-
-
-@dataclass(frozen=True)
-class CpuDecode:
-    op: str  # one of CPU_OPS or "nop"
-    rs1: Optional[int] = None
-    rs2: Optional[int] = None
-    rd: Optional[int] = None
-    imm: Optional[int] = None
-
-
-_NOP_DECODE = CpuDecode(op=NOP)
-
 
 def _signed(v: int) -> int:
     return v - 2**32 if v >= 2**31 else v
@@ -69,26 +55,6 @@ _ALU = {
     "or": lambda a, b: a | b,
     "and": lambda a, b: a & b,
 }
-
-
-def decode_cpu(word: int) -> CpuDecode:
-    word &= _MASK
-    opc = rv32i.opcode(word)
-    if opc == _R_OPCODE:
-        entry = decoder_model()[1].get(word & MATCH_MASK)  # only R-type ops use opcode 0x33
-        if entry is None:
-            return _NOP_DECODE
-        return CpuDecode(
-            op=entry[2]["name"], rs1=rv32i.rs1(word), rs2=rv32i.rs2(word), rd=rv32i.rd(word)
-        )
-    if opc == _STORE_OPCODE:
-        name = _STORE_F3.get(rv32i.funct3(word))
-        if name is None:
-            return _NOP_DECODE
-        return CpuDecode(op=name, rs1=rv32i.rs1(word), rs2=rv32i.rs2(word), imm=rv32i.imm_s(word))
-    if opc == _JAL_OPCODE:
-        return CpuDecode(op="jal", rd=rv32i.rd(word), imm=rv32i.imm_j(word))
-    return _NOP_DECODE
 
 
 def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
@@ -205,8 +171,7 @@ class CpuState:
 class CpuDut:
     """One timestep = apply instruction-memory updates, then execute once.
 
-    `step` decodes inline and emits prebuilt bin ids; `decode_cpu` is the
-    readable decode of the same words (see `last_decode`). The last writer's
+    `step` decodes inline and emits prebuilt bin ids. The last writer's
     destination register carries read-after-write adjacency to the next
     instruction; a NOP, a store or an x0 destination clears it.
     """
@@ -220,14 +185,8 @@ class CpuDut:
 
     def reset(self) -> None:
         self.state = CpuState()
-        self.last_word: Optional[int] = None
-        self._last_op = NOP
         self._writer_rd = 0  # destination of the previous instruction if it wrote one
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
-
-    @property
-    def last_decode(self) -> CpuDecode:
-        return _NOP_DECODE if self.last_word is None else decode_cpu(self.last_word)
 
     def apply_updates(self, updates: Sequence[Sequence[int]]) -> None:
         """Validate all updates, then apply; a malformed one rejects the lot."""
@@ -246,7 +205,6 @@ class CpuDut:
         s = self.state
         pc = s.pc
         word = s.imem.get(pc, 0)
-        self.last_word = word
         opcode = word & 0x7F
         if opcode == _JAL_OPCODE:
             rd = (word >> 7) & 31
@@ -262,7 +220,6 @@ class CpuDut:
                 s.regs[rd] = (pc + 4) & _MASK
             # encodable offsets are even but not always multiples of 4
             s.pc = (pc + imm) & 0xFFFFFFFC
-            self._last_op = "jal"
             self._writer_rd = rd
             self._writer_hazards = self._jal_hazards
             return list(self._jal_bins[rd == 0][imm < 0])
@@ -274,7 +231,6 @@ class CpuDut:
         else:
             op = None
         if op is None:
-            self._last_op = NOP
             self._writer_rd = 0
             return []
         name, seen, zero_src, same_src, zero_dst, alu, hazards, width = op
@@ -303,7 +259,6 @@ class CpuDut:
         writer_rd = self._writer_rd
         if writer_rd and (writer_rd == rs1 or writer_rd == rs2):
             bins.append(self._writer_hazards[name])
-        self._last_op = name
         self._writer_rd = rd
         self._writer_hazards = hazards
         return bins
@@ -313,4 +268,4 @@ class CpuDut:
         return self.step()
 
     def extras(self) -> dict:
-        return {"pc": self.state.pc, "last_word": self.last_word, "last_op": self._last_op}
+        return {"pc": self.state.pc}

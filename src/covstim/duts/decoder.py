@@ -4,53 +4,17 @@ The op/port table ships as package data (data/rv32i_ops.json) and is the
 single source of truth for encodings, port usage, and the generated coverage
 plan: one bin per op, one per (register, port) pair, and one per
 op x register x port cross for the ports that op actually uses. Words that
-do not match any table entry decode to the illegal value and hit nothing.
+do not match any table entry hit nothing.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 from covstim import rv32i
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_INTEGERS
-
-ILLEGAL = "illegal"
-
-PORT_READ_A = "read_a"  # rs1 field
-PORT_READ_B = "read_b"  # rs2 field
-PORT_WRITE = "write"  # rd field
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    op: str
-    rs1: Optional[int] = None
-    rs2: Optional[int] = None
-    rd: Optional[int] = None
-    imm: Optional[int] = None
-    shamt: Optional[int] = None
-
-    @property
-    def is_illegal(self) -> bool:
-        return self.op == ILLEGAL
-
-    def ports(self) -> list[tuple[int, str]]:
-        """(register, port) pairs this instruction touches."""
-        pairs = []
-        if self.rs1 is not None:
-            pairs.append((self.rs1, PORT_READ_A))
-        if self.rs2 is not None:
-            pairs.append((self.rs2, PORT_READ_B))
-        if self.rd is not None:
-            pairs.append((self.rd, PORT_WRITE))
-        return pairs
-
-
-_ILLEGAL_RESULT = DecodeResult(op=ILLEGAL)
 
 # Ops with a fixed funct7 are keyed on opcode, funct3 and funct7; ops that
 # leave bits 31:25 free are keyed on opcode and funct3 only, in a separate
@@ -60,9 +24,9 @@ MATCH_MASK = 0xFE00707F
 FREE_MASK = 0x0000707F
 
 _PORTS = (  # port, its word field, the field's shift
-    (PORT_READ_A, "rs1", 15),
-    (PORT_READ_B, "rs2", 20),
-    (PORT_WRITE, "rd", 7),
+    ("read_a", "rs1", 15),
+    ("read_b", "rs2", 20),
+    ("write", "rd", 7),
 )
 
 
@@ -75,33 +39,6 @@ def op_table() -> dict:
         if op["funct7"] is not None:
             op["funct7"] = int(op["funct7"], 16)
     return table
-
-
-def decode(word: int) -> DecodeResult:
-    """Total function: unmatched words decode to the illegal value."""
-    word &= rv32i.MASK32
-    _, fixed, free = decoder_model()
-    found = fixed.get(word & MATCH_MASK) or free.get(word & FREE_MASK)
-    if found is None:
-        return _ILLEGAL_RESULT
-    entry = found[2]
-    fmt = entry["format"]
-    if fmt == "r":
-        return DecodeResult(
-            op=entry["name"], rs1=rv32i.rs1(word), rs2=rv32i.rs2(word), rd=rv32i.rd(word)
-        )
-    if fmt == "i_shift":
-        return DecodeResult(
-            op=entry["name"], rs1=rv32i.rs1(word), rd=rv32i.rd(word), shamt=rv32i.rs2(word)
-        )
-    if fmt == "store":
-        return DecodeResult(
-            op=entry["name"], rs1=rv32i.rs1(word), rs2=rv32i.rs2(word), imm=rv32i.imm_s(word)
-        )
-    # "i" and "load"
-    return DecodeResult(
-        op=entry["name"], rs1=rv32i.rs1(word), rd=rv32i.rd(word), imm=rv32i.imm_i(word)
-    )
 
 
 def encode(
@@ -124,20 +61,6 @@ def encode(
 
 def _reg_ids() -> range:
     return range(0, 32) if op_table()["include_x0_ports"] else range(1, 32)
-
-
-def bins_for(result: DecodeResult) -> list[str]:
-    """Op, port, and cross bins hit by one decoded word."""
-    if result.is_illegal:
-        return []
-    include_x0 = op_table()["include_x0_ports"]
-    bins = [f"op_{result.op}"]
-    for reg, port in result.ports():
-        if reg == 0 and not include_x0:
-            continue
-        bins.append(f"port_x{reg:02d}_{port}")
-        bins.append(f"cross_{result.op}_x{reg:02d}_{port}")
-    return bins
 
 
 def decoder_plan() -> CoveragePlan:
@@ -232,8 +155,8 @@ class DecoderMonitor:
         pass  # the decoder is stateless
 
     def feed(self, stimulus: int) -> list[str]:
-        # the lookup of decode(), inlined; the masks and register fields all
-        # lie in the low 32 bits, so the stimulus needs no 32-bit mask first
+        # the masks and register fields all lie in the low 32 bits, so the
+        # stimulus needs no 32-bit mask first
         entry = self._fixed_get(stimulus & MATCH_MASK) or self._free_get(stimulus & FREE_MASK)
         if entry is None:
             return []

@@ -12,7 +12,7 @@ range hits nothing. Transition bins fire when the two adjacent disjoint
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_INTEGERS
@@ -124,16 +124,6 @@ def _stride_model() -> tuple[CoveragePlan, dict, dict, dict]:
             )
         )
     return CoveragePlan("stride", bins), single, double, double_overflow
-
-
-def classify_window(values: Sequence[int]) -> Optional[str]:
-    """The pattern bin hit by exactly 16 unsigned 32-bit values, if any."""
-    if len(values) != WINDOW:
-        raise ValueError(f"window must have exactly {WINDOW} values, got {len(values)}")
-    monitor = StrideMonitor()
-    for value in values:
-        bins = monitor.feed(value)
-    return bins[0] if bins else None
 
 
 class StrideMonitor:

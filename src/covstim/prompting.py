@@ -20,7 +20,6 @@ under tests/fixtures/prompts/.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from dataclasses import dataclass
@@ -131,16 +130,6 @@ class ExchangePool:
         self._groups.setdefault((ex.easier_hits, ex.harder_hits), []).append(ex)
         self._size += 1
 
-    def replace_last(self, old: Exchange, new: Exchange) -> None:
-        """Swap the newest exchange `old`, the last of its group, for `new`."""
-        key = (old.easier_hits, old.harder_hits)
-        group = self._groups[key]
-        group.pop()
-        if not group:
-            del self._groups[key]
-        self._size -= 1
-        self.append(new)
-
 
 class Dialogue:
     """Conversation state for one trial.
@@ -189,28 +178,6 @@ class Dialogue:
         self.deltas_since_restart.append(ex.hits)
         return ex
 
-    def credit_last(self, easier_hits: int, harder_hits: int) -> None:
-        """Patch the newest exchange's hit counts once its stimuli have run.
-
-        Exchanges are appended before their stimuli execute, so hit counts
-        arrive one step later. The matching restart-window delta is fixed up
-        with them.
-        """
-        if self.iterative:
-            last = self.iterative[-1]
-            patched = dataclasses.replace(
-                last, easier_hits=easier_hits, harder_hits=harder_hits
-            )
-            self.iterative[-1] = patched
-            self.pool.replace_last(last, patched)  # record_iterative adds to both
-        elif self.initial is not None:
-            self.initial = dataclasses.replace(
-                self.initial, easier_hits=easier_hits, harder_hits=harder_hits
-            )
-        else:
-            raise ValueError("no exchange to credit")
-        self.deltas_since_restart[-1] = easier_hits + harder_hits
-
     def restart(self, buffer_reset: str) -> None:
         """Drop the conversation; the buffer pool follows the reset plan."""
         if buffer_reset not in BUFFER_RESETS:
@@ -255,15 +222,16 @@ def sample_missed_bins(
     rng: random.Random,
     method: Optional[str] = None,
 ) -> list[BinDescriptor]:
-    """Pick the <= sample_size uncovered bins the next query will list.
+    """Pick the min(sample_size, len(uncovered)) bins the next query will list.
 
     `uncovered` is a coverage state's view, so the easier/harder split comes
     ready in plan order. pure_random samples uniformly without replacement;
     type_based keeps the first two in plan order and fills the rest with
     3 easier + 2 harder bins (topping up from the other pool when one runs
-    short, or 5 uniform when no easier bins remain). The stateless form of
-    "mixed" is its below-threshold behavior, type_based; use
-    MissedBinSampler for the toggling version.
+    short, or 5 uniform when no easier bins remain); a smaller sample_size
+    fills the head first, then the easier, then the harder share. The
+    stateless form of "mixed" is its below-threshold behavior, type_based;
+    use MissedBinSampler for the toggling version.
     """
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
@@ -275,7 +243,7 @@ def sample_missed_bins(
         return rng.sample(list(uncovered), min(k, len(uncovered)))
     if method != "type_based":
         raise ValueError(f"unknown missed-bin method {method!r}")
-    head = list(islice(uncovered, 2))
+    head = list(islice(uncovered, min(2, k)))
     want = min(k - len(head), len(uncovered) - len(head))
     # the head's easier (harder) members are the first of their difficulty,
     # so the rest of each side is what follows them
@@ -286,8 +254,8 @@ def sample_missed_bins(
     del harder[: len(head) - m]
     if not easier:  # the rest is all harder
         return head + rng.sample(harder, want)
-    n_easier = min(3, len(easier))
-    n_harder = min(2, len(harder))
+    n_easier = min(3, len(easier), want)
+    n_harder = min(2, len(harder), want - n_easier)
     shortfall = want - n_easier - n_harder
     if shortfall > 0:
         extra = min(shortfall, len(easier) - n_easier)

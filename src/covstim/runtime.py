@@ -482,15 +482,64 @@ def write_log(
         fh.write(_dump(report_record(report)) + "\n")
 
 
+_EVENT_FIELDS = ("trial", "response_idx", "new_bins", "coverage", "tokens_in", "tokens_out")
+
+
+def _verify_events(path, trial: TrialSummary, events: list, plan_size: int, llm: bool) -> None:
+    """Raise ValueError unless a trial's event records add up to its trial_end.
+
+    response_idx runs 1..n (n is `messages` in a dialogue log); new_bins are
+    distinct and their running count is each event's coverage, at most
+    plan_size; the last coverage and the token sums are the trial_end's."""
+    where = f"log {path} trial {trial.trial}"
+    covered: set = set()
+    tokens_in = tokens_out = 0
+    for n, event in enumerate(events, 1):
+        for name in _EVENT_FIELDS:
+            if name not in event:
+                raise ValueError(f"{where}: event {n} lacks field {name!r}")
+        if (event["trial"], event["response_idx"]) != (trial.trial, n):
+            raise ValueError(
+                f"{where}: event {n} is numbered trial {event['trial']!r} "
+                f"response {event['response_idx']!r}"
+            )
+        new_bins, tokens = event["new_bins"], (event["tokens_in"], event["tokens_out"])
+        typed = isinstance(new_bins, list) and all(isinstance(v, str) for v in new_bins)
+        if not typed or not all(isinstance(v, int) for v in tokens):
+            raise ValueError(f"{where}: event {n} needs a list of bin ids and integer tokens")
+        before = len(covered)
+        covered.update(new_bins)
+        if len(covered) != before + len(new_bins):
+            raise ValueError(f"{where}: event {n} lists a bin already covered")
+        if event["coverage"] != len(covered) or len(covered) > plan_size:
+            raise ValueError(
+                f"{where}: event {n} logs coverage {event['coverage']!r}, its new_bins "
+                f"add up to {len(covered)} of plan_size {plan_size}"
+            )
+        tokens_in += tokens[0]
+        tokens_out += tokens[1]
+    if llm and len(events) != trial.messages:
+        raise ValueError(f"{where}: {len(events)} events for {trial.messages} messages")
+    totals = (len(covered), tokens_in, tokens_out)
+    if totals != (trial.coverage, trial.tokens_in, trial.tokens_out):
+        raise ValueError(
+            f"{where}: events add up to coverage {len(covered)}, tokens "
+            f"{tokens_in}/{tokens_out}; trial_end logs {trial.coverage}, "
+            f"{trial.tokens_in}/{trial.tokens_out}"
+        )
+
+
 def report_from_log(path) -> ExperimentReport:
     """Rebuild the report from a JSONL log and verify it.
 
     Raises ValueError when the log's report record differs from the record
-    of the report rebuilt from the header and the trial_end records: the
+    of the report rebuilt from the header and the trial_end records (the
     fields it shares with the header, its per-trial rows, or the metrics
-    recomputed from them (a corrupted or edited log)."""
+    recomputed from them), or when a trial's events do not add up to its
+    trial_end record (see `_verify_events`): a corrupted or edited log."""
     header = None
-    summaries: list[TrialSummary] = []
+    trials: list[tuple[TrialSummary, list]] = []
+    events: list[dict] = []
     embedded: Optional[dict] = None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -503,8 +552,11 @@ def report_from_log(path) -> ExperimentReport:
             kind = record.get("type")
             if kind == "header":
                 header = record
+            elif kind == "event":
+                events.append(record)
             elif kind == "trial_end":
-                summaries.append(_from_record(TrialSummary, record))
+                trials.append((_from_record(TrialSummary, record), events))
+                events = []
             elif kind == "report":
                 embedded = record
     if header is None:
@@ -513,6 +565,7 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(f"log {path} has no report record")
     if "plan_size" not in header:
         raise ValueError(f"log {path}: header record lacks field 'plan_size'")
+    summaries = [trial for trial, _ in trials]
     shared = {key: header[key] for key in header.keys() & embedded.keys() - {"type"}}
     rebuilt = replace(
         _from_record(ExperimentReport, {**embedded, **shared}),
@@ -525,6 +578,11 @@ def report_from_log(path) -> ExperimentReport:
                 f"log {path} report mismatch on {key}: "
                 f"logged {embedded.get(key)!r}, recomputed {value!r}"
             )
+    if events:
+        raise ValueError(f"log {path} has event records after the last trial_end")
+    llm = header.get("agent") == "llm"
+    for trial, trial_events in trials:
+        _verify_events(path, trial, trial_events, header["plan_size"], llm)
     return rebuilt
 
 

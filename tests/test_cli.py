@@ -188,6 +188,24 @@ def test_report_rejects_record_missing_a_field(tmp_path, capsys):
         assert f"{kind} record lacks field {field!r}" in err
 
 
+def test_report_flags_tampered_events(tmp_path, capsys):
+    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "log.jsonl"
+    doctored = []
+    for line in log.read_text().splitlines():
+        record = json.loads(line)
+        if record["type"] == "event":
+            record.update(coverage=999, new_bins=["bogus"])
+        doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    log.write_text("\n".join(doctored) + "\n")
+    rc = main(["report", "--log", str(log)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("covstim: ")
+    assert "event 1 logs coverage 999" in err
+
+
 def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
     assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -234,6 +252,19 @@ def test_run_baselines_script_matches_run_experiment():
         assert int(plan_size) == reports[0].plan_size
         assert avg_bins == f"{sum(r.max_coverage for r in reports) / 2:.1f}"
         assert avg_rate == f"{sum(100 * r.max_rate for r in reports) / 2:.2f}"
+
+
+def test_benchmark_self_tests_pass():
+    # perfbench's own tests: its input generator, tracer and stub server, and
+    # traced runs that drive the package through its DUT and agent proxies
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=SCRIPTS.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 def test_run_baselines_script_rejects_counts_below_one():

@@ -3,10 +3,10 @@
 Frozen expectations were hand-simulated from the instruction semantics
 (register file starts at zero, so JAL's link value is the only way to mint a
 nonzero value). The hazard oracle re-derives read-after-write pairs from the
-executed decode trace, independent of the monitor's incremental bookkeeping.
-The reference interpreter re-reads the documented semantics field by field
-and is compared with the model after every step: bins, pc, registers, both
-memories, extras and malformed-stimulus rejection.
+executed decode trace, independent of the monitor's incremental bookkeeping;
+the trace comes from the reference interpreter, which re-reads the documented
+semantics field by field and is compared with the model after every step:
+bins, pc, registers, both memories, extras and malformed-stimulus rejection.
 """
 from __future__ import annotations
 
@@ -212,14 +212,10 @@ def test_misaligned_update_rejected_without_side_effects():
     assert dut.state.imem == {}
 
 
-def test_extras_reports_pc_and_last_instruction():
+def test_extras_reports_pc():
     dut = CpuDut()
-    word = encode_cpu("jal", rd=1, imm=8)
-    dut.feed([(0, word)])
-    extras = dut.extras()
-    assert extras["pc"] == 8
-    assert extras["last_word"] == word
-    assert extras["last_op"] == "jal"
+    dut.feed([(0, encode_cpu("jal", rd=1, imm=8))])
+    assert dut.extras() == {"pc": 8}
 
 
 def test_reset_restores_power_on_state():
@@ -263,19 +259,27 @@ def random_word(rng: random.Random) -> int:
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), steps=st.integers(min_value=0, max_value=120))
-def test_hazard_bins_match_trace_oracle(seed, steps):
+def hazard_case(dut, seed: int, steps: int) -> tuple[Counter, Counter]:
+    """The hazard bins `dut` reports for `steps` random words, and the ones
+    `oracle_hazards` derives from the reference interpreter's decode trace."""
     rng = random.Random(seed)
-    dut = CpuDut()
+    ref = RefCpu()
     hits: Counter = Counter()
     trace = []
     for _ in range(steps):
-        hits.update(dut.feed([(dut.state.pc, random_word(rng))]))
-        d = dut.last_decode
-        trace.append((d.op, d.rs1, d.rs2, d.rd))
+        updates = [(ref.pc, random_word(rng))]
+        ref.feed(updates)
+        hits.update(dut.feed(updates))
+        trace.append(ref.executed)
     got = Counter({b: n for b, n in hits.items() if b.startswith("hazard_")})
-    assert got == oracle_hazards(trace)
+    return got, oracle_hazards(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), steps=st.integers(min_value=0, max_value=120))
+def test_hazard_bins_match_trace_oracle(seed, steps):
+    got, expected = hazard_case(CpuDut(), seed, steps)
+    assert got == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,8 +320,7 @@ class RefCpu:
         self.regs = [0] * 32
         self.imem: dict[int, int] = {}
         self.dmem: dict[int, int] = {}
-        self.last_word = None
-        self.last_op = "nop"
+        self.executed = ("nop", None, None, None)  # (op, rs1, rs2, rd) of the last step
         self.prev_write = None  # (op, rd) of the previous instruction if it wrote rd != 0
 
     def feed(self, updates) -> list[str]:
@@ -373,11 +376,12 @@ class RefCpu:
             if self.prev_write and self.prev_write[1] in reads:
                 bins.append(f"hazard_{self.prev_write[0]}_{op}")
         self.prev_write = (op, writes) if writes else None
-        self.pc, self.last_word, self.last_op = next_pc, word, op
+        self.pc = next_pc
+        self.executed = (op, *(reads or (None, None)), writes)
         return bins
 
     def extras(self) -> dict:
-        return {"pc": self.pc, "last_word": self.last_word, "last_op": self.last_op}
+        return {"pc": self.pc}
 
 
 def jal_word(offset: int, rd: int) -> int:

@@ -3,7 +3,8 @@
 decoder_golden.json was frozen from the standard RV32I mask/match encoding
 table and cross-checked against two independent open-source disassemblers
 (see scripts/freeze_decoder_golden.py). The bins oracle below expands expected
-bins from the raw fixture fields without going through the package decoder.
+bins from the raw fixture fields without going through the package decoder,
+and `feed` is the only decode the tests exercise.
 """
 from __future__ import annotations
 
@@ -17,15 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covstim.coverage import CoverageState, Difficulty
-from covstim.duts.decoder import (
-    ILLEGAL,
-    DecoderMonitor,
-    bins_for,
-    decode,
-    decoder_plan,
-    encode,
-    op_table,
-)
+from covstim.duts.decoder import DecoderMonitor, decoder_plan, encode, op_table
 
 FIXTURE = Path(__file__).parent / "fixtures" / "decoder_golden.json"
 R_OPS = {"add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and"}
@@ -38,33 +31,24 @@ def golden():
 
 # --- golden corpus ------------------------------------------------------------
 
-def test_golden_corpus_decodes(golden):
-    assert len(golden) > 600
-    for entry in golden:
-        result = decode(entry["word"])
-        ctx = f"word=0x{entry['word']:08x}"
-        assert result.op == entry["op"], ctx
-        assert result.rs1 == entry["rs1"], ctx
-        assert result.rs2 == entry["rs2"], ctx
-        assert result.rd == entry["rd"], ctx
-
-
 def test_golden_corpus_covers_all_ops(golden):
     ops = {e["op"] for e in golden}
     assert len(ops) == 27  # 26 ops + illegal
 
 
 def test_spec_examples():
-    r = decode(0x00000033)
-    assert (r.op, r.rs1, r.rs2, r.rd) == ("add", 0, 0, 0)
-    r = decode(0x00208113)
-    assert (r.op, r.rs1, r.rd, r.imm) == ("addi", 1, 2, 2)
-    assert decode(0xFFFFFFFF).op == ILLEGAL
+    monitor = DecoderMonitor()
+    assert monitor.feed(0x00000033) == expand("add", (0, "read_a"), (0, "read_b"), (0, "write"))
+    # addi x2, x1, 2
+    assert monitor.feed(0x00208113) == expand("addi", (1, "read_a"), (2, "write"))
+    assert i_type_imm(0x00208113) == 2
+    assert monitor.feed(0xFFFFFFFF) == []
 
 
 def test_decode_is_total():
+    monitor = DecoderMonitor()
     for w in (0, 1, 0x33, 0x7F, 0xFFFFFFFF, 0x80000000):
-        decode(w)  # never raises
+        assert isinstance(monitor.feed(w), list)  # never raises
 
 
 # --- plan shape ---------------------------------------------------------------
@@ -107,6 +91,27 @@ def test_port_bins_zero_padded():
 
 
 # --- bins oracle --------------------------------------------------------------
+
+def expand(op: str, *ports: tuple[int, str]) -> list[str]:
+    """The op bin, then a port and a cross bin per (register, port) pair."""
+    bins = [f"op_{op}"]
+    for reg, port in ports:
+        bins += [f"port_x{reg:02d}_{port}", f"cross_{op}_x{reg:02d}_{port}"]
+    return bins
+
+
+def signed_field(value: int, bits: int) -> int:
+    value &= (1 << bits) - 1
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def i_type_imm(word: int) -> int:
+    return signed_field(word >> 20, 12)
+
+
+def s_type_imm(word: int) -> int:
+    return signed_field(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
+
 
 def oracle_bins(entry) -> list[str]:
     """Expected bins straight from fixture fields, in emission order: the op,
@@ -156,12 +161,10 @@ def decoder_oracle_bins(word: int) -> list[str]:
 
 
 def test_bins_for_matches_oracle_on_golden(golden):
+    assert len(golden) > 600
     monitor = DecoderMonitor()
     for entry in golden:
-        expected = oracle_bins(entry)
-        ctx = f"word=0x{entry['word']:08x}"
-        assert set(bins_for(decode(entry["word"]))) == set(expected), ctx
-        assert monitor.feed(entry["word"]) == expected, ctx
+        assert monitor.feed(entry["word"]) == oracle_bins(entry), f"word=0x{entry['word']:08x}"
 
 
 def test_feed_matches_oracle_on_seeded_words():
@@ -194,7 +197,7 @@ def test_feed_matches_oracle_on_seeded_words():
 
 
 def test_bins_for_add_x0():
-    got = sorted(bins_for(decode(0x00000033)))
+    got = sorted(DecoderMonitor().feed(0x00000033))
     assert got == [
         "cross_add_x00_read_a",
         "cross_add_x00_read_b",
@@ -207,10 +210,10 @@ def test_bins_for_add_x0():
 
 
 def test_illegal_hits_nothing():
-    assert bins_for(decode(0xFFFFFFFF)) == []
+    assert DecoderMonitor().feed(0xFFFFFFFF) == []
 
 
-# --- encode/decode round trip ---------------------------------------------------
+# --- encode/feed round trip -----------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -223,19 +226,18 @@ def test_illegal_hits_nothing():
 )
 def test_encode_decode_identity(op, rs1, rs2, rd, imm, shamt):
     word = encode(op, rs1=rs1, rs2=rs2, rd=rd, imm=imm, shamt=shamt)
-    result = decode(word)
-    assert result.op == op
+    bins = DecoderMonitor().feed(word)
     if op in R_OPS:
-        assert (result.rs1, result.rs2, result.rd) == (rs1, rs2, rd)
+        assert bins == expand(op, (rs1, "read_a"), (rs2, "read_b"), (rd, "write"))
     elif op in {"sb", "sw"}:
-        assert (result.rs1, result.rs2) == (rs1, rs2)
-        assert result.imm == imm
+        assert bins == expand(op, (rs1, "read_a"), (rs2, "read_b"))
+        assert s_type_imm(word) == imm
     elif op in {"slli", "srli", "srai"}:
-        assert (result.rs1, result.rd) == (rs1, rd)
-        assert result.shamt == shamt
+        assert bins == expand(op, (rs1, "read_a"), (rd, "write"))
+        assert (word >> 20) & 0x1F == shamt
     else:
-        assert (result.rs1, result.rd) == (rs1, rd)
-        assert result.imm == imm
+        assert bins == expand(op, (rs1, "read_a"), (rd, "write"))
+        assert i_type_imm(word) == imm
 
 
 # --- monitor -------------------------------------------------------------------

@@ -157,13 +157,11 @@ def test_crt_cpu_update_follows_the_pc():
 
 
 def test_crt_cpu_words_are_jump_and_link():
-    from covstim.duts.cpu import decode_cpu
-
     agent = CrtAgent("cpu", random.Random(7))
     for pc in range(0, 400, 4):
         [[addr, word]] = agent.next_stimulus({"pc": pc})
         assert addr == pc
-        assert decode_cpu(word).op == "jal"
+        assert word & 0x7F == 0x6F  # the JAL opcode
 
 
 def test_crt_rejects_unknown_kind():
@@ -204,6 +202,8 @@ def test_cycle_returns_stimuli_and_appends_one_exchange():
     record = agent.submit(agent.prepare(feedback))
     assert record.extraction.stimuli == [7]
     assert record.kind == "initial"
+    assert agent.dialogue.initial is None  # held until credit
+    agent.credit(0, 0, feedback.rate)
     assert agent.dialogue.initial is not None
     assert agent.dialogue.iterative == []
 

@@ -6,7 +6,6 @@ the implementation's pool bookkeeping.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from unittest import mock
 
@@ -167,6 +166,20 @@ def test_sampler_never_duplicates_and_bounds_size(easier, harder, method, seed):
     assert len({b.id for b in out}) == len(out)
     ids = {b.id for b in uncovered}
     assert all(b.id in ids for b in out)
+
+
+@pytest.mark.parametrize("method", ["pure_random", "type_based", "mixed"])
+def test_every_method_lists_sample_size_bins(method):
+    views = [CoverageState(stride_plan()).uncovered()] + [
+        uncovered_of(make_bins(easier, harder))
+        for easier, harder in ((0, 4), (4, 0), (1, 3), (3, 9), (12, 12))
+    ]
+    for uncovered in views:
+        for k in range(1, 13):
+            cfg = StrategyConfig(missed_bin=method, sample_size=k)
+            out = sample_missed_bins(uncovered, cfg, random.Random(k))
+            assert len(out) == min(k, len(uncovered)), (k, len(uncovered))
+            assert len({b.id for b in out}) == len(out)
 
 
 def test_mixed_below_threshold_equals_type_based():
@@ -524,15 +537,15 @@ def oracle_sample(uncovered, config, rng, method=None):
     k = config.sample_size
     if method == "pure_random":
         return rng.sample(list(uncovered), min(k, len(uncovered)))
-    head = list(uncovered[:2])
-    rest = list(uncovered[2:])
+    head = list(uncovered[: min(2, k)])
+    rest = list(uncovered[len(head) :])
     want = min(k - len(head), len(rest))
     easier = [b for b in rest if b.difficulty is Difficulty.EASIER]
     harder = [b for b in rest if b.difficulty is Difficulty.HARDER]
     if not easier:
         return head + rng.sample(rest, want)
-    n_easier = min(3, len(easier))
-    n_harder = min(2, len(harder))
+    n_easier = min(3, len(easier), want)
+    n_harder = min(2, len(harder), want - n_easier)
     shortfall = want - n_easier - n_harder
     if shortfall > 0:
         extra = min(shortfall, len(easier) - n_easier)
@@ -634,16 +647,8 @@ class OracleDialogue:
 
     def __init__(self) -> None:
         self.pool: list[Exchange] = []
-        self.iterative = 0  # exchanges since the last restart
-
-    def credit(self, easier_hits, harder_hits) -> None:
-        if self.iterative:
-            self.pool[-1] = dataclasses.replace(
-                self.pool[-1], easier_hits=easier_hits, harder_hits=harder_hits
-            )
 
     def restart(self, buffer_reset) -> None:
-        self.iterative = 0
         if buffer_reset == "clear":
             self.pool = []
 
@@ -652,7 +657,7 @@ SCORES = (lambda e: e.hits, lambda e: e.weighted_score)
 # small hit counts, so that different outcomes often tie on a score
 DIALOGUE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["initial", "iterative", "credit", "restart"]),
+        st.sampled_from(["initial", "iterative", "restart"]),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=2),
     ),
@@ -678,17 +683,11 @@ def test_pool_and_context_match_list_oracle(ops, buffer_reset, seed):
         if op == "restart":
             d.restart(buffer_reset)
             oracle.restart(buffer_reset)
-        elif op == "credit":
-            if d.initial is None:
-                continue
-            d.credit_last(easier, harder)
-            oracle.credit(easier, harder)
         elif d.initial is None:
             d.record_initial(f"init{step}", "r", easier, harder)
         else:
             ex = d.record_iterative(f"q{step}", "r", easier, harder)
-            oracle.pool.append(dataclasses.replace(ex))
-            oracle.iterative += 1
+            oracle.pool.append(ex)
         assert list(d.pool) == oracle.pool and len(d.pool) == len(oracle.pool)
         for k in (1, 2, 3, 4):
             for score in SCORES:

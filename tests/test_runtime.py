@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -424,6 +425,71 @@ def test_report_from_log_rejects_tampered_metrics(tmp_path):
         )
         with pytest.raises(ValueError, match="mismatch"):
             report_from_log(path)
+
+
+def _renumber(records, events):
+    events[1]["response_idx"], events[2]["response_idx"] = 3, 2
+
+
+def _repeat_a_bin(records, events):
+    events[-1]["new_bins"].append(events[0]["new_bins"][0])
+
+
+def _bump_coverage(records, events):
+    events[4]["coverage"] += 1
+
+
+def _bump_tokens(records, events):
+    events[3]["tokens_out"] += 1
+
+
+def _drop_last_event(records, events):  # it covered nothing; its tokens move back
+    for key in ("tokens_in", "tokens_out"):
+        events[-2][key] += events[-1][key]
+    records.remove(events[-1])
+
+
+def _orphan_event(records, events):
+    records.insert(-1, dict(events[-1], response_idx=len(events) + 1))
+
+
+def _drop_a_field(records, events):
+    del events[2]["new_bins"]
+
+
+def _retype_bins(records, events):
+    events[1]["new_bins"] = 5
+
+
+def _retype_tokens(records, events):
+    events[1]["tokens_in"] = "274"
+
+
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        (_renumber, "numbered trial 1 response 3"),
+        (_repeat_a_bin, "lists a bin already covered"),
+        (_bump_coverage, "logs coverage"),
+        (_drop_last_event, "36 events for 37 messages"),
+        (_bump_tokens, "events add up to"),
+        (_orphan_event, "after the last trial_end"),
+        (_drop_a_field, "lacks field 'new_bins'"),
+        (_retype_bins, "needs a list of bin ids and integer tokens"),
+        (_retype_tokens, "needs a list of bin ids and integer tokens"),
+    ],
+)
+def test_report_from_log_rejects_tampered_events(tmp_path, tamper, match):
+    # the golden log: one dialogue trial of 37 responses; each edit leaves
+    # the trial_end and report records alone
+    golden = Path(__file__).parent / "fixtures" / "golden_trial.jsonl"
+    records = [json.loads(line) for line in golden.read_text().splitlines()]
+    tamper(records, [r for r in records if r["type"] == "event"])
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError, match=match):
+        report_from_log(path)
+    report_from_log(golden)  # the untouched log passes
 
 
 def sample_report() -> ExperimentReport:

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from covstim.coverage import Difficulty
-from covstim.duts.stride import StrideMonitor, classify_window, stride_plan
+from covstim.duts.stride import StrideMonitor, stride_plan
 
 MASK = 0xFFFFFFFF
 
@@ -132,22 +131,31 @@ def test_plan_sorted_unique():
 
 # --- frozen classification examples ----------------------------------------
 
+def window_bin(values) -> str | None:
+    """The pattern bin a fresh monitor reports for exactly 16 values, if any."""
+    assert len(values) == 16
+    monitor = StrideMonitor()
+    for value in values:
+        bins = monitor.feed(value)
+    return bins[0] if bins else None
+
+
 def test_classify_all_equal_is_zero_stride():
-    assert classify_window([7] * 16) == "single_stride_+00"
+    assert window_bin([7] * 16) == "single_stride_+00"
 
 
 def test_classify_ascending_unit_stride():
-    assert classify_window(list(range(16))) == "single_stride_+01"
+    assert window_bin(list(range(16))) == "single_stride_+01"
 
 
 def test_classify_overflowing_single_stride():
-    assert classify_window(list(range(0, 1600, 100))) == "single_overflow_pos"
-    assert classify_window(list(range(1600, 0, -100))) == "single_overflow_neg"
+    assert window_bin(list(range(0, 1600, 100))) == "single_overflow_pos"
+    assert window_bin(list(range(1600, 0, -100))) == "single_overflow_neg"
 
 
 def test_classify_alternating_double_stride():
     # diffs alternate +1, -1 starting at +1
-    assert classify_window([0, 1] * 8) == "double_stride_+01_-01"
+    assert window_bin([0, 1] * 8) == "double_stride_+01_-01"
 
 
 def test_classify_double_overflow_signs_follow_stream_order():
@@ -155,14 +163,14 @@ def test_classify_double_overflow_signs_follow_stream_order():
     window = []
     for i in range(8):
         window += [i, i + 100]
-    assert classify_window(window) == "double_overflow_pn"
+    assert window_bin(window) == "double_overflow_pn"
 
 
 def test_classify_growing_diffs_is_none():
     values = [0]
     for step in range(1, 16):
         values.append(values[-1] + step)
-    assert classify_window(values) is None
+    assert window_bin(values) is None
 
 
 def test_classify_mixed_double_overflow_is_none():
@@ -170,30 +178,23 @@ def test_classify_mixed_double_overflow_is_none():
     window = [0]
     for i in range(15):
         window.append(window[-1] + (5 if i % 2 == 0 else 100))
-    assert classify_window(window) is None
+    assert window_bin(window) is None
 
 
 def test_classify_wraps_32_bit_boundary():
     values = [(0xFFFFFFF8 + i) & MASK for i in range(16)]
-    assert classify_window(values) == "single_stride_+01"
+    assert window_bin(values) == "single_stride_+01"
 
 
 def test_classify_wrap_produces_int_min_overflow():
     # +0x80000000 and -0x80000000 both wrap to the same signed diff, INT_MIN
-    assert classify_window([0, 0x80000000] * 8) == "single_overflow_neg"
+    assert window_bin([0, 0x80000000] * 8) == "single_overflow_neg"
     # alternate INT_MIN with +100: both strides out of range, distinct signs
     values = [0]
     for i in range(15):
         step = 0x80000000 if i % 2 == 0 else 100
         values.append((values[-1] + step) & MASK)
-    assert classify_window(values) == "double_overflow_np"
-
-
-def test_classify_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        classify_window([1] * 15)
-    with pytest.raises(ValueError):
-        classify_window([1] * 17)
+    assert window_bin(values) == "double_overflow_np"
 
 
 # --- frozen feed examples ---------------------------------------------------
@@ -312,7 +313,7 @@ def test_feed_matches_brute_force_oracle(stream):
 @settings(max_examples=100, deadline=None)
 @given(window=st.lists(st.integers(min_value=0, max_value=MASK), min_size=16, max_size=16))
 def test_classify_matches_oracle_on_random_windows(window):
-    assert classify_window(window) == oracle_bin(oracle_classify(window))
+    assert window_bin(window) == oracle_bin(oracle_classify(window))
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,5 +325,5 @@ def test_every_in_range_single_stride_is_detected(start, c):
     stream = [start & MASK]
     for _ in range(15):
         stream.append((stream[-1] + c) & MASK)
-    assert classify_window(stream) == f"single_stride_{c:+03d}"
+    assert window_bin(stream) == f"single_stride_{c:+03d}"
     assert monitor_stream_bins(stream) == Counter({f"single_stride_{c:+03d}": 1})
