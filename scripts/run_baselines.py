@@ -36,13 +36,7 @@ def main() -> int:
         covered: list[int] = []
         worst = 0.0
         for seed in range(args.seeds):
-            config = RunConfig(
-                dut=kind,
-                agent="crt",
-                seed=seed,
-                crt_count=args.count,
-                crt_chunk=max(1, args.count // 10),
-            )
+            config = RunConfig(dut=kind, agent="crt", seed=seed, crt_count=args.count)
             t0 = time.perf_counter()
             report = run_experiment(config)
             worst = max(worst, time.perf_counter() - t0)

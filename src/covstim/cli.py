@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from covstim.backend import HttpBackend, ReplayBackend
+from covstim.backend import HttpBackend, RecordingBackend, ReplayBackend
 from covstim.duts import DUT_KINDS, make_dut
 from covstim.runtime import (
     DEFAULT_CRT_COUNT,
@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, help="'live' or 'replay:<script.json>'"
     )
     run_p.add_argument(
-        "--out", default=None, help="directory for log.jsonl, report.csv, report.txt"
+        "--out", default=None,
+        help="directory for log.jsonl, report.csv, report.txt (+ replay_script.json if live)",
     )
 
     base_p = sub.add_parser("baseline", help="constrained-random baseline on one device")
@@ -83,6 +84,13 @@ def _emit(report, out_dir) -> None:
     sys.stdout.write(text)
 
 
+def _log_path(out_dir):
+    if out_dir is None:
+        return None
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(out_dir) / "log.jsonl"
+
+
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = RunConfig.from_dict(json.load(fh))
@@ -91,24 +99,20 @@ def _cmd_run(args) -> int:
     backend = None
     if config.agent == "llm":
         backend = _make_backend(args.backend, config)
-    log_path = None
-    if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        log_path = Path(args.out) / "log.jsonl"
+    log_path = _log_path(args.out)
+    # a live run's replies are kept, so `--backend replay:` can run it again
+    if log_path is not None and isinstance(backend, HttpBackend):
+        backend = RecordingBackend(backend)
     report = run_experiment(config, backend=backend, log_path=log_path)
+    if isinstance(backend, RecordingBackend):
+        backend.dump(log_path.with_name("replay_script.json"))
     _emit(report, args.out)
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    config = RunConfig(
-        dut=args.dut, agent="crt", seed=args.seed, crt_count=args.count
-    )
-    log_path = None
-    if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        log_path = Path(args.out) / "log.jsonl"
-    report = run_experiment(config, log_path=log_path)
+    config = RunConfig(dut=args.dut, agent="crt", seed=args.seed, crt_count=args.count)
+    report = run_experiment(config, log_path=_log_path(args.out))
     _emit(report, args.out)
     return 0
 

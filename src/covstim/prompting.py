@@ -202,6 +202,12 @@ def restart_tolerance(restart_plan: str, rate: float, rate_threshold: float = 0.
         raise ValueError(f"unknown restart plan {restart_plan!r}") from None
 
 
+def stalled(deltas: Sequence[int], window: int, below: int) -> bool:
+    """True when there are at least `window` per-response new-bin counts and
+    the last `window` of them add up to fewer than `below`."""
+    return len(deltas) >= window and sum(deltas[-window:]) < below
+
+
 def should_restart(
     deltas: Sequence[int], restart_plan: str, rate: float, rate_threshold: float = 0.15
 ) -> bool:
@@ -210,8 +216,9 @@ def should_restart(
     `deltas` are per-response new-bin counts since the last restart, so a
     fresh dialogue always gets a full window before it can be restarted.
     """
-    t = restart_tolerance(restart_plan, rate, rate_threshold)
-    return len(deltas) >= t and sum(deltas[-t:]) < _MIN_WINDOW_HITS
+    return stalled(
+        deltas, restart_tolerance(restart_plan, rate, rate_threshold), _MIN_WINDOW_HITS
+    )
 
 
 # --- missed-bin sampling -------------------------------------------------------------
@@ -283,10 +290,8 @@ class MissedBinSampler:
         if self.config.missed_bin != "mixed":
             return
         self._window.append(new_hits)
-        if (
-            rate >= self.config.rate_threshold
-            and len(self._window) >= _MIXED_WINDOW
-            and sum(self._window[-_MIXED_WINDOW:]) < _MIN_WINDOW_HITS
+        if rate >= self.config.rate_threshold and stalled(
+            self._window, _MIXED_WINDOW, _MIN_WINDOW_HITS
         ):
             self.method = "pure_random" if self.method == "type_based" else "type_based"
             self._window = []

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 from covstim.agents import AgentFeedback, CrtAgent, LlmAgent
 from covstim.backend import BackendConfig, BackendError
 from covstim.coverage import CoverageState, Difficulty
-from covstim.duts import MalformedStimulusError, make_dut
-from covstim.prompting import StrategyConfig, should_restart
+from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
+from covstim.prompting import StrategyConfig, should_restart, stalled
 
 SCHEMA_VERSION = 1
 
@@ -37,22 +37,20 @@ COMPLETED_STATUSES = (FULL_COVERAGE, EXHAUSTED)
 
 DEFAULT_BUDGET_TOKENS = 10_000_000
 DEFAULT_CRT_COUNT = 1_000_000
-DEFAULT_CRT_CHUNK = 10_000
+DEFAULT_CRT_CHUNK = 10_000  # stimuli per crt coverage-curve event
+
+# the paper's stopping rule: no new bins in the last 25 responses, or fewer
+# than 3 in the last 40
+EXHAUST_ZERO_WINDOW = 25
+EXHAUST_LOW_WINDOW = 40
+EXHAUST_LOW_HITS = 3
 
 
-def exhausted(
-    deltas: Sequence[int],
-    zero_window: int = 25,
-    low_window: int = 40,
-    low_hits: int = 3,
-) -> bool:
-    """Stopping rule: no new bins in the last 25 responses, or fewer than 3
-    in the last 40. Windows must be full before they can fire."""
-    if len(deltas) >= zero_window and sum(deltas[-zero_window:]) == 0:
-        return True
-    if len(deltas) >= low_window and sum(deltas[-low_window:]) < low_hits:
-        return True
-    return False
+def exhausted(deltas: Sequence[int]) -> bool:
+    """The stopping rule; windows must be full before they can fire."""
+    return stalled(deltas, EXHAUST_ZERO_WINDOW, 1) or stalled(
+        deltas, EXHAUST_LOW_WINDOW, EXHAUST_LOW_HITS
+    )
 
 
 @dataclass
@@ -62,21 +60,14 @@ class RunConfig:
     seed: int = 0
     budget_tokens: int = DEFAULT_BUDGET_TOKENS
     crt_count: int = DEFAULT_CRT_COUNT
-    crt_chunk: int = DEFAULT_CRT_CHUNK
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     backend: Optional[BackendConfig] = None
-    exhaust_zero_window: int = 25
-    exhaust_low_window: int = 40
-    exhaust_low_hits: int = 3
 
     def __post_init__(self) -> None:
         if self.agent not in ("crt", "llm"):
             raise ValueError(f"agent must be 'crt' or 'llm', got {self.agent!r}")
-        if self.crt_count <= 0 or self.crt_chunk <= 0:
-            raise ValueError("crt_count and crt_chunk must be positive")
-        for name in ("exhaust_zero_window", "exhaust_low_window", "exhaust_low_hits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.crt_count <= 0:
+            raise ValueError("crt_count must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -185,7 +176,6 @@ class PromptScale:
 def run_trial(
     dut,
     agent: LlmAgent,
-    config: RunConfig,
     budget_remaining: int,
     trial_index: int = 1,
     prompt_scale: Optional[PromptScale] = None,
@@ -212,12 +202,7 @@ def run_trial(
         if state.is_full():
             status = FULL_COVERAGE
             break
-        if exhausted(
-            deltas,
-            config.exhaust_zero_window,
-            config.exhaust_low_window,
-            config.exhaust_low_hits,
-        ):
+        if exhausted(deltas):
             status = EXHAUSTED
             break
         restarted = False
@@ -284,18 +269,17 @@ def run_trial(
     )
 
 
-def run_crt_trial(
-    dut, agent: CrtAgent, count: int, chunk: int = DEFAULT_CRT_CHUNK, trial_index: int = 1
-) -> TrialRecord:
+def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     """One budget-free constrained-random trial of `count` stimuli.
 
     No messages are exchanged; events are coverage-curve samples, one per
-    `chunk` stimuli. A trial that runs out its stimulus count without full
-    coverage ends exhausted (the stream is over).
+    DEFAULT_CRT_CHUNK stimuli. A trial that runs out its stimulus count
+    without full coverage ends exhausted (the stream is over).
     """
     state = CoverageState(dut.plan)
     hits, plan_size = state.hits, len(state.plan)
     feed, extras, next_stimulus = dut.feed, dut.extras, agent.next_stimulus
+    chunk = DEFAULT_CRT_CHUNK
     events: list[dict] = []
     chunk_new: list[str] = []
     fed = 0
@@ -309,7 +293,7 @@ def run_crt_trial(
         full = len(hits) == plan_size
         if fed == chunk or i == last or full:
             events.append(
-                _event(trial_index, len(events) + 1, fed, chunk_new, state, False, 0, 0)
+                _event(1, len(events) + 1, fed, chunk_new, state, False, 0, 0)
             )
             chunk_new = []
             fed = 0
@@ -317,7 +301,7 @@ def run_crt_trial(
                 status = FULL_COVERAGE
                 break
     return TrialRecord(
-        trial=trial_index,
+        trial=1,
         status=status,
         coverage=state.covered_count,
         rate=state.rate(),
@@ -408,7 +392,7 @@ def run_experiment(
     if config.agent == "crt":
         dut.reset()
         agent = CrtAgent(config.dut, rng)
-        trials.append(run_crt_trial(dut, agent, config.crt_count, config.crt_chunk))
+        trials.append(run_crt_trial(dut, agent, config.crt_count))
     else:
         if backend is None:
             raise ValueError("llm agent requires a backend")
@@ -424,8 +408,7 @@ def run_experiment(
                 dut.plan, dut.stimulus_format, config.strategy, backend, rng
             )
             trial = run_trial(
-                dut, agent, config, budget - used, trial_index=index,
-                prompt_scale=prompt_scale,
+                dut, agent, budget - used, trial_index=index, prompt_scale=prompt_scale
             )
             if trial.messages == 0 and trial.status in (BUDGET_EXHAUSTED, ABORTED):
                 note = f"stopped before trial {index}: " + (
@@ -484,13 +467,37 @@ def write_log(
 
 _EVENT_FIELDS = ("trial", "response_idx", "new_bins", "coverage", "tokens_in", "tokens_out")
 
+# JSON types a trial_end field may hold, by its TrialSummary annotation
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
 
-def _verify_events(path, trial: TrialSummary, events: list, plan_size: int, llm: bool) -> None:
+
+def _trial_summary(record: dict, where: str) -> TrialSummary:
+    """The summary a trial_end record holds; ValueError naming the record and
+    its first missing or wrong-typed field (a bool is not a number)."""
+    summary = _from_record(TrialSummary, record)
+    for f in fields(TrialSummary):
+        value = getattr(summary, f.name)
+        kinds, name = _JSON_TYPES[f.type]
+        if type(value) not in kinds:
+            raise ValueError(
+                f"{where}: trial_end record field {f.name!r} must be {name}, got {value!r}"
+            )
+    return summary
+
+
+def _verify_events(
+    path, trial: TrialSummary, events: list, plan_size: int, llm: bool, plan
+) -> None:
     """Raise ValueError unless a trial's event records add up to its trial_end.
 
     response_idx runs 1..n (n is `messages` in a dialogue log); new_bins are
-    distinct and their running count is each event's coverage, at most
-    plan_size; the last coverage and the token sums are the trial_end's."""
+    distinct, belong to `plan` unless it is None, and their running count is
+    each event's coverage, at most plan_size; the last coverage and the token
+    sums are the trial_end's."""
     where = f"log {path} trial {trial.trial}"
     covered: set = set()
     tokens_in = tokens_out = 0
@@ -516,6 +523,11 @@ def _verify_events(path, trial: TrialSummary, events: list, plan_size: int, llm:
                 f"{where}: event {n} logs coverage {event['coverage']!r}, its new_bins "
                 f"add up to {len(covered)} of plan_size {plan_size}"
             )
+        stray = [b for b in new_bins if plan is not None and b not in plan]
+        if stray:
+            raise ValueError(
+                f"{where}: event {n} lists bin {stray[0]!r}, not in the {plan.name} plan"
+            )
         tokens_in += tokens[0]
         tokens_out += tokens[1]
     if llm and len(events) != trial.messages:
@@ -535,7 +547,9 @@ def report_from_log(path) -> ExperimentReport:
     Raises ValueError when the log's report record differs from the record
     of the report rebuilt from the header and the trial_end records (the
     fields it shares with the header, its per-trial rows, or the metrics
-    recomputed from them), or when a trial's events do not add up to its
+    recomputed from them), when a trial_end field has the wrong JSON type,
+    when a device's log disagrees with that device's plan (its size, or a bin
+    it does not hold), or when a trial's events do not add up to its
     trial_end record (see `_verify_events`): a corrupted or edited log."""
     header = None
     trials: list[tuple[TrialSummary, list]] = []
@@ -555,7 +569,7 @@ def report_from_log(path) -> ExperimentReport:
             elif kind == "event":
                 events.append(record)
             elif kind == "trial_end":
-                trials.append((_from_record(TrialSummary, record), events))
+                trials.append((_trial_summary(record, f"log {path} line {number}"), events))
                 events = []
             elif kind == "report":
                 embedded = record
@@ -565,12 +579,22 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(f"log {path} has no report record")
     if "plan_size" not in header:
         raise ValueError(f"log {path}: header record lacks field 'plan_size'")
+    plan_size = header["plan_size"]
+    if type(plan_size) is not int:
+        raise ValueError(f"log {path}: header plan_size must be an integer, got {plan_size!r}")
+    # a device's plan is known here; logs of other (test-only) devices get
+    # the count checks alone
+    plan = make_dut(header["dut"]).plan if header.get("dut") in DUT_KINDS else None
+    if plan is not None and len(plan) != plan_size:
+        raise ValueError(
+            f"log {path}: header plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
+        )
     summaries = [trial for trial, _ in trials]
     shared = {key: header[key] for key in header.keys() & embedded.keys() - {"type"}}
     rebuilt = replace(
         _from_record(ExperimentReport, {**embedded, **shared}),
         trials=summaries,
-        **compute_metrics(summaries, header["plan_size"]),
+        **compute_metrics(summaries, plan_size),
     )
     for key, value in report_record(rebuilt).items():
         if embedded.get(key) != value:
@@ -582,7 +606,7 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(f"log {path} has event records after the last trial_end")
     llm = header.get("agent") == "llm"
     for trial, trial_events in trials:
-        _verify_events(path, trial, trial_events, header["plan_size"], llm)
+        _verify_events(path, trial, trial_events, plan_size, llm, plan)
     return rebuilt
 
 

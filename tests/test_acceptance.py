@@ -90,7 +90,7 @@ def crt_baseline(kind: str, seeds=range(5), count=1_000_000):
         dut = make_dut(kind)
         agent = CrtAgent(kind, random.Random(seed))
         t0 = time.perf_counter()
-        trial = run_crt_trial(dut, agent, count, chunk=count)
+        trial = run_crt_trial(dut, agent, count)
         worst = max(worst, time.perf_counter() - t0)
         rates.append(100 * trial.rate)
     return sum(rates) / len(rates), worst

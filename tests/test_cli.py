@@ -11,8 +11,11 @@ import pytest
 from covstim.cli import main
 from covstim.duts import DUT_KINDS
 from covstim.runtime import RunConfig, run_experiment
+from test_backend import _chat_payload, no_proxy_env, stub_server  # noqa: F401 (fixtures)
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
+GOLDEN_LOG = REPO / "tests" / "fixtures" / "golden_trial.jsonl"
 
 
 def test_plans_dump_is_full_plan_json(capsys):
@@ -118,6 +121,46 @@ def test_run_seed_override_lands_in_log(tmp_path, capsys):
     assert header["seed"] == 9
 
 
+def stride_reply(i: int) -> str:
+    """Twenty values at a stride of 1-4: new single-stride bins at first,
+    then nothing new, so the dialogue restarts."""
+    step = i % 4 + 1
+    return "```\n" + " ".join(str(100 * i + step * k) for k in range(20)) + "\n```"
+
+
+def test_live_run_records_a_script_that_replays_to_the_same_log(stub_server, tmp_path, capsys):
+    replies = [stride_reply(i) for i in range(200)]
+    stub_server.responses = [(200, _chat_payload(text)) for text in replies]  # no usage
+    endpoint = f"http://127.0.0.1:{stub_server.server_address[1]}/v1/chat/completions"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "dut": "stride",
+                "agent": "llm",
+                "budget_tokens": 20000,
+                "seed": 3,
+                "backend": {"endpoint": endpoint, "model": "stub-model", "retries": 0},
+            }
+        )
+    )
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    run = ["run", "--config", str(config), "--out"]
+    assert main([*run, str(live), "--backend", "live"]) == 0
+    script = live / "replay_script.json"
+    assert main([*run, str(replay), "--backend", f"replay:{script}"]) == 0
+    capsys.readouterr()
+    calls = len(stub_server.requests)
+    assert 0 < calls < len(replies)
+    assert json.loads(script.read_text()) == replies[:calls]  # one per call, in order
+    log = (live / "log.jsonl").read_bytes()
+    assert (replay / "log.jsonl").read_bytes() == log
+    assert not (replay / "replay_script.json").exists()
+    events = [json.loads(line) for line in log.splitlines() if b'"type":"event"' in line]
+    assert len(events) == calls
+    assert any(event["restart"] for event in events)
+
+
 def test_report_round_trip(tmp_path, capsys):
     config, script = write_run_setup(tmp_path)
     out_dir = tmp_path / "out"
@@ -140,6 +183,26 @@ def test_report_round_trip(tmp_path, capsys):
     assert report_out.splitlines()[4] == run_out.splitlines()[4]  # same coverage line
 
 
+def doctor(text: str, kind: str, edit) -> str:
+    """A JSONL log's text with `edit` applied to every record of type `kind`."""
+    doctored = []
+    for line in text.splitlines():
+        record = json.loads(line)
+        if record["type"] == kind:
+            edit(record)
+        doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return "\n".join(doctored) + "\n"
+
+
+def rejection(log, capsys) -> str:
+    """The message `covstim report` exits 1 with on a log it must reject."""
+    rc = main(["report", "--log", str(log)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("covstim: ")
+    return err
+
+
 def test_report_flags_tampered_log(tmp_path, capsys):
     config, script = write_run_setup(tmp_path)
     out_dir = tmp_path / "out"
@@ -156,54 +219,59 @@ def test_report_flags_tampered_log(tmp_path, capsys):
     )
     capsys.readouterr()
     log = out_dir / "log.jsonl"
-    doctored = []
-    for line in log.read_text().splitlines():
-        record = json.loads(line)
-        if record["type"] == "trial_end":
-            record["coverage"] += 1
-        doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    log.write_text("\n".join(doctored) + "\n")
-    rc = main(["report", "--log", str(log)])
-    assert rc == 1
-    assert "mismatch" in capsys.readouterr().err
+    log.write_text(
+        doctor(log.read_text(), "trial_end", lambda r: r.update(coverage=r["coverage"] + 1))
+    )
+    assert "mismatch" in rejection(log, capsys)
 
 
 def test_report_rejects_record_missing_a_field(tmp_path, capsys):
     assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
-    lines = log.read_text().splitlines()
+    original = log.read_text()
     for kind, field in [("trial_end", "messages"), ("header", "plan_size"), ("report", "max_rate")]:
-        doctored = []
-        for line in lines:
-            record = json.loads(line)
-            if record["type"] == kind:
-                del record[field]
-            doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        log.write_text("\n".join(doctored) + "\n")
-        rc = main(["report", "--log", str(log)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("covstim: ")
-        assert f"{kind} record lacks field {field!r}" in err
+        log.write_text(doctor(original, kind, lambda record: record.pop(field)))
+        assert f"{kind} record lacks field {field!r}" in rejection(log, capsys)
 
 
 def test_report_flags_tampered_events(tmp_path, capsys):
     assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
-    doctored = []
-    for line in log.read_text().splitlines():
-        record = json.loads(line)
-        if record["type"] == "event":
-            record.update(coverage=999, new_bins=["bogus"])
-        doctored.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    log.write_text("\n".join(doctored) + "\n")
-    rc = main(["report", "--log", str(log)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("covstim: ")
-    assert "event 1 logs coverage 999" in err
+    log.write_text(
+        doctor(log.read_text(), "event", lambda r: r.update(coverage=999, new_bins=["bogus"]))
+    )
+    assert "event 1 logs coverage 999" in rejection(log, capsys)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tokens_in", "24219"), ("messages", "37"), ("coverage", None)]
+)
+def test_report_rejects_wrong_typed_trial_end_fields(tmp_path, capsys, field, value):
+    log = tmp_path / "log.jsonl"
+    log.write_text(doctor(GOLDEN_LOG.read_text(), "trial_end", lambda r: r.update({field: value})))
+    err = rejection(log, capsys)
+    assert f"trial_end record field {field!r} must be an integer, got {value!r}" in err
+
+
+def test_report_checks_a_device_log_against_its_plan(tmp_path, capsys):
+    assert main(["baseline", "--dut", "decoder", "--count", "3000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "log.jsonl"
+    original = log.read_text()
+    renamed: list = []
+
+    def rename_one_bin(record):
+        if record["new_bins"] and not renamed:
+            renamed.append(record["new_bins"][0])
+            record["new_bins"][0] = "bogus"
+
+    log.write_text(doctor(original, "event", rename_one_bin))
+    assert renamed
+    assert "lists bin 'bogus', not in the decoder plan" in rejection(log, capsys)
+    log.write_text(doctor(original, "header", lambda r: r.update(plan_size=r["plan_size"] - 1)))
+    assert "the decoder plan has" in rejection(log, capsys)
 
 
 def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
@@ -213,11 +281,7 @@ def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
     lines = log.read_text().splitlines()
     for junk in ("[1,2]", "7", '"event"', "null"):
         log.write_text("\n".join([lines[0], junk, *lines[1:]]) + "\n")
-        rc = main(["report", "--log", str(log)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("covstim: ")
-        assert "line 2 is not a JSON object" in err
+        assert "line 2 is not a JSON object" in rejection(log, capsys)
 
 
 def test_run_llm_without_backend_fails(tmp_path, capsys):
@@ -232,6 +296,21 @@ def test_run_rejects_bogus_backend_spec(tmp_path, capsys):
     rc = main(["run", "--config", str(config), "--backend", "bogus"])
     assert rc == 1
     assert "unknown backend" in capsys.readouterr().err
+
+
+def test_sample_configs_load():
+    paths = sorted((REPO / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        RunConfig.from_dict(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("key", ["crt_chunk", "exhaust_zero_window"])
+def test_run_rejects_a_deleted_config_key(tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dut": "stride", "agent": "crt", "crt_count": 100, key: 10}))
+    assert main(["run", "--config", str(config)]) == 1
+    assert "bad run config" in capsys.readouterr().err
 
 
 def test_run_baselines_script_matches_run_experiment():

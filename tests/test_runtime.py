@@ -16,6 +16,7 @@ from covstim.prompting import RESTART_PLANS, StrategyConfig, format_requirement
 from covstim.runtime import (
     ABORTED,
     BUDGET_EXHAUSTED,
+    EXHAUST_ZERO_WINDOW,
     EXHAUSTED,
     FULL_COVERAGE,
     ExperimentReport,
@@ -40,14 +41,11 @@ def llm_config(**kwargs) -> RunConfig:
     return RunConfig(dut="toy", agent="llm", **kwargs)
 
 
-def run_toy_trial(script, budget=10**9, config=None, backend_config=None):
-    config = config or llm_config()
+def run_toy_trial(script, budget=10**9, strategy=StrategyConfig(), backend_config=None):
     backend = ReplayBackend(script, config=backend_config)
     dut = ToyDut()
-    agent = LlmAgent(
-        dut.plan, dut.stimulus_format, config.strategy, backend, random.Random(7)
-    )
-    return run_trial(dut, agent, config, budget), backend
+    agent = LlmAgent(dut.plan, dut.stimulus_format, strategy, backend, random.Random(7))
+    return run_trial(dut, agent, budget), backend
 
 
 # --- exhaustion rule ----------------------------------------------------------------
@@ -72,11 +70,6 @@ def test_40_responses_summing_to_two_exhausted():
 
 def test_40_responses_summing_to_three_not_exhausted():
     assert exhausted([0] * 38 + [1, 2]) is False
-
-
-def test_windows_are_overridable():
-    assert exhausted([0, 0], zero_window=2) is True
-    assert exhausted([0, 0], zero_window=3) is False
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=60))
@@ -167,17 +160,17 @@ class SeqAgent:
 
 
 def test_crt_trial_chunks_and_status():
-    trial = run_crt_trial(ToyDut(), SeqAgent([99]), count=25, chunk=10)
+    trial = run_crt_trial(ToyDut(), SeqAgent([99]), count=25_000)
     assert trial.status == EXHAUSTED
     assert trial.messages == 0
     assert trial.tokens == 0
-    assert [e["stimuli"] for e in trial.events] == [10, 10, 5]
+    assert [e["stimuli"] for e in trial.events] == [10_000, 10_000, 5_000]
     assert [e["response_idx"] for e in trial.events] == [1, 2, 3]
     assert trial.coverage == 0
 
 
 def test_crt_trial_stops_on_full_coverage():
-    trial = run_crt_trial(ToyDut(), SeqAgent(range(10)), count=1000, chunk=100)
+    trial = run_crt_trial(ToyDut(), SeqAgent(range(10)), count=25_000)
     assert trial.status == FULL_COVERAGE
     assert len(trial.events) == 1
     assert trial.events[0]["stimuli"] == 10
@@ -187,10 +180,9 @@ def test_crt_trial_stops_on_full_coverage():
 
 def test_crt_trial_on_real_dut():
     dut = make_dut("stride")
-    trial = run_crt_trial(dut, CrtAgent("stride", random.Random(5)), 2000, chunk=500)
+    trial = run_crt_trial(dut, CrtAgent("stride", random.Random(5)), 25_000)
     assert trial.status == EXHAUSTED
-    assert sum(e["stimuli"] for e in trial.events) == 2000
-    assert len(trial.events) == 4
+    assert [e["stimuli"] for e in trial.events] == [10_000, 10_000, 5_000]
     assert trial.events[-1]["coverage"] == trial.coverage
 
 
@@ -232,18 +224,18 @@ class QueryLog(ReplayBackend):
         return super().complete(messages)
 
 
-@pytest.mark.parametrize("window", [25, 3])
+@pytest.mark.parametrize("window", [EXHAUST_ZERO_WINDOW])
 @pytest.mark.parametrize("restart", RESTART_PLANS)
 def test_unusable_replies_end_in_exhaustion(restart, window):
     # an unusable reply gets the format reminder and counts as covering nothing,
     # so the exhaustion window bounds a run of them whatever the restart plan
-    config = llm_config(strategy=StrategyConfig(restart=restart), exhaust_zero_window=window)
+    strategy = StrategyConfig(restart=restart)
     dut = ToyDut()
     backend = QueryLog(["I cannot help with that."] * (window + 5))
-    agent = LlmAgent(dut.plan, dut.stimulus_format, config.strategy, backend, random.Random(7))
-    trial = run_trial(dut, agent, config, 10**9)
+    agent = LlmAgent(dut.plan, dut.stimulus_format, strategy, backend, random.Random(7))
+    trial = run_trial(dut, agent, 10**9)
     assert trial.status == EXHAUSTED
-    assert trial.messages == backend.calls == config.exhaust_zero_window
+    assert trial.messages == backend.calls == window
     for query, restarted in zip(backend.queries[1:], [e["restart"] for e in trial.events[1:]]):
         assert format_requirement(dut.stimulus_format) in query
         assert restarted or "could not be used" in query
@@ -276,9 +268,8 @@ def test_script_exhaustion_aborts_trial():
 
 
 def test_restart_flag_marks_fresh_dialogue():
-    config = llm_config(strategy=StrategyConfig(restart="low"))
     script = ["```\n0\n```"] * 4 + ["```\n1\n```"] + [DUD] * 40
-    trial, _ = run_toy_trial(script, config=config)
+    trial, _ = run_toy_trial(script, strategy=StrategyConfig(restart="low"))
     flags = [e["restart"] for e in trial.events]
     assert flags[4] is True  # deltas [1,0,0,0] under tolerance 4 force a restart
     assert not any(flags[:4])
@@ -286,23 +277,22 @@ def test_restart_flag_marks_fresh_dialogue():
 
 def test_malformed_stimuli_counted_not_covered():
     dut = make_dut("cpu")
-    config = RunConfig(dut="cpu", agent="llm", exhaust_zero_window=2)
-    backend = ReplayBackend(["```\n[[2, 111]]\n```"] * 2)
+    backend = ReplayBackend(["```\n[[2, 111]]\n```"] * EXHAUST_ZERO_WINDOW)
     agent = LlmAgent(
-        dut.plan, dut.stimulus_format, config.strategy, backend, random.Random(7)
+        dut.plan, dut.stimulus_format, StrategyConfig(), backend, random.Random(7)
     )
-    trial = run_trial(dut, agent, config, 10**9)
+    trial = run_trial(dut, agent, 10**9)
     assert trial.status == EXHAUSTED
-    assert trial.malformed == 2
+    assert trial.malformed == EXHAUST_ZERO_WINDOW
     assert trial.coverage == 0
-    assert [e["stimuli"] for e in trial.events] == [1, 1]
+    assert [e["stimuli"] for e in trial.events] == [1] * EXHAUST_ZERO_WINDOW
 
 
 # --- experiments --------------------------------------------------------------------
 
 
 def test_crt_experiment_is_one_trial():
-    config = RunConfig(dut="stride", agent="crt", seed=3, crt_count=500, crt_chunk=100)
+    config = RunConfig(dut="stride", agent="crt", seed=3, crt_count=500)
     report = run_experiment(config)
     assert len(report.trials) == 1
     assert report.trials[0].status == EXHAUSTED
