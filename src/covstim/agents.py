@@ -9,8 +9,7 @@ replies come in a row and the budget gate bounds their cost.
 
 Extraction is deliberately forgiving: values are masked to 32 bits rather
 than rejected, and unparseable tokens inside an otherwise valid block are
-skipped. A response with no fenced block and almost no numeric tokens is
-flagged gibberish.
+skipped.
 """
 from __future__ import annotations
 
@@ -36,25 +35,12 @@ from covstim.prompting import (
 
 MASK32 = 0xFFFFFFFF
 
-# below this fraction of integer-ish tokens, an unfenced response is nonsense
-GIBBERISH_INT_RATIO = 0.20
-
 _JAL_OPCODE = 0x6F
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
     stimuli: list
-    well_formed: bool
-    gibberish: bool
-
-
-@dataclass(frozen=True)
-class AgentFeedback:
-    """Coverage feedback handed to the agent before each generation."""
-
-    rate: float
-    uncovered: UncoveredBins  # live view: read it before the next record
 
 
 # --- response extraction -----------------------------------------------------------
@@ -79,14 +65,6 @@ def _parse_int(token: str) -> Optional[int]:
     except ValueError:
         return None
     return -value if negative else value
-
-
-def _is_gibberish(text: str) -> bool:
-    tokens = text.split()
-    if not tokens:
-        return True
-    numeric = sum(1 for t in tokens if _parse_int(t) is not None)
-    return numeric / len(tokens) < GIBBERISH_INT_RATIO
 
 
 def _extract_integers(block: str) -> list[int]:
@@ -155,14 +133,14 @@ def extract_stimuli(text: str, stimulus_format: str) -> ExtractionResult:
     """
     block = _first_fenced_block(text)
     if block is None:
-        return ExtractionResult(stimuli=[], well_formed=False, gibberish=_is_gibberish(text))
+        return ExtractionResult(stimuli=[])
     if stimulus_format == FORMAT_INTEGERS:
         stimuli = _extract_integers(block)
     elif stimulus_format == FORMAT_MEMORY_UPDATES:
         stimuli = _extract_updates(block)
     else:
         raise ValueError(f"unknown stimulus format {stimulus_format!r}")
-    return ExtractionResult(stimuli=stimuli, well_formed=bool(stimuli), gibberish=False)
+    return ExtractionResult(stimuli=stimuli)
 
 
 # --- constrained-random baseline -----------------------------------------------------
@@ -237,9 +215,10 @@ class LlmAgent:
         self.dialogue = Dialogue(build_system_message(stimulus_format))
         self.sampler = MissedBinSampler(strategy)
         self.last_outcome: Optional[ResponseOutcome] = None
-        self._pending: Optional[tuple[PreparedQuery, str, ExtractionResult]] = None
+        self._pending: Optional[tuple[PreparedQuery, str, bool]] = None
 
-    def prepare(self, feedback: AgentFeedback) -> PreparedQuery:
+    def prepare(self, uncovered: UncoveredBins) -> PreparedQuery:
+        """Build the next query; `uncovered` is the coverage state's live view."""
         if self.dialogue.initial is None:
             kind = "initial"
             query = build_initial_query(
@@ -247,11 +226,7 @@ class LlmAgent:
             )
         else:
             kind = "iterative"
-            sampled = (
-                self.sampler.sample(feedback.uncovered, self.rng)
-                if feedback.uncovered
-                else []
-            )
+            sampled = self.sampler.sample(uncovered, self.rng) if uncovered else []
             query = build_iterative_query(
                 self.last_outcome,
                 sampled,
@@ -265,25 +240,21 @@ class LlmAgent:
     def submit(self, prepared: PreparedQuery) -> ResponseRecord:
         completion = self.backend.complete(prepared.messages)
         extraction = extract_stimuli(completion.text, self.stimulus_format)
-        self._pending = (prepared, completion.text, extraction)
+        self._pending = (prepared, completion.text, bool(extraction.stimuli))
         return ResponseRecord(prepared.kind, prepared.query, completion, extraction)
 
     def credit(self, easier_hits: int, harder_hits: int, rate: float) -> None:
         """Record the pending reply with the bins its stimuli newly covered."""
         if self._pending is None:
             raise ValueError("no submitted reply to credit")
-        prepared, text, extraction = self._pending
+        prepared, text, usable = self._pending
         self._pending = None
         if prepared.kind == "initial":
             self.dialogue.record_initial(prepared.query, text, easier_hits, harder_hits)
         else:
             self.dialogue.record_iterative(prepared.query, text, easier_hits, harder_hits)
         new_hits = easier_hits + harder_hits
-        self.last_outcome = ResponseOutcome(
-            well_formed=extraction.well_formed,
-            gibberish=extraction.gibberish,
-            new_hits=new_hits,
-        )
+        self.last_outcome = ResponseOutcome(usable=usable, new_hits=new_hits)
         self.sampler.observe(new_hits, rate)
 
     def restart(self) -> None:

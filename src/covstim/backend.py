@@ -11,10 +11,10 @@ same script format.
 `covstim.backend.requests` (PEP 562), which `HttpBackend` makes when it is
 built, so commands that make no HTTP call do not pay for importing it.
 
-Token accounting prefers server-reported usage; when a server omits the
-usage block, counts fall back to a chars/4 estimate. The estimate only has
-to be roughly right: it feeds budget bookkeeping, not any correctness
-decision.
+Both backends account for a reply with `account_reply`, which prefers
+server-reported usage and falls back to a chars/4 estimate for a count the
+server omits. The estimate only has to be roughly right: it feeds budget
+bookkeeping, not any correctness decision.
 """
 from __future__ import annotations
 
@@ -82,10 +82,6 @@ class Completion:
     tokens_out: int
     latency: float
 
-    @property
-    def tokens(self) -> int:
-        return self.tokens_in + self.tokens_out
-
 
 def _check_messages(messages: Sequence[Message]) -> None:
     if not messages:
@@ -97,6 +93,38 @@ def _check_messages(messages: Sequence[Message]) -> None:
 def estimate_prompt(messages: Sequence[Message]) -> int:
     """Approximate prompt token count: the per-message estimates summed."""
     return sum(estimate_tokens(m["content"]) for m in messages)
+
+
+def account_reply(
+    text, usage, messages: Sequence[Message], max_tokens: int, latency: float = 0.0
+) -> Completion:
+    """The Completion for one reply, cut to `max_tokens` x 4 characters so
+    that a server ignoring max_tokens stays within the budget gate's reply
+    allowance and a recorded script replays to the same log.
+
+    `usage` is the server's usage object or None; a count it omits or nulls
+    is estimated. BackendError if `text` is not a string, `usage` not an
+    object, or a count not a non-negative integer.
+    """
+    if not isinstance(text, str):
+        raise BackendError(f"malformed completion payload: content is {text!r}")
+    if usage is None:
+        usage = {}
+    elif not isinstance(usage, dict):
+        raise BackendError(f"malformed completion payload: usage is {usage!r}")
+    for key in ("prompt_tokens", "completion_tokens"):
+        value = usage.get(key)
+        if value is not None and (type(value) is not int or value < 0):
+            raise BackendError(f"malformed completion payload: {key} is {value!r}")
+    text = text[: max_tokens * 4]
+    tokens_in = usage.get("prompt_tokens")
+    tokens_out = usage.get("completion_tokens")
+    return Completion(
+        text,
+        estimate_prompt(messages) if tokens_in is None else tokens_in,
+        estimate_tokens(text) if tokens_out is None else tokens_out,
+        latency,
+    )
 
 
 class HttpBackend:
@@ -167,16 +195,8 @@ class HttpBackend:
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from exc
-        usage = data.get("usage") or {}
-        tokens_in = usage.get("prompt_tokens")
-        tokens_out = usage.get("completion_tokens")
-        if tokens_in is None:
-            tokens_in = estimate_prompt(messages)
-        if tokens_out is None:
-            tokens_out = estimate_tokens(text)
-        return Completion(
-            text=text, tokens_in=int(tokens_in), tokens_out=int(tokens_out), latency=latency
-        )
+        max_tokens = self.config.max_tokens
+        return account_reply(text, data.get("usage"), messages, max_tokens, latency)
 
 
 def _retry_wait(retry_after: Optional[str], backoff: float) -> float:
@@ -191,9 +211,8 @@ _REPLAY_CONFIG = BackendConfig(endpoint="replay:", model="replay")
 
 
 class ReplayBackend:
-    """Deterministic backend: call i returns script[i], truncated to the
-    configured max_tokens worth of characters so token sums are reproducible
-    and bounded exactly like a live call."""
+    """Deterministic backend: call i returns script[i], accounted like a live
+    reply without a usage block."""
 
     def __init__(
         self, script: Sequence[str], config: Optional[BackendConfig] = None
@@ -219,14 +238,9 @@ class ReplayBackend:
             raise ScriptExhaustedError(
                 f"replay script exhausted after {len(self.script)} responses"
             )
-        text = self.script[self.calls][: self.config.max_tokens * 4]
+        text = self.script[self.calls]
         self.calls += 1
-        return Completion(
-            text=text,
-            tokens_in=estimate_prompt(messages),
-            tokens_out=estimate_tokens(text),
-            latency=0.0,
-        )
+        return account_reply(text, None, messages, self.config.max_tokens)
 
 
 class RecordingBackend:

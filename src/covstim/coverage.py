@@ -1,9 +1,9 @@
-"""Functional coverage primitives: bin descriptors, plans, and hit accounting.
+"""Functional coverage primitives: bin descriptors, plans, and covered sets.
 
 A coverage plan is an ordered collection of named bins. Monitors translate
-design activity into bin ids; the coverage state counts hits and keeps the
-bins that remain uncovered up to date as hits arrive. Plans are immutable
-once built so every consumer sees the same ordering.
+design activity into bin ids; the coverage state keeps the set of bins hit
+so far and keeps the bins that remain uncovered up to date as hits arrive.
+Plans are immutable once built so every consumer sees the same ordering.
 """
 from __future__ import annotations
 
@@ -117,7 +117,8 @@ class UncoveredBins:
 
 
 class CoverageState:
-    """Hit counts for one plan. Counts only grow; ids outside the plan are bugs.
+    """The bins of one plan hit so far. The set only grows; ids outside the
+    plan are bugs.
 
     The uncovered-bin view is built by the first `uncovered()` call and kept
     current by `record` from then on, so a state that is never asked (the
@@ -126,48 +127,39 @@ class CoverageState:
 
     def __init__(self, plan: CoveragePlan) -> None:
         self.plan = plan
-        self.hits: dict[str, int] = {}
+        self.covered: set[str] = set()
         self._view: Optional[UncoveredBins] = None
 
     def record(self, bin_ids: Iterable[str]) -> list[str]:
-        """Count hits; return ids that just went from unhit to hit, in hit order."""
+        """Mark hits; return ids that just went from unhit to hit, in hit order."""
         newly_covered: list[str] = []
-        hits = self.hits
+        covered = self.covered
         for bin_id in bin_ids:
-            count = hits.get(bin_id)
-            if count is not None:
-                hits[bin_id] = count + 1
+            if bin_id in covered:
                 continue
-            # only plan ids ever enter `hits`, so this checks every id once
+            # only plan ids ever enter `covered`, so this checks every id once
             if bin_id not in self.plan._by_id:
                 raise ValueError(
                     f"monitor emitted unknown bin id {bin_id!r} "
                     f"for plan {self.plan.name!r}"
                 )
             newly_covered.append(bin_id)
-            hits[bin_id] = 1
+            covered.add(bin_id)
         if newly_covered and self._view is not None:
             self._view._cover(newly_covered)
         return newly_covered
 
-    def count(self, bin_id: str) -> int:
-        return self.hits.get(bin_id, 0)
-
-    @property
-    def covered_count(self) -> int:
-        return len(self.hits)
-
     def rate(self) -> float:
         if len(self.plan) == 0:
             raise ValueError(f"plan {self.plan.name!r} has no bins")
-        return self.covered_count / len(self.plan)
+        return len(self.covered) / len(self.plan)
 
     def is_full(self) -> bool:
-        return self.covered_count == len(self.plan)
+        return len(self.covered) == len(self.plan)
 
     def uncovered(self) -> UncoveredBins:
         """Unhit bins in plan order: a live view, O(1) after the first call."""
         if self._view is None:
             self._view = UncoveredBins(self.plan)
-            self._view._cover(self.hits)
+            self._view._cover(self.covered)
         return self._view

@@ -71,10 +71,6 @@ def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -
     raise ValueError(f"unknown cpu op {op!r}")
 
 
-def cpu_plan() -> CoveragePlan:
-    return _cpu_model()[0]
-
-
 @lru_cache(maxsize=1)
 def _cpu_model() -> tuple:
     """The plan plus the bin ids `CpuDut.step` emits, built in one pass.

@@ -63,10 +63,6 @@ def _reg_ids() -> range:
     return range(0, 32) if op_table()["include_x0_ports"] else range(1, 32)
 
 
-def decoder_plan() -> CoveragePlan:
-    return decoder_model()[0]
-
-
 @lru_cache(maxsize=1)
 def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
     """The plan and the two masked-word lookup tables, built in one pass.

@@ -33,10 +33,6 @@ _TRANSITIONS = {
 }
 
 
-def stride_plan() -> CoveragePlan:
-    return _stride_model()[0]
-
-
 @lru_cache(maxsize=1)
 def _stride_model() -> tuple[CoveragePlan, dict, dict, dict]:
     """The plan plus its pattern bin ids: single strides keyed by unsigned

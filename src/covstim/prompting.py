@@ -43,6 +43,8 @@ BUFFER_RESETS = ("clear", "keep", "stable_keep")
 
 # a harder bin counts this much when ranking exchanges by weighted score
 HARDER_WEIGHT = 2.5
+RATE_THRESHOLD = 0.15  # coverage rate dividing "early" from "late" behavior
+SAMPLE_SIZE = 7  # missed bins listed per query
 
 _TOLERANCES = {"normal": 7, "low": 4, "high": 10}
 _MIN_WINDOW_HITS = 3  # restart fires when the window has fewer new bins than this
@@ -57,8 +59,6 @@ class StrategyConfig:
     context: str = "recent"
     restart: str = "normal"
     buffer_reset: str = "clear"
-    rate_threshold: float = 0.15
-    sample_size: int = 7
 
     def __post_init__(self) -> None:
         checks = (
@@ -71,10 +71,6 @@ class StrategyConfig:
         for name, value, allowed in checks:
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if not 0 < self.rate_threshold < 1:
-            raise ValueError("rate_threshold must be in (0, 1)")
-        if self.sample_size <= 0:
-            raise ValueError("sample_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,10 +188,10 @@ class Dialogue:
 
 # --- restart policy ---------------------------------------------------------------
 
-def restart_tolerance(restart_plan: str, rate: float, rate_threshold: float = 0.15) -> int:
+def restart_tolerance(restart_plan: str, rate: float) -> int:
     """Window length (in responses) the dialogue gets before a restart check."""
     if restart_plan == "coverage_rate_based":
-        return _TOLERANCES["low"] if rate < rate_threshold else _TOLERANCES["normal"]
+        return _TOLERANCES["low"] if rate < RATE_THRESHOLD else _TOLERANCES["normal"]
     try:
         return _TOLERANCES[restart_plan]
     except KeyError:
@@ -208,17 +204,13 @@ def stalled(deltas: Sequence[int], window: int, below: int) -> bool:
     return len(deltas) >= window and sum(deltas[-window:]) < below
 
 
-def should_restart(
-    deltas: Sequence[int], restart_plan: str, rate: float, rate_threshold: float = 0.15
-) -> bool:
+def should_restart(deltas: Sequence[int], restart_plan: str, rate: float) -> bool:
     """True when the last full tolerance window produced fewer than 3 new bins.
 
     `deltas` are per-response new-bin counts since the last restart, so a
     fresh dialogue always gets a full window before it can be restarted.
     """
-    return stalled(
-        deltas, restart_tolerance(restart_plan, rate, rate_threshold), _MIN_WINDOW_HITS
-    )
+    return stalled(deltas, restart_tolerance(restart_plan, rate), _MIN_WINDOW_HITS)
 
 
 # --- missed-bin sampling -------------------------------------------------------------
@@ -229,29 +221,29 @@ def sample_missed_bins(
     rng: random.Random,
     method: Optional[str] = None,
 ) -> list[BinDescriptor]:
-    """Pick the min(sample_size, len(uncovered)) bins the next query will list.
+    """Pick the min(SAMPLE_SIZE, len(uncovered)) bins the next query will list.
 
     `uncovered` is a coverage state's view, so the easier/harder split comes
     ready in plan order. pure_random samples uniformly without replacement;
     type_based keeps the first two in plan order and fills the rest with
     3 easier + 2 harder bins (topping up from the other pool when one runs
-    short, or 5 uniform when no easier bins remain); a smaller sample_size
-    fills the head first, then the easier, then the harder share. The
-    stateless form of "mixed" is its below-threshold behavior, type_based;
-    use MissedBinSampler for the toggling version.
+    short, or 5 uniform when no easier bins remain); when fewer bins remain,
+    the easier share is filled before the harder one. The stateless form of
+    "mixed" is its below-threshold behavior, type_based; use
+    MissedBinSampler for the toggling version.
     """
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
     method = method or config.missed_bin
     if method == "mixed":
         method = "type_based"
-    k = config.sample_size
+    k = min(SAMPLE_SIZE, len(uncovered))
     if method == "pure_random":
-        return rng.sample(list(uncovered), min(k, len(uncovered)))
+        return rng.sample(list(uncovered), k)
     if method != "type_based":
         raise ValueError(f"unknown missed-bin method {method!r}")
-    head = list(islice(uncovered, min(2, k)))
-    want = min(k - len(head), len(uncovered) - len(head))
+    head = list(islice(uncovered, 2))
+    want = k - len(head)
     # the head's easier (harder) members are the first of their difficulty,
     # so the rest of each side is what follows them
     m = sum(1 for b in head if b.difficulty is Difficulty.EASIER)
@@ -290,7 +282,7 @@ class MissedBinSampler:
         if self.config.missed_bin != "mixed":
             return
         self._window.append(new_hits)
-        if rate >= self.config.rate_threshold and stalled(
+        if rate >= RATE_THRESHOLD and stalled(
             self._window, _MIXED_WINDOW, _MIN_WINDOW_HITS
         ):
             self.method = "pure_random" if self.method == "type_based" else "type_based"
@@ -456,8 +448,7 @@ def build_initial_query(
 class ResponseOutcome:
     """What the previous response achieved, as seen by the next query."""
 
-    well_formed: bool
-    gibberish: bool
+    usable: bool  # stimuli were extracted
     new_hits: int
 
 
@@ -474,7 +465,7 @@ def build_iterative_query(
     "Avoid ..." sentence per listed bin.
     """
     req = format_requirement(stimulus_format)
-    if outcome.gibberish or not outcome.well_formed:
+    if not outcome.usable:
         summary = (
             "Your previous reply could not be used: no stimuli were extracted "
             "because it did not follow the required output format. " + req

@@ -19,7 +19,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
-from covstim.agents import AgentFeedback, CrtAgent, LlmAgent
+from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import BackendConfig, BackendError
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
@@ -144,7 +144,7 @@ def _event(
         "response_idx": response_idx,
         "stimuli": stimuli,
         "new_bins": new_bins,
-        "coverage": state.covered_count,
+        "coverage": len(state.covered),
         "rate": state.rate(),
         "restart": restart,
         "tokens_in": tokens_in,
@@ -207,14 +207,11 @@ def run_trial(
             break
         restarted = False
         if should_restart(
-            agent.dialogue.deltas_since_restart,
-            agent.strategy.restart,
-            state.rate(),
-            agent.strategy.rate_threshold,
+            agent.dialogue.deltas_since_restart, agent.strategy.restart, state.rate()
         ):
             agent.restart()
             restarted = True
-        prepared = agent.prepare(AgentFeedback(rate=state.rate(), uncovered=state.uncovered()))
+        prepared = agent.prepare(state.uncovered())
         estimate = prepared.prompt_token_estimate
         spent = tokens_in + tokens_out
         if spent + prompt_scale.scaled(estimate) + max_tokens > budget_remaining:
@@ -258,7 +255,7 @@ def run_trial(
     return TrialRecord(
         trial=trial_index,
         status=status,
-        coverage=state.covered_count,
+        coverage=len(state.covered),
         rate=state.rate(),
         messages=messages,
         tokens_in=tokens_in,
@@ -277,7 +274,7 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     without full coverage ends exhausted (the stream is over).
     """
     state = CoverageState(dut.plan)
-    hits, plan_size = state.hits, len(state.plan)
+    covered, plan_size = state.covered, len(state.plan)
     feed, extras, next_stimulus = dut.feed, dut.extras, agent.next_stimulus
     chunk = DEFAULT_CRT_CHUNK
     events: list[dict] = []
@@ -290,7 +287,7 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
         if bins:
             chunk_new += state.record(bins)
         fed += 1
-        full = len(hits) == plan_size
+        full = len(covered) == plan_size
         if fed == chunk or i == last or full:
             events.append(
                 _event(1, len(events) + 1, fed, chunk_new, state, False, 0, 0)
@@ -303,7 +300,7 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     return TrialRecord(
         trial=1,
         status=status,
-        coverage=state.covered_count,
+        coverage=len(state.covered),
         rate=state.rate(),
         messages=0,
         tokens_in=0,

@@ -21,9 +21,7 @@ from covstim.agents import CrtAgent
 from covstim.backend import ReplayBackend
 from covstim.cli import main
 from covstim.duts import make_dut
-from covstim.duts.cpu import cpu_plan
-from covstim.duts.decoder import DecoderMonitor, decoder_plan, encode, op_table
-from covstim.duts.stride import stride_plan
+from covstim.duts.decoder import DecoderMonitor, encode, op_table
 from covstim.prompting import (
     Dialogue,
     MissedBinSampler,
@@ -59,15 +57,15 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_plan_cardinalities():
     t0 = time.perf_counter()
-    stride = len(stride_plan())
-    cpu = len(cpu_plan())
+    stride = len(make_dut("stride").plan)
+    cpu = len(make_dut("cpu").plan)
     table = op_table()
     # closed form from the shipped table: one bin per op, 32x3 port bins,
     # and 32 cross bins per port an op actually uses
     expected_decoder = len(table["ops"]) + 96 + sum(
         32 * (op["uses_rs1"] + op["uses_rs2"] + op["uses_rd"]) for op in table["ops"]
     )
-    decoder = len(decoder_plan())
+    decoder = len(make_dut("decoder").plan)
     took = time.perf_counter() - t0
     ok = stride == 1034 and cpu == 196 and decoder == expected_decoder and took < 1.0
     verdict(
@@ -248,16 +246,16 @@ def test_criterion_5_strategy_examples():
     )
 
     checks.append(
-        ("restart normal [0,0,1,1,0,0,0]", should_restart([0, 0, 1, 1, 0, 0, 0], "normal", 0.5, 0.15))
+        ("restart normal [0,0,1,1,0,0,0]", should_restart([0, 0, 1, 1, 0, 0, 0], "normal", 0.5))
     )
-    checks.append(("restart low [0,0,0,2]", should_restart([0, 0, 0, 2], "low", 0.5, 0.15)))
+    checks.append(("restart low [0,0,0,2]", should_restart([0, 0, 0, 2], "low", 0.5)))
     checks.append(
         (
             "rate_based tolerance 4 below threshold, 7 above",
-            restart_tolerance("coverage_rate_based", 0.10, 0.15) == 4
-            and restart_tolerance("coverage_rate_based", 0.20, 0.15) == 7
-            and should_restart([0, 0, 0, 2], "coverage_rate_based", 0.10, 0.15)
-            and not should_restart([0, 0, 0, 2], "coverage_rate_based", 0.20, 0.15),
+            restart_tolerance("coverage_rate_based", 0.10) == 4
+            and restart_tolerance("coverage_rate_based", 0.20) == 7
+            and should_restart([0, 0, 0, 2], "coverage_rate_based", 0.10)
+            and not should_restart([0, 0, 0, 2], "coverage_rate_based", 0.20),
         )
     )
 

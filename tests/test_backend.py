@@ -81,13 +81,17 @@ def test_replay_is_pure_function_of_call_index():
     assert texts_a == ["one"]
 
 
-def test_replay_truncates_to_max_tokens_worth_of_chars():
+def test_replay_truncates_to_max_tokens_worth_of_chars(stub_server):
+    # a live server that ignores max_tokens is cut the same way as a replay
+    stub_server.responses = [(200, _chat_payload("x" * 100))]
     cfg = BackendConfig(endpoint="replay:", model="replay", max_tokens=5)
-    backend = ReplayBackend(["x" * 100], config=cfg)
-    out = backend.complete([SYSTEM])
-    assert len(out.text) == 20  # 5 tokens * 4 chars
-    assert out.tokens_out == 5
-    assert out.tokens_out <= cfg.max_tokens
+    for backend in (
+        ReplayBackend(["x" * 100], config=cfg),
+        HttpBackend(_config(stub_server, max_tokens=5)),
+    ):
+        out = backend.complete([SYSTEM])
+        assert out.text == "x" * 20  # 5 tokens * 4 chars
+        assert out.tokens_out == 5
 
 
 def test_replay_token_accounting_uses_estimates():
@@ -130,6 +134,9 @@ def test_recording_backend_captures_replayable_script(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; without this, Nagle's algorithm
+    # holds the body until the client's delayed ACK (about 40 ms a call)
+    disable_nagle_algorithm = True
 
     def do_POST(self):
         server = self.server
@@ -198,6 +205,24 @@ def _config(server, **kw):
         model="stub-model",
         **kw,
     )
+
+
+# payloads a misbehaving server might send, and the part each gets wrong
+MALFORMED_PAYLOADS = {
+    "null content": {"choices": [{"message": {"role": "assistant", "content": None}}]},
+    "list usage": _chat_payload("ok", usage=[10, 20]),
+    "string usage": _chat_payload("ok", usage="10 20"),
+    "string count": _chat_payload("ok", usage={"prompt_tokens": "x"}),
+    "negative count": _chat_payload("ok", usage={"completion_tokens": -5}),
+    "bool count": _chat_payload("ok", usage={"prompt_tokens": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_http_rejects_malformed_payloads(stub_server, case):
+    stub_server.responses = [(200, MALFORMED_PAYLOADS[case])]
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        HttpBackend(_config(stub_server)).complete([SYSTEM])
 
 
 def test_http_usage_passthrough(stub_server):

@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from covstim.backend import BackendConfig, HttpBackend
 from covstim.cli import main
 from covstim.duts import DUT_KINDS
-from covstim.runtime import RunConfig, run_experiment
-from test_backend import _chat_payload, no_proxy_env, stub_server  # noqa: F401 (fixtures)
+from covstim.runtime import ABORTED, RunConfig, run_experiment
+from test_backend import (  # noqa: F401 (fixtures)
+    MALFORMED_PAYLOADS,
+    _chat_payload,
+    no_proxy_env,
+    stub_server,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
@@ -128,12 +134,18 @@ def stride_reply(i: int) -> str:
     return "```\n" + " ".join(str(100 * i + step * k) for k in range(20)) + "\n```"
 
 
-def test_live_run_records_a_script_that_replays_to_the_same_log(stub_server, tmp_path, capsys):
-    replies = [stride_reply(i) for i in range(200)]
-    stub_server.responses = [(200, _chat_payload(text)) for text in replies]  # no usage
-    endpoint = f"http://127.0.0.1:{stub_server.server_address[1]}/v1/chat/completions"
-    config = tmp_path / "config.json"
-    config.write_text(
+def padded_stride_reply(i: int) -> str:
+    """A stride reply trailed by prose: about 3,000 characters, more than the
+    default max_tokens (600) x 4, as from a server that ignores max_tokens."""
+    return stride_reply(i) + "\nThe stride pattern continues." * 100
+
+
+def stub_endpoint(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+
+
+def write_live_config(path, endpoint, **fields) -> Path:
+    path.write_text(
         json.dumps(
             {
                 "dut": "stride",
@@ -141,24 +153,81 @@ def test_live_run_records_a_script_that_replays_to_the_same_log(stub_server, tmp
                 "budget_tokens": 20000,
                 "seed": 3,
                 "backend": {"endpoint": endpoint, "model": "stub-model", "retries": 0},
+                **fields,
             }
         )
     )
+    return path
+
+
+def live_then_replay(stub_server, tmp_path, replies):
+    """`covstim run --backend live --out live` against the stub (no usage
+    block), then a replay of its script into `replay`; returns the dirs."""
+    stub_server.responses = [(200, _chat_payload(text)) for text in replies]
+    config = write_live_config(tmp_path / "config.json", stub_endpoint(stub_server))
     live, replay = tmp_path / "live", tmp_path / "replay"
     run = ["run", "--config", str(config), "--out"]
     assert main([*run, str(live), "--backend", "live"]) == 0
     script = live / "replay_script.json"
     assert main([*run, str(replay), "--backend", f"replay:{script}"]) == 0
+    return live, replay
+
+
+def test_live_run_records_a_script_that_replays_to_the_same_log(stub_server, tmp_path, capsys):
+    replies = [stride_reply(i) for i in range(200)]
+    live, replay = live_then_replay(stub_server, tmp_path, replies)
     capsys.readouterr()
     calls = len(stub_server.requests)
     assert 0 < calls < len(replies)
-    assert json.loads(script.read_text()) == replies[:calls]  # one per call, in order
+    script = json.loads((live / "replay_script.json").read_text())
+    assert script == replies[:calls]  # one per call, in order
     log = (live / "log.jsonl").read_bytes()
     assert (replay / "log.jsonl").read_bytes() == log
     assert not (replay / "replay_script.json").exists()
     events = [json.loads(line) for line in log.splitlines() if b'"type":"event"' in line]
     assert len(events) == calls
     assert any(event["restart"] for event in events)
+
+
+def test_live_run_past_max_tokens_replays_to_the_same_log(stub_server, tmp_path, capsys):
+    replies = [padded_stride_reply(i) for i in range(200)]
+    live, replay = live_then_replay(stub_server, tmp_path, replies)
+    capsys.readouterr()
+    calls = len(stub_server.requests)
+    script = json.loads((live / "replay_script.json").read_text())
+    assert script == [text[:2400] for text in replies[:calls]]  # cut to 600 x 4
+    log = (live / "log.jsonl").read_bytes()
+    assert (replay / "log.jsonl").read_bytes() == log
+    assert json.loads(log.splitlines()[-1])["max_coverage"] > 0  # the cut kept stimuli
+
+
+def test_budget_holds_against_a_server_that_ignores_max_tokens(stub_server):
+    stub_server.responses = [(200, _chat_payload(padded_stride_reply(i))) for i in range(100)]
+    backend = BackendConfig(endpoint=stub_endpoint(stub_server), model="m", retries=0)
+    overshot = []
+    for budget in range(2_000, 9_000, 97):
+        stub_server.requests.clear()  # every run hears the same replies
+        config = RunConfig(
+            dut="stride", agent="llm", seed=1, budget_tokens=budget, backend=backend
+        )
+        report = run_experiment(config, backend=HttpBackend(backend))
+        if report.total_tokens > budget:
+            overshot.append((budget, report.total_tokens))
+    assert not overshot
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_live_run_aborts_on_a_malformed_payload(stub_server, tmp_path, capsys, case):
+    stub_server.responses = [(200, _chat_payload(stride_reply(0))), (200, MALFORMED_PAYLOADS[case])]
+    config = write_live_config(tmp_path / "config.json", stub_endpoint(stub_server))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--backend", "live", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    [end] = [r for r in records if r["type"] == "trial_end"]
+    assert end["status"] == ABORTED and end["messages"] == 1
+    assert "malformed completion payload" in end["error"]
+    assert main(["report", "--log", str(out / "log.jsonl")]) == 0
 
 
 def test_report_round_trip(tmp_path, capsys):
@@ -309,6 +378,13 @@ def test_sample_configs_load():
 def test_run_rejects_a_deleted_config_key(tmp_path, capsys, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"dut": "stride", "agent": "crt", "crt_count": 100, key: 10}))
+    assert main(["run", "--config", str(config)]) == 1
+    assert "bad run config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rate_threshold", "sample_size"])
+def test_run_rejects_a_deleted_strategy_key(tmp_path, capsys, key):
+    config = write_live_config(tmp_path / "config.json", "http://127.0.0.1:9/v1", strategy={key: 7})
     assert main(["run", "--config", str(config)]) == 1
     assert "bad run config" in capsys.readouterr().err
 

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
-from covstim.duts.cpu import cpu_plan
-from covstim.duts.decoder import decoder_plan
-from covstim.duts.stride import stride_plan
+from covstim.duts import DUT_KINDS, make_dut
 
 
 def make_plan(n=6, name="toy"):
@@ -47,11 +45,10 @@ def test_record_returns_only_newly_covered():
     assert state.record(["bin_01", "bin_03", "bin_01"]) == ["bin_01", "bin_03"]
     assert state.record(["bin_01"]) == []
     assert state.record(["bin_01", "bin_00"]) == ["bin_00"]
-    assert state.count("bin_01") == 4
     assert state.record(["bin_05", "bin_05", "bin_02"]) == ["bin_05", "bin_02"]
     assert state.record(["bin_00", "bin_05"]) == []
     assert state.record([]) == []
-    assert state.count("bin_05") == 3
+    assert state.covered == {"bin_00", "bin_01", "bin_02", "bin_03", "bin_05"}
 
 
 def test_unknown_bin_id_is_an_error():
@@ -110,7 +107,7 @@ def test_uncovered_matches_set_difference_oracle(hits):
         assert set(newly) == set(batch) - seen
         seen |= set(batch)
     assert {b.id for b in state.uncovered()} == set(plan.ids()) - seen
-    assert state.covered_count == len(seen)
+    assert state.covered == seen
 
 
 # --- incremental uncovered bins against the rebuild-per-call oracle ------------------
@@ -120,11 +117,8 @@ def oracle_uncovered(plan: CoveragePlan, hits) -> list[BinDescriptor]:
     return [b for b in plan.bins if b.id not in hits]
 
 
-REAL_PLANS = {"stride": stride_plan, "decoder": decoder_plan, "cpu": cpu_plan}
-
-
 @given(
-    device=st.sampled_from(sorted(REAL_PLANS)),
+    device=st.sampled_from(DUT_KINDS),
     batches=st.lists(
         st.tuples(st.sampled_from(["few", "many", "easier", "head"]), st.integers(0, 2**16)),
         max_size=12,
@@ -132,7 +126,7 @@ REAL_PLANS = {"stride": stride_plan, "decoder": decoder_plan, "cpu": cpu_plan}
     first_asked=st.integers(min_value=0, max_value=12),
 )
 def test_uncovered_view_matches_oracle_on_real_plans(device, batches, first_asked):
-    plan = REAL_PLANS[device]()
+    plan = make_dut(device).plan
     state = CoverageState(plan)
     view = None
     for step, (kind, seed) in enumerate(batches):
@@ -147,11 +141,11 @@ def test_uncovered_view_matches_oracle_on_real_plans(device, batches, first_aske
         elif kind == "easier":  # every easier bin but at most one
             batch = [b.id for b in plan if b.difficulty is Difficulty.EASIER][rng.randrange(2):]
         else:  # the first uncovered bins, so the plan-order head moves
-            batch = [b.id for b in oracle_uncovered(plan, state.hits)[: rng.randrange(1, 4)]]
+            batch = [b.id for b in oracle_uncovered(plan, state.covered)[: rng.randrange(1, 4)]]
         state.record(batch)
         if view is None:
             continue
-        expected = oracle_uncovered(plan, state.hits)
+        expected = oracle_uncovered(plan, state.covered)
         assert state.uncovered() is view  # one live view per state
         assert list(view) == expected and len(view) == len(expected)
         assert list(view.easier) == [b for b in expected if b.difficulty is Difficulty.EASIER]

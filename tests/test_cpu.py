@@ -17,12 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covstim.coverage import CoverageState, Difficulty
-from covstim.duts import MalformedStimulusError
+from covstim.duts import MalformedStimulusError, make_dut
 from covstim.duts.cpu import (
     CPU_READERS,
     CPU_WRITERS,
     CpuDut,
-    cpu_plan,
     encode_cpu,
 )
 
@@ -32,7 +31,7 @@ MASK = 0xFFFFFFFF
 # --- plan shape ---------------------------------------------------------------
 
 def test_plan_cardinality_closed_form():
-    plan = cpu_plan()
+    plan = make_dut("cpu").plan
     # 10 r-type ops x 4 bins, 3 stores x 3, jal x 2, 2 jump bins, 11x13 hazards
     assert len(plan) == 10 * 4 + 3 * 3 + 2 + 2 + 11 * 13 == 196
     groups = Counter(b.group for b in plan)
@@ -40,14 +39,14 @@ def test_plan_cardinality_closed_form():
 
 
 def test_plan_difficulty_split():
-    plan = cpu_plan()
+    plan = make_dut("cpu").plan
     easier = {b.id for b in plan if b.difficulty is Difficulty.EASIER}
     assert easier == {f"{op}_seen" for op in CPU_READERS | CPU_WRITERS | {"jal"}}
     assert len(easier) == 14
 
 
 def test_plan_sorted_unique():
-    ids = cpu_plan().ids()
+    ids = make_dut("cpu").plan.ids()
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
 
@@ -133,7 +132,7 @@ def test_zero_src_and_same_src_variants():
 
 
 def test_store_variants_have_no_zero_dst():
-    plan = cpu_plan()
+    plan = make_dut("cpu").plan
     for op in ("sb", "sh", "sw"):
         assert f"{op}_seen" in plan
         assert f"{op}_zero_src" in plan

@@ -15,13 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 import covstim.prompting as prompting
 
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
-from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
-from covstim.duts.cpu import cpu_plan
-from covstim.duts.decoder import decoder_plan
-from covstim.duts.stride import stride_plan
+from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
 from covstim.prompting import (
     BUFFER_RESETS,
     CONTEXT_STRATEGIES,
+    SAMPLE_SIZE,
     Dialogue,
     Exchange,
     MissedBinSampler,
@@ -67,8 +65,7 @@ def test_config_defaults_are_the_unimproved_pipeline():
     assert cfg.context == "recent"
     assert cfg.restart == "normal"
     assert cfg.buffer_reset == "clear"
-    assert cfg.rate_threshold == 0.15
-    assert cfg.sample_size == 7
+    assert (prompting.RATE_THRESHOLD, SAMPLE_SIZE) == (0.15, 7)
 
 
 def test_config_rejects_unknown_variants():
@@ -82,10 +79,6 @@ def test_config_rejects_unknown_variants():
         StrategyConfig(restart="never")
     with pytest.raises(ValueError):
         StrategyConfig(buffer_reset="maybe")
-    with pytest.raises(ValueError):
-        StrategyConfig(rate_threshold=0.0)
-    with pytest.raises(ValueError):
-        StrategyConfig(sample_size=0)
 
 
 # --- missed-bin sampling -----------------------------------------------------------
@@ -170,16 +163,15 @@ def test_sampler_never_duplicates_and_bounds_size(easier, harder, method, seed):
 
 @pytest.mark.parametrize("method", ["pure_random", "type_based", "mixed"])
 def test_every_method_lists_sample_size_bins(method):
-    views = [CoverageState(stride_plan()).uncovered()] + [
+    views = [CoverageState(make_dut("stride").plan).uncovered()] + [
         uncovered_of(make_bins(easier, harder))
         for easier, harder in ((0, 4), (4, 0), (1, 3), (3, 9), (12, 12))
     ]
-    for uncovered in views:
-        for k in range(1, 13):
-            cfg = StrategyConfig(missed_bin=method, sample_size=k)
-            out = sample_missed_bins(uncovered, cfg, random.Random(k))
-            assert len(out) == min(k, len(uncovered)), (k, len(uncovered))
-            assert len({b.id for b in out}) == len(out)
+    cfg = StrategyConfig(missed_bin=method)
+    for seed, uncovered in enumerate(views):
+        out = sample_missed_bins(uncovered, cfg, random.Random(seed))
+        assert len(out) == min(SAMPLE_SIZE, len(uncovered)), len(uncovered)
+        assert len({b.id for b in out}) == len(out)
 
 
 def test_mixed_below_threshold_equals_type_based():
@@ -457,7 +449,7 @@ def test_system_message_states_the_format_contract():
 
 
 def test_initial_query_summarizes_stride_families():
-    text = build_initial_query(stride_plan(), "original", FORMAT_INTEGERS)
+    text = build_initial_query(make_dut("stride").plan, "original", FORMAT_INTEGERS)
     for family in ("single stride", "double stride", "overflow", "transition"):
         assert family in text, family
     assert "1034" in text
@@ -465,8 +457,8 @@ def test_initial_query_summarizes_stride_families():
 
 
 def test_initial_query_one_line_intro_touches_only_the_intro():
-    original = build_initial_query(stride_plan(), "original", FORMAT_INTEGERS)
-    one_line = build_initial_query(stride_plan(), "one_line_intro", FORMAT_INTEGERS)
+    original = build_initial_query(make_dut("stride").plan, "original", FORMAT_INTEGERS)
+    one_line = build_initial_query(make_dut("stride").plan, "one_line_intro", FORMAT_INTEGERS)
     orig_blocks = original.split("\n\n")
     one_blocks = one_line.split("\n\n")
     assert orig_blocks[1:] == one_blocks[1:]
@@ -475,7 +467,7 @@ def test_initial_query_one_line_intro_touches_only_the_intro():
 
 
 def test_initial_query_names_decoder_families():
-    text = build_initial_query(decoder_plan(), "original", FORMAT_INTEGERS)
+    text = build_initial_query(make_dut("decoder").plan, "original", FORMAT_INTEGERS)
     for family in ("op", "port", "cross"):
         assert family in text
 
@@ -483,43 +475,31 @@ def test_initial_query_names_decoder_families():
 def test_iterative_branches():
     bins = make_bins(2, 2)
     req = format_requirement(FORMAT_INTEGERS)
-    gibberish = build_iterative_query(
-        ResponseOutcome(well_formed=False, gibberish=True, new_hits=0), bins
-    )
-    assert gibberish.count(req) == 2  # format restated in summary and question
+    unusable = build_iterative_query(ResponseOutcome(usable=False, new_hits=0), bins)
+    assert unusable.count(req) == 2  # format restated in summary and question
     for b in bins:
-        assert b.id in gibberish
+        assert b.id in unusable
 
-    nothing = build_iterative_query(
-        ResponseOutcome(well_formed=True, gibberish=False, new_hits=0), bins
-    )
+    nothing = build_iterative_query(ResponseOutcome(usable=True, new_hits=0), bins)
     assert nothing.count(req) == 1
     assert "no new" in nothing
 
-    progress = build_iterative_query(
-        ResponseOutcome(well_formed=True, gibberish=False, new_hits=5), bins
-    )
+    progress = build_iterative_query(ResponseOutcome(usable=True, new_hits=5), bins)
     assert "hit 5 new" in progress
 
 
 def test_negative_feedback_adds_one_avoid_sentence_per_bin():
     bins = make_bins(4, 3)
     text = build_iterative_query(
-        ResponseOutcome(well_formed=True, gibberish=False, new_hits=1),
-        bins,
-        template_variant="negative_feedback",
+        ResponseOutcome(usable=True, new_hits=1), bins, template_variant="negative_feedback"
     )
     assert text.count("Avoid") == 7
-    plain = build_iterative_query(
-        ResponseOutcome(well_formed=True, gibberish=False, new_hits=1), bins
-    )
+    plain = build_iterative_query(ResponseOutcome(usable=True, new_hits=1), bins)
     assert plain.count("Avoid") == 0
 
 
 def test_iterative_query_handles_complete_plan():
-    text = build_iterative_query(
-        ResponseOutcome(well_formed=True, gibberish=False, new_hits=3), []
-    )
+    text = build_iterative_query(ResponseOutcome(usable=True, new_hits=3), [])
     assert "covered" in text
 
 
@@ -534,7 +514,7 @@ def oracle_sample(uncovered, config, rng, method=None):
     method = method or config.missed_bin
     if method == "mixed":
         method = "type_based"
-    k = config.sample_size
+    k = SAMPLE_SIZE
     if method == "pure_random":
         return rng.sample(list(uncovered), min(k, len(uncovered)))
     head = list(uncovered[: min(2, k)])
@@ -573,32 +553,28 @@ def outcome(fn, *args):
 
 
 def assert_samplers_agree(state, seed):
-    expected = [b for b in state.plan.bins if b.id not in state.hits]
+    expected = [b for b in state.plan.bins if b.id not in state.covered]
     assert list(state.uncovered()) == expected
     if not expected:
         return
     for method in ("pure_random", "type_based", "mixed"):
-        for k in (1, 2, 5, 7, 12):
-            config = StrategyConfig(missed_bin=method, sample_size=k)
-            fast, slow = random.Random(seed), random.Random(seed)
-            got = outcome(sample_missed_bins, state.uncovered(), config, fast)
-            assert got == outcome(oracle_sample, expected, config, slow), (method, k)
-            assert fast.getstate() == slow.getstate(), (method, k)
-
-
-REAL_PLANS = {"stride": stride_plan, "decoder": decoder_plan, "cpu": cpu_plan}
+        config = StrategyConfig(missed_bin=method)
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = outcome(sample_missed_bins, state.uncovered(), config, fast)
+        assert got == outcome(oracle_sample, expected, config, slow), method
+        assert fast.getstate() == slow.getstate(), method
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    device=st.sampled_from(sorted(REAL_PLANS)),
+    device=st.sampled_from(DUT_KINDS),
     steps=st.lists(
         st.tuples(st.sampled_from(["few", "many", "easier", "head"]), st.integers(0, 2**16)),
         max_size=10,
     ),
 )
 def test_sampler_matches_list_oracle_on_real_plans(device, steps):
-    plan = REAL_PLANS[device]()
+    plan = make_dut(device).plan
     state = CoverageState(plan)
     assert_samplers_agree(state, 0)
     easier_ids = [b.id for b in plan if b.difficulty is Difficulty.EASIER]

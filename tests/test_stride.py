@@ -11,7 +11,8 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from covstim.coverage import Difficulty
-from covstim.duts.stride import StrideMonitor, stride_plan
+from covstim.duts import make_dut
+from covstim.duts.stride import StrideMonitor
 
 MASK = 0xFFFFFFFF
 
@@ -104,7 +105,7 @@ def monitor_stream_bins(stream) -> Counter:
 # --- plan shape -------------------------------------------------------------
 
 def test_plan_cardinality():
-    plan = stride_plan()
+    plan = make_dut("stride").plan
     assert len(plan) == 1034
     groups = Counter(b.group for b in plan)
     assert groups == {
@@ -116,14 +117,14 @@ def test_plan_cardinality():
 
 
 def test_plan_difficulty_split():
-    plan = stride_plan()
+    plan = make_dut("stride").plan
     easier = [b for b in plan if b.difficulty is Difficulty.EASIER]
     assert len(easier) == 32
     assert all(b.group == "single_stride" for b in easier)
 
 
 def test_plan_sorted_unique():
-    plan = stride_plan()
+    plan = make_dut("stride").plan
     ids = plan.ids()
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
@@ -258,7 +259,7 @@ def test_monitor_reset_clears_history():
 
 
 def test_monitor_emits_only_plan_bins():
-    plan = stride_plan()
+    plan = make_dut("stride").plan
     stream = list(range(0, 64, 2)) + [0, 1] * 16 + list(range(0, 6400, 100))
     for b in monitor_stream_bins(stream):
         assert b in plan
