@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate frozen test fixtures: crt draws, prompt texts, the golden trial log.
+"""Regenerate frozen test fixtures: crt draws and logs, prompt texts, the golden trial log.
 
 Everything regenerated here is deterministic, so a rerun is a no-op unless
 the implementation intentionally changed. Diff regenerated goldens before
@@ -11,12 +11,18 @@ responses against the ten-bin toy device): per-response new-bin deltas
 which forces dialogue restarts before responses 11, 18, 25, and 32 under
 the default tolerance, and trips the no-new-bins-in-25 exhaustion rule at
 exactly response 37.
+
+The crt fixture also pins the sha256 of each device's whole crt log.jsonl at
+seeds 0 and 1 (20,000 stimuli), so a faster crt path must draw the same
+random stream in the same order.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,6 +38,16 @@ from toydut import ToyDut
 
 FIXTURES = REPO / "tests" / "fixtures"
 GOLDEN_SEED = 2026
+CRT_LOG_COUNT = 20_000
+CRT_LOG_SEEDS = (0, 1)
+
+
+def crt_log_sha256(kind: str, seed: int) -> str:
+    config = RunConfig(dut=kind, agent="crt", seed=seed, crt_count=CRT_LOG_COUNT)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        run_experiment(config, log_path=path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def regen_crt_draws() -> None:
@@ -45,6 +61,10 @@ def regen_crt_draws() -> None:
             cpu.next_stimulus({"pc": 0})[0][1],
             cpu.next_stimulus({"pc": 24})[0][1],
         ],
+        "log_sha256": {
+            kind: {str(seed): crt_log_sha256(kind, seed) for seed in CRT_LOG_SEEDS}
+            for kind in DUT_KINDS
+        },
     }
     path = FIXTURES / "crt_golden.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""Frozen reference fixtures: prompt texts and the deterministic replay trial.
+"""Frozen reference fixtures: prompt texts, crt logs and the deterministic replay trial.
 
 Regenerate with scripts/regen_goldens.py after intentional behavior changes;
 diff first. The replay trial is designed so the stopping machinery fires at
@@ -9,8 +9,11 @@ response 37.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from covstim.backend import ReplayBackend
 from covstim.duts import make_dut
@@ -20,6 +23,7 @@ from toydut import ToyDut
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SEED = 2026
+CRT_LOG_COUNT = 20_000
 
 
 def replay_golden(log_path):
@@ -68,3 +72,14 @@ def test_system_messages_match_frozen_texts():
     for fmt in ("integers", "memory_updates"):
         frozen = (FIXTURES / "prompts" / f"system_{fmt}.txt").read_text()
         assert build_system_message(fmt) == frozen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["stride", "decoder", "cpu"])
+def test_crt_log_matches_frozen_digest(tmp_path, kind, seed):
+    """The crt random stream, its order and the log bytes are pinned."""
+    path = tmp_path / "log.jsonl"
+    config = RunConfig(dut=kind, agent="crt", seed=seed, crt_count=CRT_LOG_COUNT)
+    run_experiment(config, log_path=path)
+    frozen = json.loads((FIXTURES / "crt_golden.json").read_text())["log_sha256"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == frozen[kind][str(seed)]
