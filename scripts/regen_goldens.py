@@ -54,13 +54,11 @@ def regen_crt_draws() -> None:
     stride = CrtAgent("stride", random.Random(42))
     decoder = CrtAgent("decoder", random.Random(42))
     cpu = CrtAgent("cpu", random.Random(42))
+    pcs = iter([0, 24])
     payload = {
-        "stride": [stride.next_stimulus({}) for _ in range(2)],
-        "decoder": [decoder.next_stimulus({}) for _ in range(2)],
-        "cpu_words": [
-            cpu.next_stimulus({"pc": 0})[0][1],
-            cpu.next_stimulus({"pc": 24})[0][1],
-        ],
+        "stride": list(stride.stimuli(2, dict)),
+        "decoder": list(decoder.stimuli(2, dict)),
+        "cpu_words": [s[0][1] for s in cpu.stimuli(2, lambda: {"pc": next(pcs)})],
         "log_sha256": {
             kind: {str(seed): crt_log_sha256(kind, seed) for seed in CRT_LOG_SEEDS}
             for kind in DUT_KINDS

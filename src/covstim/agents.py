@@ -17,7 +17,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from covstim.backend import Completion, estimate_prompt
 from covstim.coverage import CoveragePlan, UncoveredBins
@@ -162,11 +162,25 @@ class CrtAgent:
         self.dut_kind = dut_kind
         self.rng = rng
 
-    def next_stimulus(self, extras: dict):
+    def stimuli(self, count: int, extras: Callable[[], dict]) -> Iterator:
+        """Yield `count` stimuli, each drawn when it is asked for.
+
+        `extras` is the DUT's `extras`; the CPU draw reads its pc before
+        each stimulus, so the jump lands where the previous one went. The
+        random words are those of `getrandbits(32)` per stride/decoder
+        stimulus and of `randrange(32)` then `getrandbits(20)` per CPU one.
+        """
+        getrandbits = self.rng.getrandbits
         if self.dut_kind != "cpu":
-            return self.rng.getrandbits(32)
-        word = _JAL_OPCODE | (self.rng.randrange(32) << 7) | (self.rng.getrandbits(20) << 12)
-        return [[extras["pc"], word]]
+            for _ in range(count):
+                yield getrandbits(32)
+            return
+        for _ in range(count):
+            # randrange(32) as CPython draws it: 6 bits, redrawn while >= 32
+            rd = getrandbits(6)
+            while rd >= 32:
+                rd = getrandbits(6)
+            yield [[extras()["pc"], _JAL_OPCODE | (rd << 7) | (getrandbits(20) << 12)]]
 
 
 # --- llm agent ----------------------------------------------------------------------

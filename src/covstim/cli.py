@@ -107,6 +107,9 @@ def _cmd_run(args) -> int:
     if isinstance(backend, RecordingBackend):
         backend.dump(log_path.with_name("replay_script.json"))
     _emit(report, args.out)
+    if not report.trials:  # the log holds only its header and report
+        print(f"covstim: {report.note}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, ValuesView
+from typing import Collection, Iterable, Iterator, Optional, ValuesView
 
 
 class Difficulty(str, Enum):
@@ -64,9 +64,6 @@ class CoveragePlan:
             return self._by_id[bin_id]
         except KeyError:
             raise KeyError(f"unknown bin id {bin_id!r} in plan {self.name!r}") from None
-
-    def ids(self) -> list[str]:
-        return [b.id for b in self.bins]
 
     def to_records(self) -> list[dict]:
         return [
@@ -130,10 +127,12 @@ class CoverageState:
         self.covered: set[str] = set()
         self._view: Optional[UncoveredBins] = None
 
-    def record(self, bin_ids: Iterable[str]) -> list[str]:
+    def record(self, bin_ids: Collection[str]) -> list[str]:
         """Mark hits; return ids that just went from unhit to hit, in hit order."""
-        newly_covered: list[str] = []
         covered = self.covered
+        if covered.issuperset(bin_ids):  # the common case once coverage saturates
+            return []
+        newly_covered: list[str] = []
         for bin_id in bin_ids:
             if bin_id in covered:
                 continue

@@ -2,8 +2,11 @@
 
 Every DUT exposes the same surface: a coverage plan, a `feed` method that
 consumes one stimulus and returns the bin ids it hit (the device's only
-decode), `reset` for trial boundaries, and `extras` for agent-facing state
-(the CPU reports its `pc`, which the crt CPU draw reads; the rest, nothing).
+decode; the CPU's applies the memory updates and executes in the same
+call), `reset` for trial boundaries, and `extras` for agent-facing state
+(the CPU reports its `pc`, which the crt agent's stimulus generator reads
+once per CPU stimulus, after the previous one was fed; the others report
+nothing and the crt loop never asks them).
 """
 from __future__ import annotations
 

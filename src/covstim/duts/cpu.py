@@ -73,7 +73,7 @@ def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -
 
 @lru_cache(maxsize=1)
 def _cpu_model() -> tuple:
-    """The plan plus the bin ids `CpuDut.step` emits, built in one pass.
+    """The plan plus the bin ids `CpuDut.feed` emits, built in one pass.
 
     Returns (plan, R-type ops keyed by the decoder's masked word, stores
     keyed by funct3, JAL bins indexed [rd == 0][offset < 0], and JAL's
@@ -167,7 +167,7 @@ class CpuState:
 class CpuDut:
     """One timestep = apply instruction-memory updates, then execute once.
 
-    `step` decodes inline and emits prebuilt bin ids. The last writer's
+    `feed` decodes inline and emits prebuilt bin ids. The last writer's
     destination register carries read-after-write adjacency to the next
     instruction; a NOP, a store or an x0 destination clears it.
     """
@@ -184,23 +184,22 @@ class CpuDut:
         self._writer_rd = 0  # destination of the previous instruction if it wrote one
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
 
-    def apply_updates(self, updates: Sequence[Sequence[int]]) -> None:
-        """Validate all updates, then apply; a malformed one rejects the lot."""
-        for pair in updates:
+    def feed(self, stimulus: Sequence[Sequence[int]]) -> list[str]:
+        """Apply the updates, then execute once; a malformed update rejects the lot."""
+        updates = {}
+        for pair in stimulus:
             if len(pair) != 2:
                 raise MalformedStimulusError(f"update must be [address, word]: {pair!r}")
-            if int(pair[0]) & 3:
-                raise MalformedStimulusError(
-                    f"misaligned update address 0x{int(pair[0]) & _MASK:08x}"
-                )
-        imem = self.state.imem
-        for addr, word in updates:
-            imem[int(addr) & _MASK] = int(word) & _MASK
-
-    def step(self) -> list[str]:
+            addr, word = pair
+            addr = int(addr)
+            if addr & 3:
+                raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
+            updates[addr & _MASK] = int(word) & _MASK
         s = self.state
+        imem = s.imem
+        imem.update(updates)
         pc = s.pc
-        word = s.imem.get(pc, 0)
+        word = imem.get(pc, 0)
         opcode = word & 0x7F
         if opcode == _JAL_OPCODE:
             rd = (word >> 7) & 31
@@ -258,10 +257,6 @@ class CpuDut:
         self._writer_rd = rd
         self._writer_hazards = hazards
         return bins
-
-    def feed(self, stimulus: Sequence[Sequence[int]]) -> list[str]:
-        self.apply_updates(stimulus)
-        return self.step()
 
     def extras(self) -> dict:
         return {"pc": self.state.pc}

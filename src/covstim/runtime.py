@@ -17,6 +17,7 @@ import json
 import random
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from typing import Optional, Sequence
 
 from covstim.agents import CrtAgent, LlmAgent
@@ -271,32 +272,29 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
 
     No messages are exchanged; events are coverage-curve samples, one per
     DEFAULT_CRT_CHUNK stimuli. A trial that runs out its stimulus count
-    without full coverage ends exhausted (the stream is over).
+    without full coverage ends exhausted (the stream is over). Full
+    coverage is checked only when a stimulus covers new bins.
     """
     state = CoverageState(dut.plan)
-    covered, plan_size = state.covered, len(state.plan)
-    feed, extras, next_stimulus = dut.feed, dut.extras, agent.next_stimulus
-    chunk = DEFAULT_CRT_CHUNK
+    record, is_full, feed = state.record, state.is_full, dut.feed
+    stimuli = agent.stimuli(count, dut.extras)
     events: list[dict] = []
-    chunk_new: list[str] = []
-    fed = 0
     status = EXHAUSTED
-    last = count - 1
-    for i in range(count):
-        bins = feed(next_stimulus(extras()))
-        if bins:
-            chunk_new += state.record(bins)
-        fed += 1
-        full = len(covered) == plan_size
-        if fed == chunk or i == last or full:
-            events.append(
-                _event(1, len(events) + 1, fed, chunk_new, state, False, 0, 0)
-            )
-            chunk_new = []
-            fed = 0
-            if full:
-                status = FULL_COVERAGE
-                break
+    for _ in range(0, count, DEFAULT_CRT_CHUNK):
+        chunk_new: list[str] = []
+        fed = 0
+        for fed, stimulus in enumerate(islice(stimuli, DEFAULT_CRT_CHUNK), 1):
+            bins = feed(stimulus)
+            if bins:
+                new = record(bins)
+                if new:
+                    chunk_new += new
+                    if is_full():
+                        status = FULL_COVERAGE
+                        break
+        events.append(_event(1, len(events) + 1, fed, chunk_new, state, False, 0, 0))
+        if status == FULL_COVERAGE:
+            break
     return TrialRecord(
         trial=1,
         status=status,

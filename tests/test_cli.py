@@ -230,6 +230,29 @@ def test_live_run_aborts_on_a_malformed_payload(stub_server, tmp_path, capsys, c
     assert main(["report", "--log", str(out / "log.jsonl")]) == 0
 
 
+def test_live_run_with_no_trial_exits_non_zero(stub_server, tmp_path, capsys):
+    stub_server.responses = [(200, MALFORMED_PAYLOADS["null content"])]
+    config = write_live_config(tmp_path / "config.json", stub_endpoint(stub_server))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--backend", "live", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("covstim: stopped before trial 1: malformed completion payload")
+    records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert [r["type"] for r in records] == ["header", "report"]
+    assert records[-1]["trials"] == [] and f"covstim: {records[-1]['note']}\n" == err
+    assert main(["report", "--log", str(out / "log.jsonl")]) == 0
+
+
+def test_run_with_zero_budget_exits_non_zero(tmp_path, capsys):
+    config, script = write_run_setup(tmp_path)
+    config.write_text(json.dumps({"dut": "stride", "agent": "llm", "budget_tokens": 0}))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--backend", f"replay:{script}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "covstim: zero token budget: no trials were run\n"
+    assert (out / "log.jsonl").exists() and (out / "report.txt").exists()
+
+
 def test_report_round_trip(tmp_path, capsys):
     config, script = write_run_setup(tmp_path)
     out_dir = tmp_path / "out"

@@ -31,7 +31,7 @@ def test_plan_orders_bins_lexicographically():
         BinDescriptor("b_02", "x", Difficulty.EASIER, "g"),
     ]
     plan = CoveragePlan("p", bins)
-    assert plan.ids() == ["a_02", "b_02", "b_10"]
+    assert [b.id for b in plan] == ["a_02", "b_02", "b_10"]
 
 
 def test_plan_rejects_duplicate_ids():
@@ -55,6 +55,14 @@ def test_unknown_bin_id_is_an_error():
     state = CoverageState(make_plan())
     with pytest.raises(ValueError, match="unknown bin id"):
         state.record(["nope"])
+
+
+def test_unknown_bin_id_after_covered_ones_is_an_error():
+    state = CoverageState(make_plan())
+    state.record(["bin_01", "bin_02"])
+    for batch in (["bin_01", "nope"], ["bin_02", "bin_01", "nope"], ("bin_01", "nope")):
+        with pytest.raises(ValueError, match="unknown bin id 'nope'"):
+            state.record(batch)
 
 
 def test_rate_and_full():
@@ -83,7 +91,7 @@ def test_uncovered_preserves_plan_order():
 def test_dump_json_round_trips():
     plan = make_plan(3)
     records = json.loads(plan.dump_json())
-    assert [r["id"] for r in records] == plan.ids()
+    assert [r["id"] for r in records] == [b.id for b in plan]
     assert records[0] == {
         "id": "bin_00",
         "description": "toy bin 0",
@@ -106,7 +114,7 @@ def test_uncovered_matches_set_difference_oracle(hits):
         newly = state.record(batch)
         assert set(newly) == set(batch) - seen
         seen |= set(batch)
-    assert {b.id for b in state.uncovered()} == set(plan.ids()) - seen
+    assert {b.id for b in state.uncovered()} == set([b.id for b in plan]) - seen
     assert state.covered == seen
 
 
@@ -133,7 +141,7 @@ def test_uncovered_view_matches_oracle_on_real_plans(device, batches, first_aske
         if step == first_asked:  # the view is built on demand, after some hits
             view = state.uncovered()
         rng = random.Random(seed)
-        ids = plan.ids()
+        ids = [b.id for b in plan]
         if kind == "few":
             batch = rng.sample(ids, 5)
         elif kind == "many":
@@ -162,4 +170,4 @@ def test_uncovered_view_does_not_depend_on_when_it_is_first_asked_for():
     assert [b.id for b in late.uncovered().easier] == ["bin_01"]
     assert [b.id for b in late.uncovered().harder] == ["bin_02"]
     # states of one plan share nothing
-    assert [b.id for b in CoverageState(plan).uncovered()] == plan.ids()
+    assert [b.id for b in CoverageState(plan).uncovered()] == [b.id for b in plan]

@@ -46,7 +46,7 @@ def test_plan_difficulty_split():
 
 
 def test_plan_sorted_unique():
-    ids = make_dut("cpu").plan.ids()
+    ids = [b.id for b in make_dut("cpu").plan]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
 

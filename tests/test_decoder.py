@@ -79,7 +79,7 @@ def test_plan_groups_and_difficulty():
 
 
 def test_plan_sorted_unique():
-    ids = make_dut("decoder").plan.ids()
+    ids = [b.id for b in make_dut("decoder").plan]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
 

@@ -3,15 +3,16 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import count as count_from, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from covstim.agents import CrtAgent, LlmAgent, extract_stimuli
 from covstim.backend import ReplayBackend
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
-from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
+from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
 from covstim.prompting import StrategyConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,27 +130,66 @@ def golden():
 
 def test_crt_stride_first_draws_match_golden():
     agent = CrtAgent("stride", random.Random(42))
-    assert [agent.next_stimulus({}) for _ in range(2)] == golden()["stride"]
+    assert list(agent.stimuli(2, dict)) == golden()["stride"]
 
 
 def test_crt_decoder_first_draws_match_golden():
     agent = CrtAgent("decoder", random.Random(42))
-    assert [agent.next_stimulus({}) for _ in range(2)] == golden()["decoder"]
+    assert list(agent.stimuli(2, dict)) == golden()["decoder"]
 
 
 def test_crt_cpu_update_follows_the_pc():
     agent = CrtAgent("cpu", random.Random(42))
     words = golden()["cpu_words"]
-    assert agent.next_stimulus({"pc": 0}) == [[0, words[0]]]
-    assert agent.next_stimulus({"pc": 24}) == [[24, words[1]]]
+    pcs = iter([0, 24])
+    assert list(agent.stimuli(2, lambda: {"pc": next(pcs)})) == [
+        [[0, words[0]]],
+        [[24, words[1]]],
+    ]
 
 
 def test_crt_cpu_words_are_jump_and_link():
     agent = CrtAgent("cpu", random.Random(7))
-    for pc in range(0, 400, 4):
-        [[addr, word]] = agent.next_stimulus({"pc": pc})
+    pcs = range(0, 400, 4)
+    at = iter(pcs)
+    for pc, [[addr, word]] in zip(pcs, agent.stimuli(len(pcs), lambda: {"pc": next(at)})):
         assert addr == pc
         assert word & 0x7F == 0x6F  # the JAL opcode
+
+
+def per_call_draw(kind: str, rng: random.Random, extras: dict):
+    """One crt stimulus drawn call by call: the oracle for `CrtAgent.stimuli`."""
+    if kind != "cpu":
+        return rng.getrandbits(32)
+    return [[extras["pc"], 0x6F | (rng.randrange(32) << 7) | (rng.getrandbits(20) << 12)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(DUT_KINDS),
+    seed=st.integers(0, 2**64),
+    count=st.integers(0, 400),
+    data=st.data(),
+)
+def test_crt_stimuli_match_per_call_draws(kind, seed, count, data):
+    taken = data.draw(st.integers(0, count), label="taken")
+    base = data.draw(st.integers(0, 2**30 - 1), label="base") * 4
+    fast, slow = random.Random(seed), random.Random(seed)
+    calls = []
+
+    def extras():  # the pc moves on with every call, as a cpu's does
+        calls.append(base + 4 * len(calls))
+        return {"pc": calls[-1]}
+
+    stream = CrtAgent(kind, fast).stimuli(count, extras)
+    pcs = count_from(base, 4)
+    want = [per_call_draw(kind, slow, {"pc": next(pcs)}) for _ in range(taken)]
+    assert list(islice(stream, taken)) == want
+    assert fast.getstate() == slow.getstate()  # lazy: nothing drawn ahead
+    want = [per_call_draw(kind, slow, {"pc": next(pcs)}) for _ in range(count - taken)]
+    assert list(stream) == want
+    assert fast.getstate() == slow.getstate()
+    assert len(calls) == (count if kind == "cpu" else 0)
 
 
 def test_crt_rejects_unknown_kind():

@@ -581,9 +581,9 @@ def test_sampler_matches_list_oracle_on_real_plans(device, steps):
     for kind, seed in steps:
         rng = random.Random(seed)
         if kind == "few":
-            batch = rng.sample(plan.ids(), 5)
+            batch = rng.sample([b.id for b in plan], 5)
         elif kind == "many":
-            batch = rng.sample(plan.ids(), len(plan) // 3)
+            batch = rng.sample([b.id for b in plan], len(plan) // 3)
         elif kind == "easier":  # every easier bin but at most one
             batch = easier_ids[rng.randrange(2):]
         else:  # the plan-order head itself, so the head's make-up changes

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim.agents import CrtAgent, LlmAgent
@@ -31,6 +32,7 @@ from covstim.runtime import (
     run_experiment,
     run_trial,
 )
+from test_extraction import per_call_draw
 from toydut import ToyDut
 
 FULL_HOUSE = "```\n0 1 2 3 4 5 6 7 8 9\n```"
@@ -151,12 +153,9 @@ class SeqAgent:
 
     def __init__(self, values):
         self.values = list(values)
-        self.at = 0
 
-    def next_stimulus(self, extras):
-        value = self.values[self.at % len(self.values)]
-        self.at += 1
-        return value
+    def stimuli(self, count, extras):
+        return islice(cycle(self.values), count)
 
 
 def test_crt_trial_chunks_and_status():
@@ -184,6 +183,90 @@ def test_crt_trial_on_real_dut():
     assert trial.status == EXHAUSTED
     assert [e["stimuli"] for e in trial.events] == [10_000, 10_000, 5_000]
     assert trial.events[-1]["coverage"] == trial.coverage
+
+
+def oracle_crt_trial(dut, draw, count: int) -> tuple:
+    """The crt loop as it ran one stimulus at a time: one `draw(extras())` and
+    one feed per stimulus, full coverage checked after each; a plain set
+    stands in for the coverage state. Returns (status, coverage, events)."""
+    plan_ids = {b.id for b in dut.plan}
+    covered: set = set()
+    events, chunk_new, fed, status = [], [], 0, EXHAUSTED
+    for i in range(count):
+        for bin_id in dut.feed(draw(dut.extras())):
+            assert bin_id in plan_ids
+            if bin_id not in covered:
+                covered.add(bin_id)
+                chunk_new.append(bin_id)
+        fed += 1
+        full = len(covered) == len(plan_ids)
+        if fed == 10_000 or i == count - 1 or full:
+            events.append({
+                "type": "event", "trial": 1, "response_idx": len(events) + 1,
+                "stimuli": fed, "new_bins": chunk_new, "coverage": len(covered),
+                "rate": len(covered) / len(plan_ids), "restart": False,
+                "tokens_in": 0, "tokens_out": 0,
+            })
+            chunk_new, fed = [], 0
+            if full:
+                status = FULL_COVERAGE
+                break
+    return status, len(covered), events
+
+
+def assert_crt_trial_matches_oracle(trial, oracle) -> None:
+    status, coverage, events = oracle
+    assert (trial.status, trial.coverage, trial.events) == (status, coverage, events)
+    assert trial.rate == (events[-1]["rate"] if events else 0.0)
+    assert (trial.messages, trial.tokens_in, trial.tokens_out) == (0, 0, 0)
+
+
+CRT_COUNTS = [1, 9_999, 10_000, 10_001, 25_000]
+
+
+@pytest.mark.parametrize("count", CRT_COUNTS)
+@pytest.mark.parametrize("kind", ["stride", "decoder", "cpu"])
+def test_crt_trial_matches_per_stimulus_oracle_on_devices(kind, count):
+    fast, slow = random.Random(count), random.Random(count)
+    trial = run_crt_trial(make_dut(kind), CrtAgent(kind, fast), count)
+    oracle = oracle_crt_trial(
+        make_dut(kind), lambda extras: per_call_draw(kind, slow, extras), count
+    )
+    assert_crt_trial_matches_oracle(trial, oracle)
+    assert fast.getstate() == slow.getstate()
+
+
+# a run of misses, then the ten toy bins: full coverage lands at stimulus gap + 10
+@pytest.mark.parametrize("gap", [0, 9_989, 9_990, 9_991, 10_004, 19_990, 24_990])
+@pytest.mark.parametrize("count", CRT_COUNTS)
+def test_crt_trial_matches_per_stimulus_oracle_on_toy(gap, count):
+    values = [99] * gap + [3, 3, 0, 1, 2, 4, 5, 6, 7, 8, 9]
+    trial = run_crt_trial(ToyDut(), SeqAgent(values), count)
+    stream = cycle(values)
+    oracle = oracle_crt_trial(ToyDut(), lambda extras: next(stream), count)
+    assert_crt_trial_matches_oracle(trial, oracle)
+    if gap + 11 <= count:
+        assert trial.status == FULL_COVERAGE
+        assert sum(e["stimuli"] for e in trial.events) == gap + 11
+
+
+@given(seed=st.integers(0, 2**32), gap=st.integers(0, 25_000), count=st.sampled_from(CRT_COUNTS))
+@settings(max_examples=25, deadline=None)
+def test_crt_trial_matches_per_stimulus_oracle_on_random_toy_draws(seed, gap, count):
+    fast, slow = random.Random(seed), random.Random(seed)
+
+    class GapAgent:  # `gap` misses, then uniform values of which ten hit
+        def stimuli(self, count, extras):
+            for i in range(count):
+                yield 99 if i < gap else fast.randrange(12)
+
+    trial = run_crt_trial(ToyDut(), GapAgent(), count)
+    at = iter(range(count))
+    oracle = oracle_crt_trial(
+        ToyDut(), lambda extras: 99 if next(at) < gap else slow.randrange(12), count
+    )
+    assert_crt_trial_matches_oracle(trial, oracle)
+    assert fast.getstate() == slow.getstate()
 
 
 # --- llm trials ---------------------------------------------------------------------

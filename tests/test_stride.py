@@ -125,7 +125,7 @@ def test_plan_difficulty_split():
 
 def test_plan_sorted_unique():
     plan = make_dut("stride").plan
-    ids = plan.ids()
+    ids = [b.id for b in plan]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
 
