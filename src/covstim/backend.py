@@ -7,9 +7,9 @@ assistant responses for deterministic tests and offline reruns.
 RecordingBackend wraps a live backend and captures its responses into the
 same script format.
 
-`requests` is imported on first use of the module attribute
-`covstim.backend.requests` (PEP 562), which `HttpBackend` makes when it is
-built, so commands that make no HTTP call do not pay for importing it.
+HttpBackend uses only the standard library: `http.client`, `ssl` and
+`urllib.request` are imported when one is built, so commands that make no
+HTTP call do not pay for importing them.
 
 Both backends account for a reply with `account_reply`, which prefers
 server-reported usage and falls back to a chars/4 estimate for a count the
@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    import requests
+from typing import Optional, Sequence
 
 Message = dict  # {"role": "system"|"user"|"assistant", "content": str}
 
@@ -34,6 +30,12 @@ RETRY_AFTER_CAP = 60.0  # seconds; the longest server-requested wait honoured
 
 
 def __getattr__(name: str):
+    """`covstim.backend.requests`, imported on first use (PEP 562).
+
+    HttpBackend does not use it. It stays only because the benchmark tracer
+    (`perfbench/tracing.py`) and its self-tests patch this name; it goes
+    with ROADMAP item 2's benchmark change.
+    """
     if name != "requests":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import requests
@@ -128,39 +130,81 @@ def account_reply(
 
 
 class HttpBackend:
-    """Blocking chat-completion client over one keep-alive session.
+    """Blocking chat-completion client over one keep-alive `http.client`
+    connection, opened by the first call and reopened after the server
+    closes it. Redirects are not followed: a 3xx fails the call.
 
-    Proxy and CA-bundle variables are read once, when the backend is built;
-    netrc is not read. Connection errors, 429 and 5xx are retried, after the
-    server's delta-seconds Retry-After (capped at RETRY_AFTER_CAP) or else
-    an exponential backoff; any other non-200 status fails at once.
+    The endpoint and the proxy and CA-bundle variables are read once, when
+    the backend is built; a malformed endpoint or a CA bundle that does not
+    exist is a ValueError then. netrc is not read. Connection errors, 429
+    and 5xx are retried, after the server's delta-seconds Retry-After
+    (capped at RETRY_AFTER_CAP) or else an exponential backoff; any other
+    non-200 status fails at once.
     """
 
     _BACKOFF_BASE = 0.5  # seconds; doubles per retry
 
     def __init__(self, config: BackendConfig) -> None:
+        import base64
+        import http.client
+        import urllib.request
+        from urllib.parse import unquote, urlsplit
+
         self.config = config
-        session = sys.modules[__name__].requests.Session()
-        self._settings = session.merge_environment_settings(
-            config.endpoint, {}, None, None, None
-        )
-        session.trust_env = False
-        self._session = session
+        url = urlsplit(config.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname or url.username:
+            raise ValueError(
+                f"backend endpoint {config.endpoint!r} is not an http:// or "
+                "https:// URL with a host and no credentials"
+            )
+        https = url.scheme == "https"
+        # a bad port is a ValueError too
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "User-Agent": "covstim"}
+        self._transport_errors = (OSError, http.client.HTTPException)
+        kwargs = {"timeout": config.timeout}
+        if https:
+            kwargs["context"] = _ssl_context()
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if not proxy or urllib.request.proxy_bypass_environment(host, proxies):
+            self._conn = connection(host, port, **kwargs)
+            return
+        proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if proxy_url.scheme != "http" or not proxy_url.hostname:
+            raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+        auth = {}
+        if proxy_url.username is not None:
+            user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+            token = base64.b64encode(user_pass.encode("latin-1")).decode("ascii")
+            auth["Proxy-Authorization"] = f"Basic {token}"
+        self._conn = connection(proxy_url.hostname, proxy_url.port or 80, **kwargs)
+        if https:
+            self._conn.set_tunnel(host, port, headers=auth)
+        else:  # absolute form: the proxy forwards the request
+            self._path = f"http://{url.netloc}{self._path}"
+            self._headers.update(auth)
 
     def complete(self, messages: Sequence[Message]) -> Completion:
         _check_messages(messages)
         cfg = self.config
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         api_key = os.environ.get(cfg.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        body = {
-            "model": cfg.model,
-            "messages": list(messages),
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "max_tokens": cfg.max_tokens,
-        }
+        body = json.dumps(
+            {
+                "model": cfg.model,
+                "messages": list(messages),
+                "temperature": cfg.temperature,
+                "top_p": cfg.top_p,
+                "max_tokens": cfg.max_tokens,
+            }
+        ).encode()
+        conn = self._conn
         start = time.perf_counter()
         last_error: Optional[str] = None
         for attempt in range(cfg.retries + 1):
@@ -168,35 +212,61 @@ class HttpBackend:
                 time.sleep(wait)
             backoff = self._BACKOFF_BASE * 2**attempt
             try:
-                resp = self._session.post(
-                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout,
-                    **self._settings,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
+                if conn.sock is not None and _readable(conn.sock):
+                    conn.close()  # the server closed it while it was idle
+                conn.request("POST", self._path, body, headers)
+                # a reply with `Connection: close` closes the connection here
+                resp = conn.getresponse()
+                data = resp.read()
+            except self._transport_errors as exc:
+                conn.close()
+                last_error = f"{type(exc).__name__}: {exc}"
                 wait = backoff
                 continue
-            status = resp.status_code
+            status = resp.status
             if status == 200:
-                return self._parse(resp, messages, time.perf_counter() - start)
-            last_error = f"HTTP {status}: {resp.text[:200]}"
+                return self._parse(data, messages, time.perf_counter() - start)
+            last_error = f"HTTP {status}: {data[:200].decode(errors='replace')}"
             if status != 429 and status < 500:
                 raise BackendError(f"chat completion failed: {last_error}")
-            wait = _retry_wait(resp.headers.get("Retry-After"), backoff)
+            wait = _retry_wait(resp.getheader("Retry-After"), backoff)
         raise BackendError(
             f"chat completion failed after {cfg.retries + 1} attempts: {last_error}"
         )
 
-    def _parse(
-        self, resp: requests.Response, messages: Sequence[Message], latency: float
-    ) -> Completion:
+    def _parse(self, data: bytes, messages: Sequence[Message], latency: float) -> Completion:
         try:
-            data = resp.json()
-            text = data["choices"][0]["message"]["content"]
+            payload = json.loads(data)
+            text = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from exc
         max_tokens = self.config.max_tokens
-        return account_reply(text, data.get("usage"), messages, max_tokens, latency)
+        return account_reply(text, payload.get("usage"), messages, max_tokens, latency)
+
+
+def _ssl_context():
+    """The default TLS context, trusting the CA bundle that
+    REQUESTS_CA_BUNDLE, or else CURL_CA_BUNDLE, names (a file or a
+    directory); ValueError when that path does not exist."""
+    import ssl
+
+    for var in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        path = os.environ.get(var)
+        if path:
+            if not os.path.exists(path):
+                raise ValueError(f"{var} names {path!r}, which does not exist")
+            if os.path.isdir(path):
+                return ssl.create_default_context(capath=path)
+            return ssl.create_default_context(cafile=path)
+    return ssl.create_default_context()
+
+
+def _readable(sock) -> bool:
+    """True when an idle keep-alive socket has something to read: the
+    server has closed it, so it cannot carry the next request."""
+    import select  # loaded with http.client: a dictionary lookup here
+
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _retry_wait(retry_after: Optional[str], backoff: float) -> float:

@@ -145,6 +145,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             {
                 "body": body,
                 "auth": self.headers.get("Authorization"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
                 "path": self.path,
                 "port": self.client_address[1],
             }
@@ -160,6 +161,17 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        # close without a `Connection: close` header, as an idle timeout does
+        self.close_connection |= getattr(server, "drop_after_reply", False)
+
+    def do_CONNECT(self):
+        # a proxy that refuses every tunnel
+        self.server.requests.append(
+            {"tunnel": self.path, "proxy_auth": self.headers.get("Proxy-Authorization")}
+        )
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
 
     def log_message(self, *args):
         pass
@@ -177,11 +189,18 @@ def no_proxy_env(monkeypatch):
             monkeypatch.delenv(name)
 
 
+class _StubServer(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()  # counts the connections the server has closed
+
+
 @pytest.fixture
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.responses = [(200, _chat_payload("ok"))]
+    server.closed = threading.Semaphore(0)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": POLL_S}, daemon=True
     )
@@ -338,7 +357,7 @@ def test_http_retries_connection_errors(monkeypatch):
     assert slept == [0.5, 1.0]
 
 
-# --- session, start-up import and proxy environment --------------------------------
+# --- endpoint, connection, start-up import and proxy environment ---------------------
 
 def test_cli_import_does_not_load_requests():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -351,12 +370,86 @@ def test_cli_import_does_not_load_requests():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "127.0.0.1:8000/v1",  # no scheme
+        "localhost/v1",
+        "ftp://127.0.0.1/v1",
+        "http:///v1/chat/completions",  # no host
+        "http://127.0.0.1:port/v1",
+        "http://user:pw@127.0.0.1/v1",  # credentials come from api_key_env
+    ],
+)
+def test_malformed_endpoint_fails_when_the_backend_is_built(endpoint, monkeypatch):
+    slept = _sleeps(monkeypatch)
+    with pytest.raises(ValueError):
+        HttpBackend(BackendConfig(endpoint=endpoint, model="m"))
+    assert slept == []
+
+
+@pytest.mark.parametrize("var", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+def test_missing_ca_bundle_fails_when_the_backend_is_built(var, tmp_path, monkeypatch):
+    missing = str(tmp_path / "no-such-bundle.pem")
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.setenv(var, missing)
+    with pytest.raises(ValueError, match=var) as info:
+        HttpBackend(BackendConfig(endpoint="https://127.0.0.1:9/v1", model="m"))
+    assert missing in str(info.value)
+
+
+def test_ca_bundle_may_be_a_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path))  # a c_rehash directory
+    HttpBackend(BackendConfig(endpoint="https://127.0.0.1:9/v1", model="m"))
+
+
 def test_http_calls_share_one_keep_alive_connection(stub_server):
     backend = HttpBackend(_config(stub_server))
     for _ in range(5):
         backend.complete([SYSTEM, USER])
     assert len({r["port"] for r in stub_server.requests}) == 1
     assert len(stub_server.requests) == 5
+
+
+def test_http_reconnects_after_connection_close(stub_server, monkeypatch):
+    # as the benchmark's stub server does: `Connection: close` on every reply
+    slept = _sleeps(monkeypatch)
+    stub_server.responses = [(200, _chat_payload("ok"), {"Connection": "close"})]
+    backend = HttpBackend(_config(stub_server))
+    for _ in range(5):
+        assert backend.complete([SYSTEM, USER]).text == "ok"
+    assert len(stub_server.requests) == 5  # no retry
+    assert len({r["port"] for r in stub_server.requests}) == 5
+    assert slept == []
+
+
+def test_http_reconnects_after_an_idle_close(stub_server, monkeypatch):
+    # the server closes the kept-alive connection without saying so first
+    slept = _sleeps(monkeypatch)
+    stub_server.drop_after_reply = True
+    backend = HttpBackend(_config(stub_server))
+    backend.complete([SYSTEM])
+    assert stub_server.closed.acquire(timeout=5)
+    assert backend.complete([SYSTEM]).text == "ok"  # retries=0: the first try works
+    assert len({r["port"] for r in stub_server.requests}) == 2
+    assert slept == []
+
+
+def test_no_runtime_dependency_on_requests(stub_server):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "sys.modules['requests'] = None  # any import of requests now fails\n"
+        "from covstim.backend import BackendConfig, HttpBackend\n"
+        f"config = BackendConfig(endpoint={_config(stub_server).endpoint!r}, model='m')\n"
+        "print(HttpBackend(config).complete([{'role': 'system', 'content': 'hi'}]).text)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "ok"
 
 
 DEAD_PROXY = "http://127.0.0.1:1"  # nothing listens there
@@ -366,11 +459,24 @@ def test_http_proxy_read_when_backend_is_built(stub_server, monkeypatch):
     # An address literal nothing serves: a call that skipped the proxy would
     # be refused locally instead of resolving a name.
     endpoint = "http://127.0.0.2:9/v1/chat/completions"
-    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{stub_server.server_address[1]}")
+    monkeypatch.setenv("HTTP_PROXY", f"http://user:pw@127.0.0.1:{stub_server.server_address[1]}")
     backend = HttpBackend(BackendConfig(endpoint=endpoint, model="m", retries=0))
     monkeypatch.setenv("HTTP_PROXY", DEAD_PROXY)
     assert backend.complete([SYSTEM]).text == "ok"
     assert stub_server.requests[0]["path"] == endpoint  # absolute form: proxied
+    assert stub_server.requests[0]["proxy_auth"] == "Basic dXNlcjpwdw=="  # user:pw
+
+
+def test_https_goes_through_a_proxy_tunnel(stub_server, monkeypatch):
+    slept = _sleeps(monkeypatch)
+    monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{stub_server.server_address[1]}")
+    cfg = BackendConfig(endpoint="https://127.0.0.2:9443/v1/chat/completions", model="m", retries=1)
+    with pytest.raises(BackendError, match="after 2 attempts"):
+        HttpBackend(cfg).complete([SYSTEM])
+    # the stub refuses each tunnel with a 502, which is retried
+    tunnel = {"tunnel": "127.0.0.2:9443", "proxy_auth": "Basic dXNlcjpwdw=="}
+    assert stub_server.requests == [tunnel, tunnel]
+    assert slept == [0.5]
 
 
 def test_http_no_proxy_bypasses_proxy(stub_server, monkeypatch):

@@ -243,6 +243,21 @@ def test_live_run_with_no_trial_exits_non_zero(stub_server, tmp_path, capsys):
     assert main(["report", "--log", str(out / "log.jsonl")]) == 0
 
 
+def test_live_run_with_a_malformed_endpoint_exits_at_once(tmp_path, capsys, monkeypatch):
+    import covstim.backend as backend_mod
+
+    slept = []
+    monkeypatch.setattr(backend_mod.time, "sleep", slept.append)
+    config = write_live_config(tmp_path / "config.json", "localhost/v1")
+    raw = json.loads(config.read_text())
+    raw["backend"]["retries"] = 3  # a transport failure would sleep before each retry
+    config.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(config), "--backend", "live"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("covstim: backend endpoint 'localhost/v1'")
+    assert slept == []
+
+
 def test_run_with_zero_budget_exits_non_zero(tmp_path, capsys):
     config, script = write_run_setup(tmp_path)
     config.write_text(json.dumps({"dut": "stride", "agent": "llm", "budget_tokens": 0}))
