@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 Message = dict  # {"role": "system"|"user"|"assistant", "content": str}
@@ -57,6 +57,19 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError when an int, float or str field of a config dataclass
+    holds another type, as a JSON config can; a bool is not a number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        allowed = _FIELD_TYPES.get(f.type)
+        if allowed is not None and type(value) not in allowed:
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     endpoint: str
@@ -69,6 +82,7 @@ class BackendConfig:
     retries: int = 3
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens <= 0:

@@ -8,9 +8,11 @@ Plans are immutable once built so every consumer sees the same ordering.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Optional, ValuesView
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator, Optional
 
 
 class Difficulty(str, Enum):
@@ -43,12 +45,6 @@ class CoveragePlan:
         self._by_id = {b.id: b for b in self.bins}
         if len(self._by_id) != len(self.bins):
             raise ValueError(f"duplicate bin ids in plan {name!r}")
-        # uncovered-bin views start from copies of `_by_id` and of these
-        self._easier = {}
-        self._harder = {}
-        for b in self.bins:
-            side = self._easier if b.difficulty is Difficulty.EASIER else self._harder
-            side[b.id] = b
 
     def __len__(self) -> int:
         return len(self.bins)
@@ -81,36 +77,41 @@ class CoveragePlan:
         return json.dumps(self.to_records(), indent=2, sort_keys=True)
 
 
+_id = attrgetter("id")
+
+
 class UncoveredBins:
     """Live view of a state's unhit bins: in plan order, and split by difficulty.
 
     Like a dict view it follows every later `record`; copy what must outlast
-    one. `easier` and `harder` iterate their bins in plan order. The bins
-    are insertion-ordered dicts copied from the plan, and covering a bin
-    deletes it, so keeping the view current costs O(new bins).
+    one. `bins`, `easier` and `harder` are lists in plan order, so a sampler
+    indexes them without copying; read them, never mutate them. The plan is
+    sorted by id, so covering a bin finds it in `bins` and in its side's list
+    by bisection and deletes it there: O(log U) comparisons plus a memmove of
+    each list's tail per newly covered bin.
     """
 
-    __slots__ = ("_all", "_easier", "_harder", "easier", "harder")
+    __slots__ = ("_by_id", "bins", "easier", "harder")
 
-    def __init__(self, plan: CoveragePlan) -> None:
-        self._all = plan._by_id.copy()
-        self._easier = plan._easier.copy()
-        self._harder = plan._harder.copy()
-        self.easier: ValuesView[BinDescriptor] = self._easier.values()
-        self.harder: ValuesView[BinDescriptor] = self._harder.values()
+    def __init__(self, plan: CoveragePlan, covered: Collection[str]) -> None:
+        self._by_id = plan._by_id
+        self.bins = [b for b in plan.bins if b.id not in covered]
+        self.easier = [b for b in self.bins if b.difficulty is Difficulty.EASIER]
+        self.harder = [b for b in self.bins if b.difficulty is Difficulty.HARDER]
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self.bins)
 
     def __iter__(self) -> Iterator[BinDescriptor]:
-        return iter(self._all.values())
+        return iter(self.bins)
 
     def _cover(self, bin_ids: Iterable[str]) -> None:
+        by_id, bins = self._by_id, self.bins
         for bin_id in bin_ids:
-            if self._all.pop(bin_id).difficulty is Difficulty.EASIER:
-                del self._easier[bin_id]
-            else:
-                del self._harder[bin_id]
+            easier = by_id[bin_id].difficulty is Difficulty.EASIER
+            side = self.easier if easier else self.harder
+            del bins[bisect_left(bins, bin_id, key=_id)]
+            del side[bisect_left(side, bin_id, key=_id)]
 
 
 class CoverageState:
@@ -159,6 +160,5 @@ class CoverageState:
     def uncovered(self) -> UncoveredBins:
         """Unhit bins in plan order: a live view, O(1) after the first call."""
         if self._view is None:
-            self._view = UncoveredBins(self.plan)
-            self._view._cover(self.covered)
+            self._view = UncoveredBins(self.plan, self.covered)
         return self._view

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,11 +104,14 @@ class ExchangePool:
 
     A group holds the exchanges with one (easier_hits, harder_hits) pair in
     seq order, so ranking scores one member per group. The pool is sized
-    and iterates in seq order.
+    and iterates in seq order. `levels` keeps each score function's ranking
+    until a new group appears; an append to an existing group grows a list
+    the ranking already holds, so it stays current for free.
     """
 
     def __init__(self) -> None:
         self._groups: dict[tuple[int, int], list[Exchange]] = {}
+        self._levels: dict = {}  # score function -> its ranking
         self._size = 0
 
     def __len__(self) -> int:
@@ -117,14 +120,29 @@ class ExchangePool:
     def __iter__(self) -> Iterator[Exchange]:
         return iter(_chronological(chain.from_iterable(self._groups.values())))
 
-    def groups(self):
-        """The non-empty groups, each a list in seq order."""
-        return self._groups.values()
-
     def append(self, ex: Exchange) -> None:
         """Add an exchange newer than every member."""
-        self._groups.setdefault((ex.easier_hits, ex.harder_hits), []).append(ex)
+        key = (ex.easier_hits, ex.harder_hits)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = []
+            self._levels.clear()
+        group.append(ex)
         self._size += 1
+
+    def levels(self, score) -> list[tuple[float, list[list[Exchange]]]]:
+        """`(value, groups)` per distinct score, highest first.
+
+        `score` must depend on an exchange's hit counts only, so each group
+        is scored once, and is a cache key: pass the same function each call.
+        """
+        levels = self._levels.get(score)
+        if levels is None:
+            by_score: dict = {}
+            for group in self._groups.values():
+                by_score.setdefault(score(group[0]), []).append(group)
+            levels = self._levels[score] = sorted(by_score.items(), reverse=True)
+        return levels
 
 
 class Dialogue:
@@ -231,6 +249,10 @@ def sample_missed_bins(
     the easier share is filled before the harder one. The stateless form of
     "mixed" is its below-threshold behavior, type_based; use
     MissedBinSampler for the toggling version.
+
+    Nothing is copied: `random.sample` picks positions from the population's
+    length and k alone, so sampling the view's lists, or the positions past
+    the head, draws what sampling a copy would, at O(k) per query.
     """
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
@@ -239,28 +261,31 @@ def sample_missed_bins(
         method = "type_based"
     k = min(SAMPLE_SIZE, len(uncovered))
     if method == "pure_random":
-        return rng.sample(list(uncovered), k)
+        return rng.sample(uncovered.bins, k)
     if method != "type_based":
         raise ValueError(f"unknown missed-bin method {method!r}")
-    head = list(islice(uncovered, 2))
+    head = uncovered.bins[:2]
     want = k - len(head)
     # the head's easier (harder) members are the first of their difficulty,
     # so the rest of each side is what follows them
     m = sum(1 for b in head if b.difficulty is Difficulty.EASIER)
-    easier = list(uncovered.easier)
-    del easier[:m]
-    harder = list(uncovered.harder)
-    del harder[: len(head) - m]
-    if not easier:  # the rest is all harder
-        return head + rng.sample(harder, want)
-    n_easier = min(3, len(easier), want)
-    n_harder = min(2, len(harder), want - n_easier)
+    easier, harder = uncovered.easier, uncovered.harder
+    rest_easier = range(m, len(easier))
+    rest_harder = range(len(head) - m, len(harder))
+    if not rest_easier:  # the rest is all harder
+        return head + [harder[i] for i in rng.sample(rest_harder, want)]
+    n_easier = min(3, len(rest_easier), want)
+    n_harder = min(2, len(rest_harder), want - n_easier)
     shortfall = want - n_easier - n_harder
     if shortfall > 0:
-        extra = min(shortfall, len(easier) - n_easier)
+        extra = min(shortfall, len(rest_easier) - n_easier)
         n_easier += extra
-        n_harder += min(shortfall - extra, len(harder) - n_harder)
-    return head + rng.sample(easier, n_easier) + rng.sample(harder, n_harder)
+        n_harder += min(shortfall - extra, len(rest_harder) - n_harder)
+    return (
+        head
+        + [easier[i] for i in rng.sample(rest_easier, n_easier)]
+        + [harder[i] for i in rng.sample(rest_harder, n_harder)]
+    )
 
 
 class MissedBinSampler:
@@ -300,23 +325,24 @@ class MissedBinSampler:
 def _top_k(pool: ExchangePool, k: int, score, rng: random.Random) -> list[Exchange]:
     """Best k by score; exchanges tied at the boundary are sampled uniformly.
 
-    `score` must depend on an exchange's hit counts only, so each group is
-    scored once. Scores are walked from the top; the boundary score's
-    groups, merged in seq order, are the ties.
+    Walks the pool's cached score levels from the top, so a call costs
+    O(k) plus the boundary level's size when that level spans several
+    groups (merged in seq order to give the ties); a one-group boundary,
+    such as the no-hit group, is sampled in place.
     """
     if len(pool) <= k:
         return list(pool)
-    by_score: dict = {}
-    for group in pool.groups():
-        by_score.setdefault(score(group[0]), []).append(group)
     sure: list[Exchange] = []
-    for value in sorted(by_score, reverse=True):
-        groups = by_score[value]
+    for _, groups in pool.levels(score):
         if len(sure) + sum(map(len, groups)) >= k:
             break  # the pool holds more than k, so some score is the boundary
         sure.extend(chain.from_iterable(groups))
-    ties = _chronological(chain.from_iterable(groups))
+    ties = groups[0] if len(groups) == 1 else _chronological(chain.from_iterable(groups))
     return _chronological(sure + rng.sample(ties, k - len(sure)))
+
+
+_by_hits = attrgetter("hits")
+_by_weighted_score = attrgetter("weighted_score")
 
 
 def select_context(
@@ -340,11 +366,11 @@ def select_context(
     if strategy == "recent":
         chosen = list(dialogue.iterative[-3:])
     elif strategy == "successful":
-        chosen = _top_k(dialogue.pool, 3, lambda e: e.hits, rng)
+        chosen = _top_k(dialogue.pool, 3, _by_hits, rng)
     elif strategy == "successful_difficult":
-        chosen = _top_k(dialogue.pool, 3, lambda e: e.weighted_score, rng)
+        chosen = _top_k(dialogue.pool, 3, _by_weighted_score, rng)
     else:  # mixed_recent_successful
-        chosen = _top_k(dialogue.pool, 2, lambda e: e.hits, rng)
+        chosen = _top_k(dialogue.pool, 2, _by_hits, rng)
         if dialogue.iterative:
             latest = dialogue.iterative[-1]
             if all(e.seq != latest.seq for e in chosen):

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from covstim.agents import CrtAgent, LlmAgent
-from covstim.backend import BackendConfig, BackendError
+from covstim.backend import BackendConfig, BackendError, check_field_types
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
 from covstim.prompting import StrategyConfig, should_restart, stalled
@@ -65,6 +65,11 @@ class RunConfig:
     backend: Optional[BackendConfig] = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        if not isinstance(self.strategy, StrategyConfig):
+            raise ValueError(f"strategy must be an object, got {self.strategy!r}")
+        if self.backend is not None and not isinstance(self.backend, BackendConfig):
+            raise ValueError(f"backend must be an object or null, got {self.backend!r}")
         if self.agent not in ("crt", "llm"):
             raise ValueError(f"agent must be 'crt' or 'llm', got {self.agent!r}")
         if self.crt_count <= 0:
@@ -72,6 +77,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"bad run config: expected an object, got {data!r}")
         data = dict(data)
         try:
             if isinstance(data.get("strategy"), dict):
@@ -79,7 +86,7 @@ class RunConfig:
             if isinstance(data.get("backend"), dict):
                 data["backend"] = BackendConfig(**data["backend"])
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad run config: {exc}") from None
 
 

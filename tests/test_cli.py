@@ -427,6 +427,32 @@ def test_run_rejects_a_deleted_strategy_key(tmp_path, capsys, key):
     assert "bad run config" in capsys.readouterr().err
 
 
+BASE_CRT_CONFIG = {"dut": "stride", "agent": "crt", "crt_count": 100}
+WRONG_TYPED_CONFIGS = {
+    "budget_tokens_string": {**BASE_CRT_CONFIG, "budget_tokens": "100"},
+    "strategy_string": {**BASE_CRT_CONFIG, "strategy": "recent"},
+    "crt_count_float": {**BASE_CRT_CONFIG, "crt_count": 1000.5},
+    "crt_count_bool": {**BASE_CRT_CONFIG, "crt_count": True},
+    "seed_string": {**BASE_CRT_CONFIG, "seed": "abc"},
+    "backend_retries_float": {
+        "dut": "stride",
+        "agent": "llm",
+        "backend": {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "retries": 2.5},
+    },
+    "top_level_list": [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_CONFIGS))
+def test_run_rejects_a_wrong_typed_config(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WRONG_TYPED_CONFIGS[case]))
+    # main() lets no other exception out, so a traceback would fail the test
+    assert main(["run", "--config", str(config), "--backend", "live"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("covstim: bad run config: ") and "Traceback" not in err
+
+
 def test_run_baselines_script_matches_run_experiment():
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_baselines.py"), "--count", "300", "--seeds", "2"],

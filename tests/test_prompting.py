@@ -7,6 +7,7 @@ the implementation's pool bookkeeping.
 from __future__ import annotations
 
 import random
+from itertools import chain, islice
 from unittest import mock
 
 import pytest
@@ -684,3 +685,159 @@ def test_pool_and_context_match_list_oracle(ops, buffer_reset, seed):
                 want = select_context(d, config, slow)
             assert got == want, context
             assert fast.getstate() == slow.getstate(), context
+
+
+# --- copy-free sampling and cached ranking against the code they replaced ----------
+# `copying_sample` and `rerank_top_k` are the bodies the O(k) paths replaced: the
+# sampler copied each side of the view per query, and the ranking re-scored and
+# re-sorted every outcome group per call.
+
+def copying_sample(uncovered, config, rng, method=None):
+    """The sampler that listed the view's bins before each `random.sample`."""
+    if not uncovered:
+        raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
+    method = method or config.missed_bin
+    if method == "mixed":
+        method = "type_based"
+    k = min(SAMPLE_SIZE, len(uncovered))
+    if method == "pure_random":
+        return rng.sample(list(uncovered), k)
+    head = list(islice(uncovered, 2))
+    want = k - len(head)
+    m = sum(1 for b in head if b.difficulty is Difficulty.EASIER)
+    easier = list(uncovered.easier)
+    del easier[:m]
+    harder = list(uncovered.harder)
+    del harder[: len(head) - m]
+    if not easier:
+        return head + rng.sample(harder, want)
+    n_easier = min(3, len(easier), want)
+    n_harder = min(2, len(harder), want - n_easier)
+    shortfall = want - n_easier - n_harder
+    if shortfall > 0:
+        extra = min(shortfall, len(easier) - n_easier)
+        n_easier += extra
+        n_harder += min(shortfall - extra, len(harder) - n_harder)
+    return head + rng.sample(easier, n_easier) + rng.sample(harder, n_harder)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    device=st.sampled_from(DUT_KINDS),
+    order=st.randoms(use_true_random=False),
+    easier_first=st.booleans(),
+    seed=st.integers(min_value=0, max_value=999),
+)
+def test_sampler_matches_copying_oracle(device, order, easier_first, seed):
+    plan = make_dut(device).plan
+    state = CoverageState(plan)
+    ids = [b.id for b in plan]
+    order.shuffle(ids)
+    if easier_first:  # the easier side runs dry while harder bins remain
+        ids.sort(key=lambda i: plan.descriptor(i).difficulty is Difficulty.HARDER)
+    # random cover points, then one bin at a time through the last few,
+    # where fewer than SAMPLE_SIZE bins are left
+    cuts = set(order.sample(range(len(ids)), 12))
+    cuts.update(range(len(ids) - SAMPLE_SIZE - 2, len(ids)))
+    done = 0
+    for cut in sorted(cuts):
+        state.record(ids[done:cut])
+        done = cut
+        view = state.uncovered()
+        for method in ("pure_random", "type_based", "mixed"):
+            config = StrategyConfig(missed_bin=method)
+            fast, slow = random.Random(seed + cut), random.Random(seed + cut)
+            got = sample_missed_bins(view, config, fast)
+            assert got == copying_sample(view, config, slow), (method, cut)
+            assert fast.getstate() == slow.getstate(), (method, cut)
+
+
+def rerank_top_k(pool, k, score, rng):
+    """The ranking that grouped and sorted a seq-ordered list on every call."""
+    if len(pool) <= k:
+        return list(pool)
+    groups_by_outcome: dict = {}
+    for e in pool:
+        groups_by_outcome.setdefault((e.easier_hits, e.harder_hits), []).append(e)
+    by_score: dict = {}
+    for group in groups_by_outcome.values():
+        by_score.setdefault(score(group[0]), []).append(group)
+    sure = []
+    for value in sorted(by_score, reverse=True):
+        groups = by_score[value]
+        if len(sure) + sum(map(len, groups)) >= k:
+            break
+        sure.extend(chain.from_iterable(groups))
+    ties = sorted(chain.from_iterable(groups), key=lambda e: e.seq)
+    return sorted(sure + rng.sample(ties, k - len(sure)), key=lambda e: e.seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["initial", "iterative", "iterative", "iterative", "restart"]),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=120,
+    ),
+    buffer_reset=st.sampled_from(BUFFER_RESETS),
+    seed=st.integers(min_value=0, max_value=999),
+)
+def test_cached_ranking_matches_rerank_oracle(ops, buffer_reset, seed):
+    d = Dialogue("sys")
+    seen: list[Exchange] = []  # the pool as a seq-ordered list
+    for step, (op, easier, harder) in enumerate(ops):
+        if op == "restart":
+            d.restart(buffer_reset)
+            if buffer_reset == "clear":
+                seen = []
+        elif d.initial is None:
+            d.record_initial(f"init{step}", "r", easier, harder)
+        else:
+            seen.append(d.record_iterative(f"q{step}", "r", easier, harder))
+        for k in (1, 3, 5):
+            for score in SCORES:
+                fast, slow = random.Random(seed + step), random.Random(seed + step)
+                for _ in range(2):  # the second call reads the cached levels
+                    assert _top_k(d.pool, k, score, fast) == rerank_top_k(seen, k, score, slow)
+                    assert fast.getstate() == slow.getstate()
+
+        def ranked_by_oracle(pool, k, score, rng):
+            return rerank_top_k(seen, k, score, rng)
+
+        for context in CONTEXT_STRATEGIES:
+            config = StrategyConfig(context=context, buffer_reset=buffer_reset)
+            fast, slow = random.Random(seed + step), random.Random(seed + step)
+            got = select_context(d, config, fast)
+            with mock.patch.object(prompting, "_top_k", ranked_by_oracle):
+                want = select_context(d, config, slow)
+            assert got == want, context
+            assert fast.getstate() == slow.getstate(), context
+
+
+def test_ranking_scores_each_group_once_until_a_new_group_appears():
+    calls = 0
+
+    def counting_hits(e):
+        nonlocal calls
+        calls += 1
+        return e.hits
+
+    d = Dialogue("sys")
+    d.record_initial("init", "r")
+    outcomes = [(0, 0)] * 50 + [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)] * 5
+    for i, (easier, harder) in enumerate(outcomes):
+        d.record_iterative(f"q{i}", "r", easier, harder)
+    groups = len(set(outcomes))
+    rng = random.Random(0)
+    for _ in range(1000):
+        _top_k(d.pool, 3, counting_hits, rng)
+    assert calls == groups
+    d.record_iterative("same", "r", 3, 1)  # the top group grows in place
+    assert any(e.query == "same" for e in _top_k(d.pool, 7, counting_hits, rng))
+    assert calls == groups
+    d.record_iterative("new", "r", 5, 0)  # a new group: every group is scored again
+    assert [e.query for e in _top_k(d.pool, 1, counting_hits, rng)] == ["new"]
+    assert calls == 2 * groups + 1
