@@ -15,6 +15,10 @@ exactly response 37.
 The crt fixture also pins the sha256 of each device's whole crt log.jsonl at
 seeds 0 and 1 (20,000 stimuli), so a faster crt path must draw the same
 random stream in the same order.
+
+Every log written here passes `report_from_log` before its bytes or digest
+are frozen, so a writer change that the verifier rejects cannot reach a
+fixture.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from covstim.agents import CrtAgent
 from covstim.backend import ReplayBackend
 from covstim.duts import DUT_KINDS, make_dut
 from covstim.prompting import build_initial_query, build_system_message
-from covstim.runtime import RunConfig, run_experiment
+from covstim.runtime import RunConfig, report_from_log, run_experiment
 from toydut import ToyDut
 
 FIXTURES = REPO / "tests" / "fixtures"
@@ -47,6 +51,7 @@ def crt_log_sha256(kind: str, seed: int) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         run_experiment(config, log_path=path)
+        report_from_log(path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -89,8 +94,12 @@ def regen_golden_trial() -> None:
     script = json.loads((FIXTURES / "golden_replay_script.json").read_text())
     config = RunConfig(dut="toy", agent="llm", seed=GOLDEN_SEED)
     backend = ReplayBackend(script)
-    path = FIXTURES / "golden_trial.jsonl"
-    run_experiment(config, backend=backend, dut=ToyDut(), log_path=path)
+    with tempfile.TemporaryDirectory() as tmp:
+        checked = Path(tmp) / "log.jsonl"
+        run_experiment(config, backend=backend, dut=ToyDut(), log_path=checked)
+        report_from_log(checked)
+        path = FIXTURES / "golden_trial.jsonl"
+        path.write_bytes(checked.read_bytes())
     print(f"wrote {path}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import statistics
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -117,23 +117,11 @@ class TrialRecord(TrialSummary):
     error: Optional[str] = None
 
     def summary(self) -> TrialSummary:
-        return _from_record(TrialSummary, vars(self))
+        return TrialSummary(**{f.name: getattr(self, f.name) for f in fields(TrialSummary)})
 
     def trial_end_record(self) -> dict:
         kept = (f.name for f in fields(self) if f.name != "events")
         return {"type": "trial_end", **{name: getattr(self, name) for name in kept}}
-
-
-def _from_record(cls, record: dict):
-    """Build dataclass `cls` from the same-named keys of `record`.
-
-    Raises ValueError naming the record type and the first missing field."""
-    try:
-        values = {f.name: record[f.name] for f in fields(cls)}
-    except KeyError as exc:
-        kind = record.get("type", cls.__name__)
-        raise ValueError(f"{kind} record lacks field {exc.args[0]!r}") from None
-    return cls(**values)
 
 
 def _event(
@@ -141,7 +129,8 @@ def _event(
     response_idx: int,
     stimuli: int,
     new_bins: list[str],
-    state: CoverageState,
+    coverage: int,
+    rate: float,
     restart: bool,
     tokens_in: int,
     tokens_out: int,
@@ -152,8 +141,8 @@ def _event(
         "response_idx": response_idx,
         "stimuli": stimuli,
         "new_bins": new_bins,
-        "coverage": len(state.covered),
-        "rate": state.rate(),
+        "coverage": coverage,
+        "rate": rate,
         "restart": restart,
         "tokens_in": tokens_in,
         "tokens_out": tokens_out,
@@ -254,7 +243,8 @@ def run_trial(
                 messages,
                 len(record.extraction.stimuli),
                 new_ids,
-                state,
+                len(state.covered),
+                state.rate(),
                 restarted,
                 record.completion.tokens_in,
                 record.completion.tokens_out,
@@ -299,7 +289,10 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
                     if is_full():
                         status = FULL_COVERAGE
                         break
-        events.append(_event(1, len(events) + 1, fed, chunk_new, state, False, 0, 0))
+        coverage = len(state.covered)
+        events.append(
+            _event(1, len(events) + 1, fed, chunk_new, coverage, state.rate(), False, 0, 0)
+        )
         if status == FULL_COVERAGE:
             break
     return TrialRecord(
@@ -467,149 +460,153 @@ def write_log(
         fh.write(_dump(report_record(report)) + "\n")
 
 
-_EVENT_FIELDS = ("trial", "response_idx", "new_bins", "coverage", "tokens_in", "tokens_out")
+_STATUSES = (FULL_COVERAGE, EXHAUSTED, BUDGET_EXHAUSTED, ABORTED)
 
-# JSON types a trial_end field may hold, by its TrialSummary annotation
-_JSON_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-}
+# JSON type checks for the logged facts that feed the verifier's sums or that
+# the log alone cannot re-derive; a bool is not a number
+_PLAN_SIZE = (lambda v: type(v) is int and v > 0, "a positive integer")
+_BINS = (lambda v: type(v) is list and all(type(b) is str for b in v), "a list of bin ids")
+_TOKENS = (lambda v: type(v) is int, "an integer")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_FLAG = (lambda v: type(v) is bool, "a boolean")
+_TEXT = (lambda v: v is None or type(v) is str, "a string or null")
+_STATUS = (lambda v: v in _STATUSES, f"one of {_STATUSES}")
 
 
-def _trial_summary(record: dict, where: str) -> TrialSummary:
-    """The summary a trial_end record holds; ValueError naming the record and
-    its first missing or wrong-typed field (a bool is not a number)."""
-    summary = _from_record(TrialSummary, record)
-    for f in fields(TrialSummary):
-        value = getattr(summary, f.name)
-        kinds, name = _JSON_TYPES[f.type]
-        if type(value) not in kinds:
+def _logged(record: dict, name: str, check, at: str):
+    """`record[name]` once it passes `check`; `at` names the record."""
+    if name not in record:
+        raise ValueError(f"{at} record lacks field {name!r}")
+    ok, what = check
+    if not ok(record[name]):
+        raise ValueError(f"{at} record field {name!r} must be {what}, got {record[name]!r}")
+    return record[name]
+
+
+def _match(record: dict, line: str, rebuilt: dict, at: str) -> None:
+    """Raise ValueError unless `record`, logged as `line`, equals `rebuilt` as
+    canonical JSON, naming the first field that differs."""
+    canonical = _dump(rebuilt)
+    if line == canonical or _dump(record) == canonical:
+        return
+    for name, value in rebuilt.items():
+        if name not in record:
+            raise ValueError(f"{at} record lacks field {name!r}")
+        if _dump(record[name]) != _dump(value):
             raise ValueError(
-                f"{where}: trial_end record field {f.name!r} must be {name}, got {value!r}"
+                f"{at} record mismatch on {name}: logged {record[name]!r}, recomputed {value!r}"
             )
-    return summary
+    unknown = min(record.keys() - rebuilt.keys())
+    raise ValueError(f"{at} record has unknown field {unknown!r}")
 
 
-def _verify_events(
-    path, trial: TrialSummary, events: list, plan_size: int, llm: bool, plan
-) -> None:
-    """Raise ValueError unless a trial's event records add up to its trial_end.
-
-    response_idx runs 1..n (n is `messages` in a dialogue log); new_bins are
-    distinct, belong to `plan` unless it is None, and their running count is
-    each event's coverage, at most plan_size; the last coverage and the token
-    sums are the trial_end's."""
-    where = f"log {path} trial {trial.trial}"
-    covered: set = set()
-    tokens_in = tokens_out = 0
-    for n, event in enumerate(events, 1):
-        for name in _EVENT_FIELDS:
-            if name not in event:
-                raise ValueError(f"{where}: event {n} lacks field {name!r}")
-        if (event["trial"], event["response_idx"]) != (trial.trial, n):
-            raise ValueError(
-                f"{where}: event {n} is numbered trial {event['trial']!r} "
-                f"response {event['response_idx']!r}"
-            )
-        new_bins, tokens = event["new_bins"], (event["tokens_in"], event["tokens_out"])
-        typed = isinstance(new_bins, list) and all(isinstance(v, str) for v in new_bins)
-        if not typed or not all(isinstance(v, int) for v in tokens):
-            raise ValueError(f"{where}: event {n} needs a list of bin ids and integer tokens")
-        before = len(covered)
-        covered.update(new_bins)
-        if len(covered) != before + len(new_bins):
-            raise ValueError(f"{where}: event {n} lists a bin already covered")
-        if event["coverage"] != len(covered) or len(covered) > plan_size:
-            raise ValueError(
-                f"{where}: event {n} logs coverage {event['coverage']!r}, its new_bins "
-                f"add up to {len(covered)} of plan_size {plan_size}"
-            )
-        stray = [b for b in new_bins if plan is not None and b not in plan]
-        if stray:
-            raise ValueError(
-                f"{where}: event {n} lists bin {stray[0]!r}, not in the {plan.name} plan"
-            )
-        tokens_in += tokens[0]
-        tokens_out += tokens[1]
-    if llm and len(events) != trial.messages:
-        raise ValueError(f"{where}: {len(events)} events for {trial.messages} messages")
-    totals = (len(covered), tokens_in, tokens_out)
-    if totals != (trial.coverage, trial.tokens_in, trial.tokens_out):
-        raise ValueError(
-            f"{where}: events add up to coverage {len(covered)}, tokens "
-            f"{tokens_in}/{tokens_out}; trial_end logs {trial.coverage}, "
-            f"{trial.tokens_in}/{trial.tokens_out}"
-        )
-
-
-def report_from_log(path) -> ExperimentReport:
-    """Rebuild the report from a JSONL log and verify it.
-
-    Raises ValueError when the log's report record differs from the record
-    of the report rebuilt from the header and the trial_end records (the
-    fields it shares with the header, its per-trial rows, or the metrics
-    recomputed from them), when a trial_end field has the wrong JSON type,
-    when a device's log disagrees with that device's plan (its size, or a bin
-    it does not hold), or when a trial's events do not add up to its
-    trial_end record (see `_verify_events`): a corrupted or edited log."""
-    header = None
-    trials: list[tuple[TrialSummary, list]] = []
-    events: list[dict] = []
-    embedded: Optional[dict] = None
+def _records(path):
+    """(line number, stripped line, record) for each non-blank line of a log."""
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"log {path} line {number} is not a JSON object")
-            kind = record.get("type")
-            if kind == "header":
-                header = record
-            elif kind == "event":
-                events.append(record)
-            elif kind == "trial_end":
-                trials.append((_trial_summary(record, f"log {path} line {number}"), events))
-                events = []
-            elif kind == "report":
-                embedded = record
+            if line:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"log {path} line {number} is not a JSON object")
+                yield number, line, record
+
+
+def report_from_log(path) -> ExperimentReport:
+    """Verify a JSONL log by rebuilding it, and return its report.
+
+    The layout must be `write_log`'s: the header, then each trial's events
+    and its trial_end, then the report. Each record is rebuilt by the
+    function that wrote it and must equal the logged one as canonical JSON;
+    the facts a log alone cannot re-derive (an event's stimuli and restart,
+    a trial_end's status, malformed and error, the report's note) are only
+    type-checked. A device's log must also match its plan. Raises ValueError
+    naming the line and the first field that differs."""
+    records = _records(path)
+    number, line, header = next(records, (0, "", None))
     if header is None:
         raise ValueError(f"log {path} has no header record")
-    if embedded is None:
-        raise ValueError(f"log {path} has no report record")
-    if "plan_size" not in header:
-        raise ValueError(f"log {path}: header record lacks field 'plan_size'")
-    plan_size = header["plan_size"]
-    if type(plan_size) is not int:
-        raise ValueError(f"log {path}: header plan_size must be an integer, got {plan_size!r}")
+    if header.get("type") != "header":
+        raise ValueError(f"log {path} line {number}: the first record is not the header")
+    at = f"log {path} line {number}: header"
+    plan_size = _logged(header, "plan_size", _PLAN_SIZE, at)
+    try:
+        config = RunConfig.from_dict(
+            {f.name: header[f.name] for f in fields(RunConfig) if header.get(f.name) is not None}
+        )
+    except ValueError as exc:
+        raise ValueError(f"{at} record: {exc}") from None
+    _match(header, line, header_record(config, plan_size), at)
     # a device's plan is known here; logs of other (test-only) devices get
-    # the count checks alone
-    plan = make_dut(header["dut"]).plan if header.get("dut") in DUT_KINDS else None
+    # the count check alone
+    plan = make_dut(config.dut).plan if config.dut in DUT_KINDS else None
     if plan is not None and len(plan) != plan_size:
         raise ValueError(
-            f"log {path}: header plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
+            f"{at} plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
         )
-    summaries = [trial for trial, _ in trials]
-    shared = {key: header[key] for key in header.keys() & embedded.keys() - {"type"}}
-    rebuilt = replace(
-        _from_record(ExperimentReport, {**embedded, **shared}),
-        trials=summaries,
-        **compute_metrics(summaries, plan_size),
-    )
-    for key, value in report_record(rebuilt).items():
-        if embedded.get(key) != value:
-            raise ValueError(
-                f"log {path} report mismatch on {key}: "
-                f"logged {embedded.get(key)!r}, recomputed {value!r}"
+    trials: list[TrialRecord] = []
+    events: list[dict] = []
+    covered: set = set()
+    report: Optional[ExperimentReport] = None
+    for number, line, record in records:
+        kind = record.get("type")
+        where = f"log {path} line {number}: "
+        if report is not None:
+            raise ValueError(f"{where}a {kind!r} record after the report")
+        if kind == "event":
+            at = f"{where}trial {len(trials) + 1} event {len(events) + 1}"
+            logged_bins = _logged(record, "new_bins", _BINS, at)
+            new_bins = [b for b in dict.fromkeys(logged_bins) if b not in covered]
+            stray = [b for b in new_bins if plan is not None and b not in plan]
+            if stray:
+                raise ValueError(
+                    f"{at} record lists bin {stray[0]!r}, not in the {plan.name} plan"
+                )
+            covered.update(new_bins)
+            if len(covered) > plan_size:
+                raise ValueError(f"{at} record covers {len(covered)} bins, plan_size {plan_size}")
+            event = _event(
+                len(trials) + 1,
+                len(events) + 1,
+                _logged(record, "stimuli", _COUNT, at),
+                new_bins,
+                len(covered),
+                len(covered) / plan_size,
+                _logged(record, "restart", _FLAG, at),
+                _logged(record, "tokens_in", _TOKENS, at),
+                _logged(record, "tokens_out", _TOKENS, at),
             )
-    if events:
-        raise ValueError(f"log {path} has event records after the last trial_end")
-    llm = header.get("agent") == "llm"
-    for trial, trial_events in trials:
-        _verify_events(path, trial, trial_events, plan_size, llm, plan)
-    return rebuilt
+            _match(record, line, event, at)
+            events.append(event)
+        elif kind == "trial_end":
+            at = f"{where}trial {len(trials) + 1} trial_end"
+            trial = TrialRecord(
+                trial=len(trials) + 1,
+                status=_logged(record, "status", _STATUS, at),
+                coverage=len(covered),
+                rate=len(covered) / plan_size,
+                messages=len(events) if config.agent == "llm" else 0,
+                tokens_in=sum(e["tokens_in"] for e in events),
+                tokens_out=sum(e["tokens_out"] for e in events),
+                events=events,
+                malformed=_logged(record, "malformed", _COUNT, at),
+                error=_logged(record, "error", _TEXT, at),
+            )
+            _match(record, line, trial.trial_end_record(), at)
+            trials.append(trial)
+            events, covered = [], set()
+        elif kind == "report":
+            if events:
+                raise ValueError(f"{where}the report follows events with no trial_end")
+            at = f"{where}report"
+            note = _logged(record, "note", _TEXT, at)
+            report = build_report(config, plan_size, trials, note)
+            _match(record, line, report_record(report), at)
+        else:
+            raise ValueError(f"{where}unexpected record of type {kind!r}")
+    if report is None:
+        raise ValueError(f"log {path} has no report record")
+    return report
 
 
 # --- human-facing reports ---------------------------------------------------------

@@ -349,7 +349,9 @@ def test_report_flags_tampered_events(tmp_path, capsys):
     log.write_text(
         doctor(log.read_text(), "event", lambda r: r.update(coverage=999, new_bins=["bogus"]))
     )
-    assert "event 1 logs coverage 999" in rejection(log, capsys)
+    assert "trial 1 event 1 record lists bin 'bogus', not in the stride plan" in rejection(
+        log, capsys
+    )
 
 
 @pytest.mark.parametrize(
@@ -359,7 +361,7 @@ def test_report_rejects_wrong_typed_trial_end_fields(tmp_path, capsys, field, va
     log = tmp_path / "log.jsonl"
     log.write_text(doctor(GOLDEN_LOG.read_text(), "trial_end", lambda r: r.update({field: value})))
     err = rejection(log, capsys)
-    assert f"trial_end record field {field!r} must be an integer, got {value!r}" in err
+    assert f"trial_end record mismatch on {field}: logged {value!r}, recomputed " in err
 
 
 def test_report_checks_a_device_log_against_its_plan(tmp_path, capsys):
@@ -451,6 +453,28 @@ def test_run_rejects_a_wrong_typed_config(tmp_path, capsys, case):
     assert main(["run", "--config", str(config), "--backend", "live"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("covstim: bad run config: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", -1),
+        ("timeout", 0),
+        ("timeout", float("nan")),
+        ("top_p", 7),
+        ("top_p", -1),
+        ("temperature", float("nan")),
+    ],
+)
+def test_run_rejects_an_out_of_range_backend_value(tmp_path, capsys, field, value):
+    config = tmp_path / "config.json"
+    backend = {"endpoint": "http://127.0.0.1:9/v1", "model": "m", field: value}
+    # json writes a NaN as the bare token NaN, which json.load reads back
+    config.write_text(json.dumps({"dut": "stride", "agent": "llm", "backend": backend}))
+    assert main(["run", "--config", str(config), "--backend", "live"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"covstim: bad run config: {field} must be ")
+    assert "Traceback" not in err
 
 
 def test_run_baselines_script_matches_run_experiment():

@@ -1,19 +1,29 @@
 """Trial loop, exhaustion rule, metrics, and JSONL log round-trips."""
 from __future__ import annotations
 
+import functools
 import json
 import random
+import tempfile
 from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import ReplayBackend
-from covstim.duts import make_dut
-from covstim.prompting import RESTART_PLANS, StrategyConfig, format_requirement
+from covstim.duts import DUT_KINDS, make_dut
+from covstim.prompting import (
+    BUFFER_RESETS,
+    CONTEXT_STRATEGIES,
+    MISSED_BIN_METHODS,
+    RESTART_PLANS,
+    TEMPLATE_VARIANTS,
+    StrategyConfig,
+    format_requirement,
+)
 from covstim.runtime import (
     ABORTED,
     BUDGET_EXHAUSTED,
@@ -37,6 +47,7 @@ from toydut import ToyDut
 
 FULL_HOUSE = "```\n0 1 2 3 4 5 6 7 8 9\n```"
 DUD = "```\n99\n```"
+GOLDEN_LOG = Path(__file__).parent / "fixtures" / "golden_trial.jsonl"
 
 
 def llm_config(**kwargs) -> RunConfig:
@@ -538,31 +549,313 @@ def _retype_tokens(records, events):
     events[1]["tokens_in"] = "274"
 
 
+# each id names the edit and what it breaks; the match is the verifier's message
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        (_renumber, "numbered trial 1 response 3"),
-        (_repeat_a_bin, "lists a bin already covered"),
-        (_bump_coverage, "logs coverage"),
-        (_drop_last_event, "36 events for 37 messages"),
-        (_bump_tokens, "events add up to"),
-        (_orphan_event, "after the last trial_end"),
+        pytest.param(
+            _renumber,
+            r"trial 1 event 2 record mismatch on response_idx: logged 3, recomputed 2",
+            id="_renumber-numbered trial 1 response 3",
+        ),
+        pytest.param(
+            _repeat_a_bin,
+            r"trial 1 event 37 record mismatch on new_bins: logged \['bin_00'\], recomputed \[\]",
+            id="_repeat_a_bin-lists a bin already covered",
+        ),
+        pytest.param(
+            _bump_coverage,
+            "trial 1 event 5 record mismatch on coverage: logged 5, recomputed 4",
+            id="_bump_coverage-logs coverage",
+        ),
+        pytest.param(
+            _drop_last_event,
+            "trial 1 trial_end record mismatch on messages: logged 37, recomputed 36",
+            id="_drop_last_event-36 events for 37 messages",
+        ),
+        pytest.param(
+            _bump_tokens,
+            "trial 1 trial_end record mismatch on tokens_out: logged 118, recomputed 119",
+            id="_bump_tokens-events add up to",
+        ),
+        pytest.param(
+            _orphan_event,
+            "trial 2 event 1 record mismatch on trial: logged 1, recomputed 2",
+            id="_orphan_event-after the last trial_end",
+        ),
         (_drop_a_field, "lacks field 'new_bins'"),
-        (_retype_bins, "needs a list of bin ids and integer tokens"),
-        (_retype_tokens, "needs a list of bin ids and integer tokens"),
+        pytest.param(
+            _retype_bins,
+            "trial 1 event 2 record field 'new_bins' must be a list of bin ids, got 5",
+            id="_retype_bins-needs a list of bin ids and integer tokens",
+        ),
+        pytest.param(
+            _retype_tokens,
+            "trial 1 event 2 record field 'tokens_in' must be an integer, got '274'",
+            id="_retype_tokens-needs a list of bin ids and integer tokens",
+        ),
     ],
 )
 def test_report_from_log_rejects_tampered_events(tmp_path, tamper, match):
     # the golden log: one dialogue trial of 37 responses; each edit leaves
     # the trial_end and report records alone
-    golden = Path(__file__).parent / "fixtures" / "golden_trial.jsonl"
-    records = [json.loads(line) for line in golden.read_text().splitlines()]
+    records = [json.loads(line) for line in GOLDEN_LOG.read_text().splitlines()]
     tamper(records, [r for r in records if r["type"] == "event"])
     path = tmp_path / "tampered.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(ValueError, match=match):
         report_from_log(path)
-    report_from_log(golden)  # the untouched log passes
+    report_from_log(GOLDEN_LOG)  # the untouched log passes
+
+
+# --- the verifier against every log the writer produces, and edits of them ------------
+
+
+canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl(records) -> str:
+    return "".join(canonical(r) + "\n" for r in records)
+
+
+def _reply(values):
+    return "```\n" + " ".join(map(str, values)) + "\n```" if values else "no stimuli here"
+
+
+REPLIES = st.one_of(
+    st.lists(st.integers(0, 12), max_size=5).map(_reply), st.just("```\nxyzzy\n```")
+)
+STRATEGIES = st.builds(
+    StrategyConfig,
+    template_variant=st.sampled_from(TEMPLATE_VARIANTS),
+    missed_bin=st.sampled_from(MISSED_BIN_METHODS),
+    context=st.sampled_from(CONTEXT_STRATEGIES),
+    restart=st.sampled_from(RESTART_PLANS),
+    buffer_reset=st.sampled_from(BUFFER_RESETS),
+)
+
+
+@given(
+    script=st.lists(REPLIES, min_size=1, max_size=60),
+    strategy=STRATEGIES,
+    budget=st.one_of(st.just(0), st.integers(200, 2_000), st.integers(2_000, 20_000)),
+    seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_scripted_toy_log_verifies(tmp_path_factory, script, strategy, budget, seed):
+    config = llm_config(seed=seed, budget_tokens=budget, strategy=strategy)
+    path = tmp_path_factory.mktemp("toy") / "log.jsonl"
+    report = run_experiment(config, backend=ReplayBackend(script), dut=ToyDut(), log_path=path)
+    assert report_from_log(path) == report
+
+
+@pytest.mark.parametrize("kind", DUT_KINDS)
+def test_every_device_crt_log_verifies(tmp_path, kind):
+    path = tmp_path / "log.jsonl"
+    report = run_experiment(RunConfig(dut=kind, agent="crt", crt_count=2_000), log_path=path)
+    assert report_from_log(path) == report
+
+
+@functools.lru_cache(maxsize=None)
+def edit_targets() -> tuple:
+    """Writer-produced logs as record lists: the golden dialogue trial, two
+    one-message trials, a zero-budget run, and a three-chunk decoder crt run."""
+    logs = [GOLDEN_LOG.read_text()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, _ = write_toy_log(Path(tmp))
+        logs.append(path.read_text())
+        zero = llm_config(budget_tokens=0)
+        run_experiment(zero, backend=ReplayBackend([]), dut=ToyDut(), log_path=path)
+        logs.append(path.read_text())
+        crt = RunConfig(dut="decoder", agent="crt", crt_count=25_000)
+        run_experiment(crt, log_path=path)
+        logs.append(path.read_text())
+    return tuple(tuple(json.loads(line) for line in text.splitlines()) for text in logs)
+
+
+# what a log alone cannot re-derive (or, for the header, the run's inputs that
+# no later record holds): a different value of the same JSON type may pass
+NOT_REDERIVED = {
+    "header": {"seed", "strategy", "crt_count"},
+    "event": {"stimuli", "restart", "new_bins"},
+    "trial_end": {"malformed", "error"},
+    "report": {"note"},
+}
+
+
+def json_kind(value) -> str:
+    if value is None or isinstance(value, str):
+        return "text"  # error and note may be either
+    return type(value).__name__
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10**8)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_rejected(path, records) -> None:
+    path.write_text(jsonl(records))
+    with pytest.raises(ValueError):
+        report_from_log(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_edit_of_any_field_is_rejected(tmp_path_factory, data):
+    records = [dict(r) for r in data.draw(st.sampled_from(edit_targets()))]
+    record = data.draw(st.sampled_from(records))
+    name = data.draw(st.sampled_from(sorted(record)))
+    old = record[name]
+    how = data.draw(st.sampled_from(["value", "kind", "unknown field"]))
+    if how == "value":  # a re-derivable field, to any other JSON value
+        assume(name not in NOT_REDERIVED[record["type"]])
+        record[name] = data.draw(JSON_VALUES.filter(lambda v: canonical(v) != canonical(old)))
+    elif how == "kind":  # any field, to a value of another JSON type
+        record[name] = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != json_kind(old)))
+    else:
+        extra = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in record))
+        record[extra] = data.draw(JSON_VALUES)
+    assert_rejected(tmp_path_factory.mktemp("edit") / "log.jsonl", records)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_moved_or_repeated_record_is_rejected(tmp_path_factory, data):
+    records = list(data.draw(st.sampled_from(edit_targets())))
+    i = data.draw(st.integers(0, len(records) - 1))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(records) - 1).filter(lambda j: j != i))
+        records.insert(j, records.pop(i))
+    else:
+        records.insert(data.draw(st.integers(0, len(records))), records[i])
+    assert_rejected(tmp_path_factory.mktemp("layout") / "log.jsonl", records)
+
+
+def _events(records):
+    return [r for r in records if r["type"] == "event"]
+
+
+def _trial_rows(records):
+    return [r for r in records if r["type"] == "trial_end"] + records[-1]["trials"]
+
+
+def _bool_tokens(records):  # True sums as 1, and the sums agree
+    event = _events(records)[0]
+    drop = event["tokens_out"] - 1
+    event["tokens_out"] = True
+    for row in _trial_rows(records):
+        row["tokens_out"] -= drop
+    records[-1]["tokens_out"] -= drop
+
+
+def _renumber_trials(records):
+    for row in _events(records) + _trial_rows(records):
+        row["trial"] = 7
+
+
+def _retrial_rate(records):
+    for row in _trial_rows(records):
+        row["rate"] = 0.7
+
+
+def _set(kind, index=0, **values):
+    def edit(records):
+        [r for r in records if r["type"] == kind][index].update(values)
+    return edit
+
+
+# edits that only a rebuilt record catches, then the facts taken as logged retyped
+GOLDEN_LOG_EDITS = {
+    "event_rate": (_set("event", 4, rate=0.99), "event 5 record mismatch on rate: logged 0.99"),
+    "event_bool_tokens": (_bool_tokens, "field 'tokens_out' must be an integer, got True"),
+    "event_bin_twice": (
+        lambda r: r[1]["new_bins"].append("bin_00"),
+        "event 1 record mismatch on new_bins: logged \\['bin_00', 'bin_00'\\]",
+    ),
+    "event_extra_field": (
+        _set("event", 2, comment="x"), "event 3 record has unknown field 'comment'"
+    ),
+    "trials_renumbered": (
+        _renumber_trials, "event 1 record mismatch on trial: logged 7, recomputed 1"
+    ),
+    "trial_end_rate": (
+        _retrial_rate, "trial_end record mismatch on rate: logged 0.7, recomputed 0.6"
+    ),
+    "header_seed": (_set("header", seed="abc"), "seed must be int, got 'abc'"),
+    "header_context": (
+        lambda r: r[0]["strategy"].update(context="bogus"), "context must be one of"
+    ),
+    "header_budget": (_set("header", budget_tokens=5), "report record mismatch on budget"),
+    "header_schema": (
+        _set("header", schema_version=2), "header record mismatch on schema_version"
+    ),
+    "header_last": (lambda r: r.append(r.pop(0)), "line 1: the first record is not the header"),
+    "header_twice": (lambda r: r.insert(1, r[0]), "line 2: unexpected record of type 'header'"),
+    "report_twice": (lambda r: r.append(r[-1]), "line 41: a 'report' record after the report"),
+    "unknown_type": (
+        lambda r: r.insert(3, {"type": "note"}), "line 4: unexpected record of type 'note'"
+    ),
+    "no_type": (lambda r: r.insert(3, {"trial": 1}), "line 4: unexpected record of type None"),
+    "restart_string": (_set("event", 1, restart="yes"), "field 'restart' must be a boolean"),
+    "stimuli_string": (
+        _set("event", 1, stimuli="12"), "field 'stimuli' must be a non-negative integer"
+    ),
+    "stimuli_negative": (
+        _set("event", 1, stimuli=-1), "field 'stimuli' must be a non-negative integer"
+    ),
+    "malformed_string": (
+        _set("trial_end", malformed="0"), "field 'malformed' must be a non-negative integer"
+    ),
+    "error_number": (_set("trial_end", error=5), "field 'error' must be a string or null"),
+    "status_unknown": (_set("trial_end", status="done"), "field 'status' must be one of"),
+    "note_list": (_set("report", note=["x"]), "field 'note' must be a string or null"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LOG_EDITS))
+def test_report_from_log_rejects_an_edited_golden_log(tmp_path, case):
+    edit, match = GOLDEN_LOG_EDITS[case]
+    records = [json.loads(line) for line in GOLDEN_LOG.read_text().splitlines()]
+    edit(records)
+    path = tmp_path / "edited.jsonl"
+    path.write_text(jsonl(records))
+    with pytest.raises(ValueError, match=match):
+        report_from_log(path)
+
+
+def test_report_from_log_rejects_more_bins_than_the_plan_holds(tmp_path):
+    # every rebuilt field agrees with a header that claims a five-bin plan
+    records = [json.loads(line) for line in GOLDEN_LOG.read_text().splitlines()]
+    for record in records:
+        if "rate" in record:
+            record["rate"] = record["coverage"] / 5
+    records[0]["plan_size"] = records[-1]["plan_size"] = 5
+    records[-1]["max_rate"] = records[-1]["trials"][0]["rate"] = 6 / 5
+    path = tmp_path / "forged.jsonl"
+    path.write_text(jsonl(records))
+    with pytest.raises(ValueError, match="event 12 record covers 6 bins, plan_size 5"):
+        report_from_log(path)
+
+
+def test_report_from_log_rejects_a_log_cut_short(tmp_path):
+    records = [json.loads(line) for line in GOLDEN_LOG.read_text().splitlines()]
+    path = tmp_path / "cut.jsonl"
+    for cut, match in [
+        (records[:-2] + records[-1:], "the report follows events with no trial_end"),
+        (records[:-1], "has no report record"),
+        ([], "has no header record"),
+    ]:
+        path.write_text(jsonl(cut))
+        with pytest.raises(ValueError, match=match):
+            report_from_log(path)
 
 
 def sample_report() -> ExperimentReport:
