@@ -31,6 +31,7 @@ from covstim.prompting import (
     build_iterative_query,
     build_system_message,
     select_context,
+    should_restart,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -154,8 +155,6 @@ class CrtAgent:
     stalls on an empty instruction slot.
     """
 
-    kind = "crt"
-
     def __init__(self, dut_kind: str, rng: random.Random) -> None:
         if dut_kind not in DUT_KINDS:
             raise ValueError(f"unknown dut kind {dut_kind!r}")
@@ -187,16 +186,14 @@ class CrtAgent:
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    kind: str  # "initial" | "iterative"
     query: str
     messages: list
     prompt_token_estimate: int
+    restarted: bool  # the dialogue was restarted to build this query
 
 
 @dataclass(frozen=True)
 class ResponseRecord:
-    kind: str
-    query: str
     completion: Completion
     extraction: ExtractionResult
 
@@ -204,14 +201,13 @@ class ResponseRecord:
 class LlmAgent:
     """Dialogue-driven stimulus generator.
 
-    The runtime drives it in three steps per response: prepare (build the
-    query and context, cheap and side-effect free, so the caller can apply
-    its token-budget gate first), submit (backend call and extraction; the
-    reply is held pending), and credit (after the stimuli ran, record the
-    exchange with its hit counts and advance the restart/sampler windows).
+    The runtime drives it in three steps per response: prepare (restart the
+    dialogue if its window stalled, then build the query and context, so the
+    caller can apply its token-budget gate before any call), submit (backend
+    call and extraction; the reply is held pending), and credit (after the
+    stimuli ran, record the exchange with its hit counts and advance the
+    sampler).
     """
-
-    kind = "llm"
 
     def __init__(
         self,
@@ -232,30 +228,37 @@ class LlmAgent:
         self._pending: Optional[tuple[PreparedQuery, str, bool]] = None
 
     def prepare(self, uncovered: UncoveredBins) -> PreparedQuery:
-        """Build the next query; `uncovered` is the coverage state's live view."""
-        if self.dialogue.initial is None:
-            kind = "initial"
+        """Build the next query; `uncovered` is the coverage state's live view.
+
+        The restart rule is applied first, at the rate `uncovered` implies;
+        a fresh dialogue has no full window, so a second call cannot restart
+        it again.
+        """
+        dialogue, strategy = self.dialogue, self.strategy
+        size = len(self.plan)
+        rate = (size - len(uncovered)) / size
+        restarted = should_restart(dialogue.deltas, strategy.restart, rate, dialogue.restart_at)
+        if restarted:
+            dialogue.restart(strategy.buffer_reset)
+            self.last_outcome = None
+        if dialogue.initial is None:
             query = build_initial_query(
-                self.plan, self.strategy.template_variant, self.stimulus_format
+                self.plan, strategy.template_variant, self.stimulus_format
             )
         else:
-            kind = "iterative"
             sampled = self.sampler.sample(uncovered, self.rng) if uncovered else []
             query = build_iterative_query(
-                self.last_outcome,
-                sampled,
-                self.strategy.template_variant,
-                self.stimulus_format,
+                self.last_outcome, sampled, strategy.template_variant, self.stimulus_format
             )
-        messages = select_context(self.dialogue, self.strategy, self.rng)
+        messages = select_context(dialogue, strategy, self.rng)
         messages.append({"role": "user", "content": query})
-        return PreparedQuery(kind, query, messages, estimate_prompt(messages))
+        return PreparedQuery(query, messages, estimate_prompt(messages), restarted)
 
     def submit(self, prepared: PreparedQuery) -> ResponseRecord:
         completion = self.backend.complete(prepared.messages)
         extraction = extract_stimuli(completion.text, self.stimulus_format)
         self._pending = (prepared, completion.text, bool(extraction.stimuli))
-        return ResponseRecord(prepared.kind, prepared.query, completion, extraction)
+        return ResponseRecord(completion, extraction)
 
     def credit(self, easier_hits: int, harder_hits: int, rate: float) -> None:
         """Record the pending reply with the bins its stimuli newly covered."""
@@ -263,15 +266,6 @@ class LlmAgent:
             raise ValueError("no submitted reply to credit")
         prepared, text, usable = self._pending
         self._pending = None
-        if prepared.kind == "initial":
-            self.dialogue.record_initial(prepared.query, text, easier_hits, harder_hits)
-        else:
-            self.dialogue.record_iterative(prepared.query, text, easier_hits, harder_hits)
-        new_hits = easier_hits + harder_hits
-        self.last_outcome = ResponseOutcome(usable=usable, new_hits=new_hits)
-        self.sampler.observe(new_hits, rate)
-
-    def restart(self) -> None:
-        self.dialogue.restart(self.strategy.buffer_reset)
-        self.sampler.on_restart()
-        self.last_outcome = None
+        self.dialogue.record(prepared.query, text, easier_hits, harder_hits)
+        self.last_outcome = ResponseOutcome(usable=usable, new_hits=easier_hits + harder_hits)
+        self.sampler.observe(self.dialogue, rate)

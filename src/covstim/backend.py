@@ -254,6 +254,10 @@ class HttpBackend:
             f"chat completion failed after {cfg.retries + 1} attempts: {last_error}"
         )
 
+    def close(self) -> None:
+        """Close the connection; a later call opens a new one."""
+        self._conn.close()
+
     def _parse(self, data: bytes, messages: Sequence[Message], latency: float) -> Completion:
         try:
             payload = json.loads(data)

@@ -96,16 +96,18 @@ def _cmd_run(args) -> int:
         config = RunConfig.from_dict(json.load(fh))
     if args.seed is not None:
         config.seed = args.seed
-    backend = None
-    if config.agent == "llm":
-        backend = _make_backend(args.backend, config)
+    backend = _make_backend(args.backend, config) if config.agent == "llm" else None
     log_path = _log_path(args.out)
+    live = isinstance(backend, HttpBackend)
     # a live run's replies are kept, so `--backend replay:` can run it again
-    if log_path is not None and isinstance(backend, HttpBackend):
-        backend = RecordingBackend(backend)
-    report = run_experiment(config, backend=backend, log_path=log_path)
-    if isinstance(backend, RecordingBackend):
-        backend.dump(log_path.with_name("replay_script.json"))
+    recorder = RecordingBackend(backend) if live and log_path is not None else None
+    try:
+        report = run_experiment(config, backend=recorder or backend, log_path=log_path)
+    finally:
+        if live:
+            backend.close()
+    if recorder is not None:
+        recorder.dump(log_path.with_name("replay_script.json"))
     _emit(report, args.out)
     if not report.trials:  # the log holds only its header and report
         print(f"covstim: {report.note}", file=sys.stderr)

@@ -151,7 +151,10 @@ class Dialogue:
     `iterative` holds the exchanges since the last restart (what "recent"
     sees); `pool` is the best-exchange buffer's candidate set and survives
     restarts unless the reset plan clears it. The initial exchange is tracked
-    separately because every assembled context keeps it.
+    separately because every assembled context keeps it. `deltas` is the
+    trial's one series of per-response new-bin counts; the restart and
+    mixed-sampler windows are start positions in it, the last restart's
+    being `restart_at`.
     """
 
     def __init__(self, system_text: str) -> None:
@@ -160,36 +163,26 @@ class Dialogue:
         self.iterative: list[Exchange] = []
         self.pool = ExchangePool()
         self.restarts = 0
-        self.deltas_since_restart: list[int] = []
+        self.deltas: list[int] = []
+        self.restart_at = 0
         self._seq = 0
 
     @property
     def responses_since_restart(self) -> int:
-        return len(self.deltas_since_restart)
+        return len(self.deltas) - self.restart_at
 
-    def _make(self, query, response, easier_hits, harder_hits) -> Exchange:
+    def record(
+        self, query: str, response: str, easier_hits: int = 0, harder_hits: int = 0
+    ) -> Exchange:
+        """Add one exchange; the first since a restart is the initial one."""
         self._seq += 1
-        return Exchange(self._seq, query, response, easier_hits, harder_hits)
-
-    def record_initial(
-        self, query: str, response: str, easier_hits: int = 0, harder_hits: int = 0
-    ) -> Exchange:
-        if self.initial is not None:
-            raise ValueError("initial exchange already recorded; restart first")
-        ex = self._make(query, response, easier_hits, harder_hits)
-        self.initial = ex
-        self.deltas_since_restart.append(ex.hits)
-        return ex
-
-    def record_iterative(
-        self, query: str, response: str, easier_hits: int = 0, harder_hits: int = 0
-    ) -> Exchange:
+        ex = Exchange(self._seq, query, response, easier_hits, harder_hits)
         if self.initial is None:
-            raise ValueError("iterative exchange before the initial one")
-        ex = self._make(query, response, easier_hits, harder_hits)
-        self.iterative.append(ex)
-        self.pool.append(ex)
-        self.deltas_since_restart.append(ex.hits)
+            self.initial = ex
+        else:
+            self.iterative.append(ex)
+            self.pool.append(ex)
+        self.deltas.append(ex.hits)
         return ex
 
     def restart(self, buffer_reset: str) -> None:
@@ -199,7 +192,7 @@ class Dialogue:
         self.restarts += 1
         self.initial = None
         self.iterative = []
-        self.deltas_since_restart = []
+        self.restart_at = len(self.deltas)
         if buffer_reset == "clear":
             self.pool = ExchangePool()
 
@@ -216,19 +209,20 @@ def restart_tolerance(restart_plan: str, rate: float) -> int:
         raise ValueError(f"unknown restart plan {restart_plan!r}") from None
 
 
-def stalled(deltas: Sequence[int], window: int, below: int) -> bool:
-    """True when there are at least `window` per-response new-bin counts and
-    the last `window` of them add up to fewer than `below`."""
-    return len(deltas) >= window and sum(deltas[-window:]) < below
+def stalled(deltas: Sequence[int], window: int, below: int, start: int = 0) -> bool:
+    """True when `deltas` holds at least `window` per-response new-bin counts
+    from position `start` on and the last `window` of them add up to fewer
+    than `below`. Only the last `window` counts are read."""
+    return len(deltas) - start >= window and sum(deltas[-window:]) < below
 
 
-def should_restart(deltas: Sequence[int], restart_plan: str, rate: float) -> bool:
+def should_restart(deltas: Sequence[int], restart_plan: str, rate: float, start: int = 0) -> bool:
     """True when the last full tolerance window produced fewer than 3 new bins.
 
-    `deltas` are per-response new-bin counts since the last restart, so a
-    fresh dialogue always gets a full window before it can be restarted.
+    `start` is the position in `deltas` of the last restart, so a fresh
+    dialogue always gets a full window before it can be restarted.
     """
-    return stalled(deltas, restart_tolerance(restart_plan, rate), _MIN_WINDOW_HITS)
+    return stalled(deltas, restart_tolerance(restart_plan, rate), _MIN_WINDOW_HITS, start)
 
 
 # --- missed-bin sampling -------------------------------------------------------------
@@ -294,27 +288,24 @@ class MissedBinSampler:
     The mixed plan starts as type_based and, once the coverage rate reaches
     the threshold, toggles between type_based and pure_random whenever the
     active method scores fewer than 3 new bins over its last 4 responses.
-    The stall window resets on toggle and on dialogue restart; the active
-    method survives restarts.
+    The stall window starts at the later of the last toggle and the last
+    dialogue restart; the active method survives restarts.
     """
 
     def __init__(self, config: StrategyConfig) -> None:
         self.config = config
         self.method = "type_based" if config.missed_bin == "mixed" else config.missed_bin
-        self._window: list[int] = []
+        self.toggled_at = 0  # position in the dialogue's deltas of the last toggle
 
-    def observe(self, new_hits: int, rate: float) -> None:
-        if self.config.missed_bin != "mixed":
+    def observe(self, dialogue: Dialogue, rate: float) -> None:
+        """Update the method after `dialogue` recorded a response."""
+        if self.config.missed_bin != "mixed" or rate < RATE_THRESHOLD:
             return
-        self._window.append(new_hits)
-        if rate >= RATE_THRESHOLD and stalled(
-            self._window, _MIXED_WINDOW, _MIN_WINDOW_HITS
-        ):
+        deltas = dialogue.deltas
+        start = max(self.toggled_at, dialogue.restart_at)
+        if stalled(deltas, _MIXED_WINDOW, _MIN_WINDOW_HITS, start):
             self.method = "pure_random" if self.method == "type_based" else "type_based"
-            self._window = []
-
-    def on_restart(self) -> None:
-        self._window = []
+            self.toggled_at = len(deltas)
 
     def sample(self, uncovered: UncoveredBins, rng: random.Random) -> list[BinDescriptor]:
         return sample_missed_bins(uncovered, self.config, rng, method=self.method)
@@ -354,14 +345,12 @@ def select_context(
     holdoff (the first 4 responses after a restart). Selected exchanges are
     emitted in creation order so the prompt reads chronologically.
     """
-    strategy = config.context
     suppressed = (
         config.buffer_reset == "stable_keep"
         and dialogue.restarts > 0
         and dialogue.responses_since_restart < _STABLE_KEEP_HOLDOFF
     )
-    if suppressed and strategy != "recent":
-        strategy = "recent"
+    strategy = "recent" if suppressed else config.context
 
     if strategy == "recent":
         chosen = list(dialogue.iterative[-3:])
@@ -371,11 +360,10 @@ def select_context(
         chosen = _top_k(dialogue.pool, 3, _by_weighted_score, rng)
     else:  # mixed_recent_successful
         chosen = _top_k(dialogue.pool, 2, _by_hits, rng)
-        if dialogue.iterative:
-            latest = dialogue.iterative[-1]
-            if all(e.seq != latest.seq for e in chosen):
-                chosen.append(latest)
-        chosen = _chronological(chosen)
+        # the latest exchange is the pool's newest, so it is last if chosen
+        latest = dialogue.iterative[-1:]
+        if chosen[-1:] != latest:
+            chosen += latest
 
     messages = [{"role": "system", "content": dialogue.system_text}]
     if dialogue.initial is not None:

@@ -1,11 +1,12 @@
 """Trial loop, budget accounting, experiment metrics, and JSONL logging.
 
 An experiment runs trials until the token budget is spent. Each LLM trial is
-a flat per-response loop: check the stopping rules, maybe restart the
-dialogue, build the next query, gate it against the remaining budget, call
-the backend, run the extracted stimuli, and credit the outcome back to the
-agent. The crt baseline runs one budget-free trial with a fixed stimulus
-count and logs coverage-curve events in fixed-size chunks.
+a flat per-response loop: check the stopping rules, have the agent build
+the next query (restarting its dialogue when the restart rule fires), gate
+it against the remaining budget, call the backend, run the extracted
+stimuli, and credit the outcome back to the agent. The crt baseline runs
+one budget-free trial with a fixed stimulus count and logs coverage-curve
+events in fixed-size chunks.
 
 Serialized output (events, trial ends, report) is deterministic: sorted
 keys, no wall-clock values, so a scripted run reproduces its log
@@ -24,7 +25,7 @@ from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import BackendConfig, BackendError, check_field_types
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
-from covstim.prompting import StrategyConfig, should_restart, stalled
+from covstim.prompting import StrategyConfig, stalled
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +46,14 @@ DEFAULT_CRT_CHUNK = 10_000  # stimuli per crt coverage-curve event
 EXHAUST_ZERO_WINDOW = 25
 EXHAUST_LOW_WINDOW = 40
 EXHAUST_LOW_HITS = 3
+
+
+def crt_chunks(count: int) -> list[int]:
+    """Stimuli per crt coverage-curve event: DEFAULT_CRT_CHUNK each, the last
+    the remainder. Only a trial's last event may run fewer, and only when its
+    stimuli complete the plan."""
+    full, rest = divmod(count, DEFAULT_CRT_CHUNK)
+    return [DEFAULT_CRT_CHUNK] * full + ([rest] if rest else [])
 
 
 def exhausted(deltas: Sequence[int]) -> bool:
@@ -189,7 +198,7 @@ def run_trial(
     state = CoverageState(dut.plan)
     plan = dut.plan
     events: list[dict] = []
-    deltas: list[int] = []
+    deltas = agent.dialogue.deltas  # the trial's new-bin counts; restarts keep it
     tokens_in = tokens_out = 0
     messages = 0
     malformed = 0
@@ -202,12 +211,6 @@ def run_trial(
         if exhausted(deltas):
             status = EXHAUSTED
             break
-        restarted = False
-        if should_restart(
-            agent.dialogue.deltas_since_restart, agent.strategy.restart, state.rate()
-        ):
-            agent.restart()
-            restarted = True
         prepared = agent.prepare(state.uncovered())
         estimate = prepared.prompt_token_estimate
         spent = tokens_in + tokens_out
@@ -236,7 +239,6 @@ def run_trial(
             1 for b in new_ids if plan.descriptor(b).difficulty is Difficulty.EASIER
         )
         agent.credit(easier, len(new_ids) - easier, state.rate())
-        deltas.append(len(new_ids))
         events.append(
             _event(
                 trial_index,
@@ -245,7 +247,7 @@ def run_trial(
                 new_ids,
                 len(state.covered),
                 state.rate(),
-                restarted,
+                prepared.restarted,
                 record.completion.tokens_in,
                 record.completion.tokens_out,
             )
@@ -268,7 +270,7 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     """One budget-free constrained-random trial of `count` stimuli.
 
     No messages are exchanged; events are coverage-curve samples, one per
-    DEFAULT_CRT_CHUNK stimuli. A trial that runs out its stimulus count
+    chunk of `crt_chunks(count)`. A trial that runs out its stimulus count
     without full coverage ends exhausted (the stream is over). Full
     coverage is checked only when a stimulus covers new bins.
     """
@@ -277,10 +279,10 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     stimuli = agent.stimuli(count, dut.extras)
     events: list[dict] = []
     status = EXHAUSTED
-    for _ in range(0, count, DEFAULT_CRT_CHUNK):
+    for size in crt_chunks(count):
         chunk_new: list[str] = []
         fed = 0
-        for fed, stimulus in enumerate(islice(stimuli, DEFAULT_CRT_CHUNK), 1):
+        for fed, stimulus in enumerate(islice(stimuli, size), 1):
             bins = feed(stimulus)
             if bins:
                 new = record(bins)
@@ -426,8 +428,8 @@ def run_experiment(
 
 # --- serialization -----------------------------------------------------------------
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every record: `json.dumps` with these options builds one per call
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def header_record(config: RunConfig, plan_size: int) -> dict:
@@ -518,10 +520,12 @@ def report_from_log(path) -> ExperimentReport:
     The layout must be `write_log`'s: the header, then each trial's events
     and its trial_end, then the report. Each record is rebuilt by the
     function that wrote it and must equal the logged one as canonical JSON;
-    the facts a log alone cannot re-derive (an event's stimuli and restart,
-    a trial_end's status, malformed and error, the report's note) are only
-    type-checked. A device's log must also match its plan. Raises ValueError
-    naming the line and the first field that differs."""
+    the facts a log alone cannot re-derive (a dialogue event's stimuli, an
+    event's restart, a dialogue trial_end's status, a trial_end's malformed
+    and error, the report's note) are only type-checked. A crt event's
+    stimuli follow `crt_chunks`, and a crt trial_end's status its coverage.
+    No event follows full coverage. A device's log must also match its plan.
+    Raises ValueError naming the line and the first field that differs."""
     records = _records(path)
     number, line, header = next(records, (0, "", None))
     if header is None:
@@ -544,6 +548,7 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(
             f"{at} plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
         )
+    chunks = crt_chunks(config.crt_count) if config.agent == "crt" else None
     trials: list[TrialRecord] = []
     events: list[dict] = []
     covered: set = set()
@@ -565,10 +570,19 @@ def report_from_log(path) -> ExperimentReport:
             covered.update(new_bins)
             if len(covered) > plan_size:
                 raise ValueError(f"{at} record covers {len(covered)} bins, plan_size {plan_size}")
+            if not new_bins and len(covered) == plan_size:
+                raise ValueError(f"{at} record follows full coverage")
+            stimuli = _logged(record, "stimuli", _COUNT, at)
+            if chunks is not None:
+                if len(events) == len(chunks):
+                    raise ValueError(f"{at} record is past the crt trial's {len(chunks)} chunks")
+                size = chunks[len(events)]
+                completes = new_bins and len(covered) == plan_size
+                stimuli = stimuli if completes and 0 < stimuli <= size else size
             event = _event(
                 len(trials) + 1,
                 len(events) + 1,
-                _logged(record, "stimuli", _COUNT, at),
+                stimuli,
                 new_bins,
                 len(covered),
                 len(covered) / plan_size,
@@ -580,9 +594,19 @@ def report_from_log(path) -> ExperimentReport:
             events.append(event)
         elif kind == "trial_end":
             at = f"{where}trial {len(trials) + 1} trial_end"
+            if chunks is None:
+                status = _logged(record, "status", _STATUS, at)
+            elif len(covered) == plan_size:
+                status = FULL_COVERAGE
+            elif len(events) == len(chunks):
+                status = EXHAUSTED
+            else:
+                raise ValueError(
+                    f"{at} record ends the crt trial after {len(events)} of {len(chunks)} chunks"
+                )
             trial = TrialRecord(
                 trial=len(trials) + 1,
-                status=_logged(record, "status", _STATUS, at),
+                status=status,
                 coverage=len(covered),
                 rate=len(covered) / plan_size,
                 messages=len(events) if config.agent == "llm" else 0,
@@ -599,6 +623,8 @@ def report_from_log(path) -> ExperimentReport:
             if events:
                 raise ValueError(f"{where}the report follows events with no trial_end")
             at = f"{where}report"
+            if chunks is not None and len(trials) != 1:
+                raise ValueError(f"{at} record follows {len(trials)} crt trials, not one")
             note = _logged(record, "note", _TEXT, at)
             report = build_report(config, plan_size, trials, note)
             _match(record, line, report_record(report), at)
@@ -619,42 +645,25 @@ def report_csv(report: ExperimentReport) -> str:
     import csv
     import io
 
+    row = {
+        "dut": report.dut,
+        "agent": report.agent,
+        "plan_size": report.plan_size,
+        "trials": len(report.trials),
+        "max_coverage": report.max_coverage,
+        "coverage_rate_pct": f"{100 * report.max_rate:.2f}",
+        "avg_msg_per_trial": _fmt(report.avg_messages),
+        "stdev_msg_per_trial": _fmt(report.stdev_messages),
+        "avg_cov_per_msg": _fmt(report.avg_cov_per_msg),
+        "stdev_cov_per_msg": _fmt(report.stdev_cov_per_msg),
+        "tokens_in": report.tokens_in,
+        "tokens_out": report.tokens_out,
+        "total_tokens": report.total_tokens,
+    }
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(
-        [
-            "dut",
-            "agent",
-            "plan_size",
-            "trials",
-            "max_coverage",
-            "coverage_rate_pct",
-            "avg_msg_per_trial",
-            "stdev_msg_per_trial",
-            "avg_cov_per_msg",
-            "stdev_cov_per_msg",
-            "tokens_in",
-            "tokens_out",
-            "total_tokens",
-        ]
-    )
-    writer.writerow(
-        [
-            report.dut,
-            report.agent,
-            report.plan_size,
-            len(report.trials),
-            report.max_coverage,
-            f"{100 * report.max_rate:.2f}",
-            _fmt(report.avg_messages),
-            _fmt(report.stdev_messages),
-            _fmt(report.avg_cov_per_msg),
-            _fmt(report.stdev_cov_per_msg),
-            report.tokens_in,
-            report.tokens_out,
-            report.total_tokens,
-        ]
-    )
+    writer.writerow(row)
+    writer.writerow(row.values())
     return out.getvalue()
 
 

@@ -260,12 +260,15 @@ def test_criterion_5_strategy_examples():
     )
 
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
+    responses = Dialogue("sys")
     for delta in (0, 0, 1, 1):
-        sampler.observe(delta, rate=0.10)
+        responses.record("q", "r", delta)
+        sampler.observe(responses, rate=0.10)
     before = sampler.method
-    sampler.observe(0, rate=0.20)  # window [0,1,1,0] sums 2 under a healthy rate
+    responses.record("q", "r", 0)
+    sampler.observe(responses, rate=0.20)  # window [0,1,1,0] sums 2 under a healthy rate
     flipped = sampler.method
-    sampler.on_restart()
+    responses.restart("keep")
     checks.append(
         (
             "mixed toggles then survives restart",
@@ -275,9 +278,9 @@ def test_criterion_5_strategy_examples():
     )
 
     dialogue = Dialogue("sys")
-    dialogue.record_initial("init q", "init r")
-    dialogue.record_iterative("qA", "rA", 2, 0)  # two Easier hits
-    dialogue.record_iterative("qB", "rB", 0, 1)  # one Harder hit
+    dialogue.record("init q", "init r")
+    dialogue.record("qA", "rA", 2, 0)  # two Easier hits
+    dialogue.record("qB", "rB", 0, 1)  # one Harder hit
     plain = _top_k(dialogue.pool, 1, lambda e: e.hits, random.Random(0))
     weighted = _top_k(dialogue.pool, 1, lambda e: e.weighted_score, random.Random(0))
     checks.append(

@@ -1,9 +1,11 @@
 """CLI subcommands (run, baseline, plans, report) and the baselines script."""
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,16 @@ def test_live_run_past_max_tokens_replays_to_the_same_log(stub_server, tmp_path,
     assert json.loads(log.splitlines()[-1])["max_coverage"] > 0  # the cut kept stimuli
 
 
+def test_live_run_closes_its_connection(stub_server, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        live_then_replay(stub_server, tmp_path, [stride_reply(i) for i in range(200)])
+        gc.collect()  # an unclosed socket warns when it is collected
+    assert len(stub_server.requests) > 0
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+
+
 def test_budget_holds_against_a_server_that_ignores_max_tokens(stub_server):
     stub_server.responses = [(200, _chat_payload(padded_stride_reply(i))) for i in range(100)]
     backend = BackendConfig(endpoint=stub_endpoint(stub_server), model="m", retries=0)
@@ -210,7 +222,9 @@ def test_budget_holds_against_a_server_that_ignores_max_tokens(stub_server):
         config = RunConfig(
             dut="stride", agent="llm", seed=1, budget_tokens=budget, backend=backend
         )
-        report = run_experiment(config, backend=HttpBackend(backend))
+        http = HttpBackend(backend)
+        report = run_experiment(config, backend=http)
+        http.close()
         if report.total_tokens > budget:
             overshot.append((budget, report.total_tokens))
     assert not overshot

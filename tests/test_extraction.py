@@ -228,7 +228,6 @@ def test_cycle_returns_stimuli_and_appends_one_exchange():
     agent, uncovered = make_agent(["```\n7\n```"])
     record = agent.submit(agent.prepare(uncovered))
     assert record.extraction.stimuli == [7]
-    assert record.kind == "initial"
     assert agent.dialogue.initial is None  # held until credit
     agent.credit(0, 0, 0.0)
     assert agent.dialogue.initial is not None
@@ -239,15 +238,17 @@ def test_cycle_regenerates_once_after_an_unusable_reply():
     agent, uncovered = make_agent(["utter nonsense words only", "```\n1\n```"])
     first = agent.submit(agent.prepare(uncovered))
     agent.credit(0, 0, 0.0)
-    second = agent.submit(agent.prepare(uncovered))
+    prepared = agent.prepare(uncovered)
+    second = agent.submit(prepared)
     assert first.extraction.stimuli == []
     assert not agent.last_outcome.usable
     assert second.extraction.stimuli == [1]
+    agent.credit(0, 0, 0.0)
     # the failed attempt became the initial exchange; the retry is iterative
-    assert first.kind == "initial"
-    assert second.kind == "iterative"
+    assert agent.dialogue.initial.response == "utter nonsense words only"
+    assert [ex.response for ex in agent.dialogue.iterative] == ["```\n1\n```"]
     # the regeneration query restates the format contract
-    assert "format" in second.query
+    assert "format" in prepared.query
 
 
 def test_credit_patches_exchange_and_outcome():
@@ -256,10 +257,10 @@ def test_credit_patches_exchange_and_outcome():
     agent.credit(easier_hits=2, harder_hits=1, rate=0.5)
     assert agent.dialogue.initial.hits == 3
     assert agent.last_outcome.new_hits == 3
-    assert agent.dialogue.deltas_since_restart == [3]
+    assert agent.dialogue.deltas == [3]
     # next query reports the progress
     prepared = agent.prepare(uncovered)
-    assert prepared.kind == "iterative"
+    assert not prepared.restarted
     assert "hit 3 new" in prepared.query
 
 
@@ -274,11 +275,21 @@ def test_prepare_is_side_effect_free_and_estimates_tokens():
 
 
 def test_agent_restart_resets_dialogue_to_initial_query():
-    agent, uncovered = make_agent(["```\n7\n```", "```\n8\n```", "```\n9\n```"])
-    agent.submit(agent.prepare(uncovered))
-    agent.credit(1, 0, 0.2)
-    agent.submit(agent.prepare(uncovered))
-    agent.credit(0, 0, 0.2)
-    agent.restart()
+    # the low plan restarts after 4 responses with fewer than 3 new bins
+    script = ["```\n7\n```"] * 5
+    agent, uncovered = make_agent(script, StrategyConfig(restart="low"))
+    initial = agent.prepare(uncovered).query
+    for hits in (1, 0, 0, 1):
+        prepared = agent.prepare(uncovered)
+        assert not prepared.restarted
+        agent.submit(prepared)
+        agent.credit(hits, 0, 0.2)
+    prepared = agent.prepare(uncovered)
+    assert prepared.restarted
     assert agent.dialogue.initial is None
-    assert agent.prepare(uncovered).kind == "initial"
+    assert agent.dialogue.restart_at == 4 and agent.dialogue.restarts == 1
+    assert agent.last_outcome is None
+    assert prepared.query == initial
+    # the fresh dialogue has no full window, so preparing again does not restart
+    again = agent.prepare(uncovered)
+    assert not again.restarted and again.query == initial

@@ -15,8 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import covstim.prompting as prompting
 
+from covstim.agents import LlmAgent
+from covstim.backend import ReplayBackend
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
+from covstim.runtime import exhausted
 from covstim.prompting import (
     BUFFER_RESETS,
     CONTEXT_STRATEGIES,
@@ -175,10 +178,16 @@ def test_every_method_lists_sample_size_bins(method):
         assert len({b.id for b in out}) == len(out)
 
 
+def respond(sampler, d, new_hits, rate):
+    """One response with `new_hits` new bins, as an agent credits it."""
+    d.record("q", "r", new_hits)
+    sampler.observe(d, rate)
+
+
 def test_mixed_below_threshold_equals_type_based():
     uncovered = make_bins(8, 8)
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
-    sampler.observe(1, rate=0.10)
+    respond(sampler, Dialogue("sys"), 1, rate=0.10)
     a = sampler.sample(uncovered_of(uncovered), random.Random(7))
     b = sample_missed_bins(
         uncovered_of(uncovered), StrategyConfig(missed_bin="type_based"), random.Random(7)
@@ -188,40 +197,44 @@ def test_mixed_below_threshold_equals_type_based():
 
 def test_mixed_toggles_on_stalls_only_above_threshold():
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
+    d = Dialogue("sys")
     assert sampler.method == "type_based"
     for delta in (0, 0, 1, 1):
-        sampler.observe(delta, rate=0.10)
+        respond(sampler, d, delta, rate=0.10)
     assert sampler.method == "type_based"  # stalled, but below 15%
-    sampler.observe(0, rate=0.20)  # last four are 0,1,1,0: sum 2 < 3
+    respond(sampler, d, 0, rate=0.20)  # last four are 0,1,1,0: sum 2 < 3
     assert sampler.method == "pure_random"
+    assert sampler.toggled_at == 5
     # window reset on toggle: three stalls are not enough to re-toggle
     for delta in (0, 0, 0):
-        sampler.observe(delta, rate=0.20)
+        respond(sampler, d, delta, rate=0.20)
     assert sampler.method == "pure_random"
-    sampler.observe(0, rate=0.20)
+    respond(sampler, d, 0, rate=0.20)
     assert sampler.method == "type_based"
 
 
 def test_mixed_window_resets_on_restart_but_method_persists():
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
+    d = Dialogue("sys")
     for _ in range(4):
-        sampler.observe(0, rate=0.20)
+        respond(sampler, d, 0, rate=0.20)
     assert sampler.method == "pure_random"
     for _ in range(3):
-        sampler.observe(0, rate=0.20)
-    sampler.on_restart()
+        respond(sampler, d, 0, rate=0.20)
+    d.restart("keep")
     assert sampler.method == "pure_random"
     for _ in range(3):
-        sampler.observe(0, rate=0.20)
+        respond(sampler, d, 0, rate=0.20)
     assert sampler.method == "pure_random"  # restart cleared the stall window
-    sampler.observe(0, rate=0.20)
+    respond(sampler, d, 0, rate=0.20)
     assert sampler.method == "type_based"
 
 
 def test_non_mixed_sampler_ignores_observations():
     sampler = MissedBinSampler(StrategyConfig(missed_bin="type_based"))
+    d = Dialogue("sys")
     for _ in range(10):
-        sampler.observe(0, rate=0.5)
+        respond(sampler, d, 0, rate=0.5)
     assert sampler.method == "type_based"
 
 
@@ -267,26 +280,25 @@ def test_no_restart_before_window_fills(deltas, plan):
 
 def dialogue_with(hit_counts, system="sys"):
     d = Dialogue(system)
-    d.record_initial("init q", "init r")
+    d.record("init q", "init r")
     for i, hits in enumerate(hit_counts):
-        d.record_iterative(f"q{i}", f"r{i}", easier_hits=hits)
+        d.record(f"q{i}", f"r{i}", easier_hits=hits)
     return d
-
-
-def test_iterative_before_initial_is_an_error():
-    d = Dialogue("sys")
-    with pytest.raises(ValueError):
-        d.record_iterative("q", "r")
 
 
 def test_dialogue_tracks_deltas_and_restart_resets_them():
     d = dialogue_with([2, 0, 1])
-    assert d.deltas_since_restart == [0, 2, 0, 1]  # initial response counts too
+    assert d.deltas == [0, 2, 0, 1]  # initial response counts too
     assert d.responses_since_restart == 4
     d.restart("clear")
-    assert d.deltas_since_restart == []
+    assert d.deltas == [0, 2, 0, 1]  # the trial's series survives restarts
+    assert d.restart_at == 4 and d.responses_since_restart == 0
     assert d.restarts == 1
     assert d.initial is None and d.iterative == []
+    # the first exchange after a restart is the initial one
+    ex = d.record("init2 q", "init2 r", 1)
+    assert d.initial is ex and d.iterative == []
+    assert d.deltas == [0, 2, 0, 1, 1] and d.responses_since_restart == 1
 
 
 def test_exchange_scores():
@@ -351,12 +363,12 @@ def test_weighted_ranking_flips_easier_vs_harder():
     # A: 2 easier (plain 2, weighted 2.0); B: 1 harder (plain 1, weighted 2.5)
     for _ in range(20):
         d = Dialogue("sys")
-        d.record_initial("init q", "init r")
-        d.record_iterative("qA", "rA", easier_hits=2)
-        d.record_iterative("qB", "rB", harder_hits=1)
-        d.record_iterative("qC", "rC", easier_hits=1)
-        d.record_iterative("qD", "rD", easier_hits=1)
-        d.record_iterative("qE", "rE")
+        d.record("init q", "init r")
+        d.record("qA", "rA", easier_hits=2)
+        d.record("qB", "rB", harder_hits=1)
+        d.record("qC", "rC", easier_hits=1)
+        d.record("qD", "rD", easier_hits=1)
+        d.record("qE", "rE")
         rng = random.Random(17)
         top_plain = exchange_queries(select_context(d, plain, rng))
         top_weighted = exchange_queries(select_context(d, weighted, rng))
@@ -385,14 +397,14 @@ def test_stable_keep_suppresses_buffer_for_four_responses():
     cfg = StrategyConfig(context="successful", buffer_reset="stable_keep")
     d = dialogue_with([4, 5, 6])
     d.restart("stable_keep")
-    d.record_initial("init2 q", "init2 r")  # response 1 after restart
+    d.record("init2 q", "init2 r")  # response 1 after restart
     # building the 2nd response's query: buffer suppressed, nothing recent yet
     msgs = select_context(d, cfg, random.Random(0))
     assert exchange_queries(msgs) == []
     assert msgs[-1]["content"] == "init2 r"
-    d.record_iterative("n0", "x")  # responses 2..4
-    d.record_iterative("n1", "x")
-    d.record_iterative("n2", "x")
+    d.record("n0", "x")  # responses 2..4
+    d.record("n1", "x")
+    d.record("n2", "x")
     # 4 responses have elapsed: the buffered best exchanges reappear
     msgs = select_context(d, cfg, random.Random(0))
     assert exchange_queries(msgs) == ["q0", "q1", "q2"]
@@ -402,7 +414,7 @@ def test_keep_uses_buffer_immediately_after_restart():
     cfg = StrategyConfig(context="successful", buffer_reset="keep")
     d = dialogue_with([4, 5, 6])
     d.restart("keep")
-    d.record_initial("init2 q", "init2 r")
+    d.record("init2 q", "init2 r")
     msgs = select_context(d, cfg, random.Random(0))
     assert exchange_queries(msgs) == ["q0", "q1", "q2"]
 
@@ -411,7 +423,7 @@ def test_clear_forgets_buffer_on_restart():
     cfg = StrategyConfig(context="successful", buffer_reset="clear")
     d = dialogue_with([4, 5, 6])
     d.restart("clear")
-    d.record_initial("init2 q", "init2 r")
+    d.record("init2 q", "init2 r")
     msgs = select_context(d, cfg, random.Random(0))
     assert exchange_queries(msgs) == []
 
@@ -661,10 +673,9 @@ def test_pool_and_context_match_list_oracle(ops, buffer_reset, seed):
             d.restart(buffer_reset)
             oracle.restart(buffer_reset)
         elif d.initial is None:
-            d.record_initial(f"init{step}", "r", easier, harder)
+            d.record(f"init{step}", "r", easier, harder)
         else:
-            ex = d.record_iterative(f"q{step}", "r", easier, harder)
-            oracle.pool.append(ex)
+            oracle.pool.append(d.record(f"q{step}", "r", easier, harder))
         assert list(d.pool) == oracle.pool and len(d.pool) == len(oracle.pool)
         for k in (1, 2, 3, 4):
             for score in SCORES:
@@ -794,9 +805,9 @@ def test_cached_ranking_matches_rerank_oracle(ops, buffer_reset, seed):
             if buffer_reset == "clear":
                 seen = []
         elif d.initial is None:
-            d.record_initial(f"init{step}", "r", easier, harder)
+            d.record(f"init{step}", "r", easier, harder)
         else:
-            seen.append(d.record_iterative(f"q{step}", "r", easier, harder))
+            seen.append(d.record(f"q{step}", "r", easier, harder))
         for k in (1, 3, 5):
             for score in SCORES:
                 fast, slow = random.Random(seed + step), random.Random(seed + step)
@@ -826,18 +837,114 @@ def test_ranking_scores_each_group_once_until_a_new_group_appears():
         return e.hits
 
     d = Dialogue("sys")
-    d.record_initial("init", "r")
+    d.record("init", "r")
     outcomes = [(0, 0)] * 50 + [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)] * 5
     for i, (easier, harder) in enumerate(outcomes):
-        d.record_iterative(f"q{i}", "r", easier, harder)
+        d.record(f"q{i}", "r", easier, harder)
     groups = len(set(outcomes))
     rng = random.Random(0)
     for _ in range(1000):
         _top_k(d.pool, 3, counting_hits, rng)
     assert calls == groups
-    d.record_iterative("same", "r", 3, 1)  # the top group grows in place
+    d.record("same", "r", 3, 1)  # the top group grows in place
     assert any(e.query == "same" for e in _top_k(d.pool, 7, counting_hits, rng))
     assert calls == groups
-    d.record_iterative("new", "r", 5, 0)  # a new group: every group is scored again
+    d.record("new", "r", 5, 0)  # a new group: every group is scored again
     assert [e.query for e in _top_k(d.pool, 1, counting_hits, rng)] == ["new"]
     assert calls == 2 * groups + 1
+
+
+# --- one per-response series against the three lists it replaced --------------------
+
+class ThreeListOracle:
+    """Restart and mixed-sampler bookkeeping as three separate lists: the
+    trial's counts (the exhaustion rule's), the counts since the last restart
+    (the restart rule's), and the mixed sampler's own stall window."""
+
+    def __init__(self, config: StrategyConfig) -> None:
+        self.config = config
+        self.trial: list[int] = []
+        self.since_restart: list[int] = []
+        self.window: list[int] = []
+        self.method = "type_based" if config.missed_bin == "mixed" else config.missed_bin
+        self.pool = 0  # exchanges in the best-exchange buffer
+
+    def prepare(self, rate: float) -> bool:
+        """Restart, as the runtime did before building a query; True if it fired."""
+        tolerance = restart_tolerance(self.config.restart, rate)
+        if len(self.since_restart) < tolerance or sum(self.since_restart[-tolerance:]) >= 3:
+            return False
+        self.since_restart, self.window = [], []
+        if self.config.buffer_reset == "clear":
+            self.pool = 0
+        return True
+
+    def credit(self, new_hits: int, rate: float) -> None:
+        if self.since_restart:
+            self.pool += 1  # iterative exchanges join the buffer
+        self.trial.append(new_hits)
+        self.since_restart.append(new_hits)
+        if self.config.missed_bin != "mixed":
+            return
+        self.window.append(new_hits)
+        if rate >= 0.15 and len(self.window) >= 4 and sum(self.window[-4:]) < 3:
+            self.method = "pure_random" if self.method == "type_based" else "type_based"
+            self.window = []
+
+    def exhausted(self) -> bool:
+        zero = len(self.trial) >= 25 and sum(self.trial[-25:]) == 0
+        return zero or (len(self.trial) >= 40 and sum(self.trial[-40:]) < 3)
+
+
+SERIES_PLAN = CoveragePlan("toy20", make_bins(10, 10))  # rate steps of 0.05: 3 bins is 15%
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([0, 0, 0, 0, 1, 2, 3]),  # easier bins newly covered
+            st.sampled_from([0, 0, 0, 1]),  # harder bins newly covered
+            st.integers(min_value=0, max_value=len(SERIES_PLAN) - 1),  # bins covered after
+        ),
+        max_size=90,
+    ),
+    restart=st.sampled_from(prompting.RESTART_PLANS),
+    buffer_reset=st.sampled_from(BUFFER_RESETS),
+    missed_bin=st.sampled_from(prompting.MISSED_BIN_METHODS),
+    seed=st.integers(min_value=0, max_value=99),
+)
+@example(  # a restart below the threshold, then a stall above it: the window restarts too
+    steps=[(0, 0, 0)] * 4 + [(0, 0, 5)],
+    restart="low",
+    buffer_reset="keep",
+    missed_bin="mixed",
+    seed=0,
+)
+def test_one_series_matches_three_list_oracle(steps, restart, buffer_reset, missed_bin, seed):
+    config = StrategyConfig(missed_bin=missed_bin, restart=restart, buffer_reset=buffer_reset)
+    backend = ReplayBackend(["```\n1\n```"] * len(steps))
+    agent = LlmAgent(SERIES_PLAN, FORMAT_INTEGERS, config, backend, random.Random(seed))
+    oracle = ThreeListOracle(config)
+    state = CoverageState(SERIES_PLAN)
+    restarts, oracle_restarts = [], []
+    for step, (easier, harder, covered) in enumerate(steps):
+        if agent.prepare(state.uncovered()).restarted:
+            restarts.append(step)
+        if oracle.prepare(state.rate()):
+            oracle_restarts.append(step)
+        assert restarts == oracle_restarts
+        prepared = agent.prepare(state.uncovered())  # a second prepare never restarts
+        assert not prepared.restarted
+        assert agent.dialogue.responses_since_restart == len(oracle.since_restart)
+        agent.submit(prepared)
+        state = CoverageState(SERIES_PLAN)  # the next prepare sees `covered` bins
+        state.record([b.id for b in islice(SERIES_PLAN, covered)])
+        agent.credit(easier, harder, state.rate())
+        oracle.credit(easier + harder, state.rate())
+        assert agent.dialogue.deltas == oracle.trial
+        assert agent.dialogue.responses_since_restart == len(oracle.since_restart)
+        assert agent.sampler.method == oracle.method, step
+        assert len(agent.dialogue.pool) == oracle.pool
+        assert exhausted(agent.dialogue.deltas) == oracle.exhausted()
+    assert agent.dialogue.restarts == len(oracle_restarts)

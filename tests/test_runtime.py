@@ -33,6 +33,7 @@ from covstim.runtime import (
     ExperimentReport,
     RunConfig,
     TrialSummary,
+    build_report,
     compute_metrics,
     exhausted,
     report_csv,
@@ -41,6 +42,7 @@ from covstim.runtime import (
     run_crt_trial,
     run_experiment,
     run_trial,
+    write_log,
 )
 from test_extraction import per_call_draw
 from toydut import ToyDut
@@ -159,8 +161,6 @@ def test_no_trials_is_empty_but_valid():
 
 class SeqAgent:
     """Deterministic stand-in feeding a fixed value sequence."""
-
-    kind = "crt"
 
     def __init__(self, values):
         self.values = list(values)
@@ -829,6 +829,83 @@ def test_report_from_log_rejects_an_edited_golden_log(tmp_path, case):
     path.write_text(jsonl(records))
     with pytest.raises(ValueError, match=match):
         report_from_log(path)
+
+
+@functools.lru_cache(maxsize=None)
+def stride_crt_log() -> tuple:
+    """A 30,000-stimulus stride crt log: three chunk events covering nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        run_experiment(RunConfig(dut="stride", agent="crt", crt_count=30_000), log_path=path)
+        return tuple(json.loads(line) for line in path.read_text().splitlines())
+
+
+def full_toy_crt_log(path) -> list:
+    """A writer-made crt log of the toy device whose first stimuli cover it all."""
+    config = RunConfig(dut="toy", agent="crt", crt_count=25_000)
+    trial = run_crt_trial(ToyDut(), SeqAgent(range(10)), config.crt_count)
+    write_log(path, config, 10, [trial], build_report(config, 10, [trial], None))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _after_full_coverage(records):
+    event = dict(records[1], response_idx=2, new_bins=[], stimuli=10_000)
+    records.insert(2, event)
+
+
+def _second_trial(records):
+    records[-1:-1] = [dict(r, trial=2) for r in records[1:5]]
+
+
+CRT_LOG_EDITS = {
+    "last_chunk_deleted": (
+        "stride", lambda r: r.pop(3), "ends the crt trial after 2 of 3 chunks"
+    ),
+    "chunk_resized": (
+        "stride", _set("event", 0, stimuli=7),
+        "event 1 record mismatch on stimuli: logged 7, recomputed 10000",
+    ),
+    "chunk_past_count": (
+        "stride", lambda r: r.insert(4, dict(r[3], response_idx=4)),
+        "event 4 record is past the crt trial's 3 chunks",
+    ),
+    "second_trial": (
+        "stride", _second_trial, "report record follows 2 crt trials, not one"
+    ),
+    "event_after_full_coverage": (
+        "toy", _after_full_coverage, "event 2 record follows full coverage"
+    ),
+    "completing_chunk_overlong": (
+        "toy", _set("event", 0, stimuli=10_001),
+        "event 1 record mismatch on stimuli: logged 10001, recomputed 10000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRT_LOG_EDITS))
+def test_report_from_log_rebuilds_crt_chunks(tmp_path, case):
+    device, edit, match = CRT_LOG_EDITS[case]
+    path = tmp_path / "log.jsonl"
+    if device == "stride":
+        records = [dict(r) for r in stride_crt_log()]
+    else:
+        records = full_toy_crt_log(path)
+    assert [r["stimuli"] for r in _events(records)] == (
+        [10_000] * 3 if device == "stride" else [10]
+    )
+    edit(records)
+    path.write_text(jsonl(records))
+    with pytest.raises(ValueError, match=match):
+        report_from_log(path)
+
+
+def test_a_completing_crt_chunk_may_run_short(tmp_path):
+    path = tmp_path / "log.jsonl"
+    records = full_toy_crt_log(path)
+    assert report_from_log(path).max_coverage == 10
+    _set("event", 0, stimuli=3)(records)  # any count within the chunk can complete it
+    path.write_text(jsonl(records))
+    assert report_from_log(path).max_coverage == 10
 
 
 def test_report_from_log_rejects_more_bins_than_the_plan_holds(tmp_path):
