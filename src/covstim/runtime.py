@@ -25,7 +25,7 @@ from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import BackendConfig, BackendError, check_field_types
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
-from covstim.prompting import StrategyConfig, stalled
+from covstim.prompting import StrategyConfig, should_restart, stalled
 
 SCHEMA_VERSION = 1
 
@@ -133,29 +133,69 @@ class TrialRecord(TrialSummary):
         return {"type": "trial_end", **{name: getattr(self, name) for name in kept}}
 
 
-def _event(
-    trial: int,
-    response_idx: int,
-    stimuli: int,
-    new_bins: list[str],
-    coverage: int,
-    rate: float,
-    restart: bool,
-    tokens_in: int,
-    tokens_out: int,
-) -> dict:
-    return {
-        "type": "event",
-        "trial": trial,
-        "response_idx": response_idx,
-        "stimuli": stimuli,
-        "new_bins": new_bins,
-        "coverage": coverage,
-        "rate": rate,
-        "restart": restart,
-        "tokens_in": tokens_in,
-        "tokens_out": tokens_out,
-    }
+class TrialLog:
+    """One trial's records, derived from its facts as they arrive.
+
+    The trial loops feed it what each response (or crt chunk) ran and newly
+    covered, and `report_from_log` feeds it the same facts read back from a
+    log: either way it numbers the events, keeps the running coverage, rate
+    and token sums, applies the stopping rule, and builds the TrialRecord.
+    """
+
+    def __init__(self, trial: int, plan_size: int) -> None:
+        self.trial = trial
+        self.plan_size = plan_size
+        self.events: list[dict] = []  # JSONL-ready, in order
+        self.coverage = self.tokens_in = self.tokens_out = 0
+
+    @property
+    def rate(self) -> float:
+        return self.coverage / self.plan_size
+
+    def event(
+        self, stimuli: int, new_bins: list[str], restart=False, tokens_in=0, tokens_out=0
+    ) -> dict:
+        """Keep and return the next event; `new_bins` are the bins it newly covered."""
+        self.coverage += len(new_bins)
+        self.tokens_in += tokens_in
+        self.tokens_out += tokens_out
+        event = {
+            "type": "event",
+            "trial": self.trial,
+            "response_idx": len(self.events) + 1,
+            "stimuli": stimuli,
+            "new_bins": new_bins,
+            "coverage": self.coverage,
+            "rate": self.rate,
+            "restart": restart,
+            "tokens_in": tokens_in,
+            "tokens_out": tokens_out,
+        }
+        self.events.append(event)
+        return event
+
+    def settled(self, deltas: Sequence[int]) -> Optional[str]:
+        """The stopping rule: the status of a trial that has stopped by itself,
+        else None. `deltas` are its per-response new-bin counts."""
+        if self.coverage == self.plan_size:
+            return FULL_COVERAGE
+        return EXHAUSTED if exhausted(deltas) else None
+
+    def end(
+        self, status: str, messages: int, malformed: int = 0, error: Optional[str] = None
+    ) -> TrialRecord:
+        return TrialRecord(
+            trial=self.trial,
+            status=status,
+            coverage=self.coverage,
+            rate=self.rate,
+            messages=messages,
+            tokens_in=self.tokens_in,
+            tokens_out=self.tokens_out,
+            events=self.events,
+            malformed=malformed,
+            error=error,
+        )
 
 
 class PromptScale:
@@ -197,23 +237,15 @@ def run_trial(
         prompt_scale = PromptScale()
     state = CoverageState(dut.plan)
     plan = dut.plan
-    events: list[dict] = []
+    log = TrialLog(trial_index, len(plan))
     deltas = agent.dialogue.deltas  # the trial's new-bin counts; restarts keep it
-    tokens_in = tokens_out = 0
-    messages = 0
     malformed = 0
     error: Optional[str] = None
     max_tokens = agent.backend.config.max_tokens
-    while True:
-        if state.is_full():
-            status = FULL_COVERAGE
-            break
-        if exhausted(deltas):
-            status = EXHAUSTED
-            break
+    while (status := log.settled(deltas)) is None:
         prepared = agent.prepare(state.uncovered())
         estimate = prepared.prompt_token_estimate
-        spent = tokens_in + tokens_out
+        spent = log.tokens_in + log.tokens_out
         if spent + prompt_scale.scaled(estimate) + max_tokens > budget_remaining:
             status = BUDGET_EXHAUSTED
             break
@@ -223,12 +255,11 @@ def run_trial(
             status = ABORTED
             error = str(exc)
             break
-        messages += 1
-        prompt_scale.observe(estimate, record.completion.tokens_in)
-        tokens_in += record.completion.tokens_in
-        tokens_out += record.completion.tokens_out
+        completion = record.completion
+        prompt_scale.observe(estimate, completion.tokens_in)
+        stimuli = record.extraction.stimuli
         new_ids: list[str] = []
-        for stimulus in record.extraction.stimuli:
+        for stimulus in stimuli:
             try:
                 hit = dut.feed(stimulus)
             except MalformedStimulusError:
@@ -238,32 +269,11 @@ def run_trial(
         easier = sum(
             1 for b in new_ids if plan.descriptor(b).difficulty is Difficulty.EASIER
         )
-        agent.credit(easier, len(new_ids) - easier, state.rate())
-        events.append(
-            _event(
-                trial_index,
-                messages,
-                len(record.extraction.stimuli),
-                new_ids,
-                len(state.covered),
-                state.rate(),
-                prepared.restarted,
-                record.completion.tokens_in,
-                record.completion.tokens_out,
-            )
+        log.event(
+            len(stimuli), new_ids, prepared.restarted, completion.tokens_in, completion.tokens_out
         )
-    return TrialRecord(
-        trial=trial_index,
-        status=status,
-        coverage=len(state.covered),
-        rate=state.rate(),
-        messages=messages,
-        tokens_in=tokens_in,
-        tokens_out=tokens_out,
-        events=events,
-        malformed=malformed,
-        error=error,
-    )
+        agent.credit(easier, len(new_ids) - easier, log.rate)
+    return log.end(status, len(log.events), malformed, error)
 
 
 def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
@@ -277,7 +287,7 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     state = CoverageState(dut.plan)
     record, is_full, feed = state.record, state.is_full, dut.feed
     stimuli = agent.stimuli(count, dut.extras)
-    events: list[dict] = []
+    log = TrialLog(1, len(dut.plan))
     status = EXHAUSTED
     for size in crt_chunks(count):
         chunk_new: list[str] = []
@@ -291,22 +301,10 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
                     if is_full():
                         status = FULL_COVERAGE
                         break
-        coverage = len(state.covered)
-        events.append(
-            _event(1, len(events) + 1, fed, chunk_new, coverage, state.rate(), False, 0, 0)
-        )
+        log.event(fed, chunk_new)
         if status == FULL_COVERAGE:
             break
-    return TrialRecord(
-        trial=1,
-        status=status,
-        coverage=len(state.covered),
-        rate=state.rate(),
-        messages=0,
-        tokens_in=0,
-        tokens_out=0,
-        events=events,
-    )
+    return log.end(status, 0)
 
 
 @dataclass
@@ -462,17 +460,13 @@ def write_log(
         fh.write(_dump(report_record(report)) + "\n")
 
 
-_STATUSES = (FULL_COVERAGE, EXHAUSTED, BUDGET_EXHAUSTED, ABORTED)
-
-# JSON type checks for the logged facts that feed the verifier's sums or that
+# JSON type checks for the logged facts that feed a TrialLog's sums or that
 # the log alone cannot re-derive; a bool is not a number
 _PLAN_SIZE = (lambda v: type(v) is int and v > 0, "a positive integer")
 _BINS = (lambda v: type(v) is list and all(type(b) is str for b in v), "a list of bin ids")
 _TOKENS = (lambda v: type(v) is int, "an integer")
 _COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-_FLAG = (lambda v: type(v) is bool, "a boolean")
 _TEXT = (lambda v: v is None or type(v) is str, "a string or null")
-_STATUS = (lambda v: v in _STATUSES, f"one of {_STATUSES}")
 
 
 def _logged(record: dict, name: str, check, at: str):
@@ -518,14 +512,16 @@ def report_from_log(path) -> ExperimentReport:
     """Verify a JSONL log by rebuilding it, and return its report.
 
     The layout must be `write_log`'s: the header, then each trial's events
-    and its trial_end, then the report. Each record is rebuilt by the
-    function that wrote it and must equal the logged one as canonical JSON;
-    the facts a log alone cannot re-derive (a dialogue event's stimuli, an
-    event's restart, a dialogue trial_end's status, a trial_end's malformed
-    and error, the report's note) are only type-checked. A crt event's
-    stimuli follow `crt_chunks`, and a crt trial_end's status its coverage.
-    No event follows full coverage. A device's log must also match its plan.
-    Raises ValueError naming the line and the first field that differs."""
+    and its trial_end, then the report. Each record is rebuilt by what wrote
+    it (a trial's through a TrialLog) and must equal the logged one as
+    canonical JSON. A dialogue event's restart follows the header's restart
+    plan, and a trial_end's status the stopping rule; a trial that did not
+    stop by itself ends as logged, budget_exhausted or aborted, and no event
+    follows one that did. A crt event's stimuli follow `crt_chunks`. The
+    facts a log alone cannot re-derive (a dialogue event's stimuli, a
+    trial_end's malformed and error, the report's note) are only
+    type-checked. A device's log must also match its plan. Raises
+    ValueError naming the line and the first field that differs."""
     records = _records(path)
     number, line, header = next(records, (0, "", None))
     if header is None:
@@ -550,8 +546,10 @@ def report_from_log(path) -> ExperimentReport:
         )
     chunks = crt_chunks(config.crt_count) if config.agent == "crt" else None
     trials: list[TrialRecord] = []
-    events: list[dict] = []
+    log = TrialLog(1, plan_size)
+    deltas: list[int] = []  # a dialogue trial's per-response new-bin counts
     covered: set = set()
+    restart_at = 0  # where in `deltas` the dialogue last restarted
     report: Optional[ExperimentReport] = None
     for number, line, record in records:
         kind = record.get("type")
@@ -559,7 +557,7 @@ def report_from_log(path) -> ExperimentReport:
         if report is not None:
             raise ValueError(f"{where}a {kind!r} record after the report")
         if kind == "event":
-            at = f"{where}trial {len(trials) + 1} event {len(events) + 1}"
+            at = f"{where}trial {log.trial} event {len(log.events) + 1}"
             logged_bins = _logged(record, "new_bins", _BINS, at)
             new_bins = [b for b in dict.fromkeys(logged_bins) if b not in covered]
             stray = [b for b in new_bins if plan is not None and b not in plan]
@@ -570,57 +568,52 @@ def report_from_log(path) -> ExperimentReport:
             covered.update(new_bins)
             if len(covered) > plan_size:
                 raise ValueError(f"{at} record covers {len(covered)} bins, plan_size {plan_size}")
-            if not new_bins and len(covered) == plan_size:
-                raise ValueError(f"{at} record follows full coverage")
+            stop = log.settled(deltas)
+            if stop is not None:
+                after = "full coverage" if stop == FULL_COVERAGE else "the exhaustion stop"
+                raise ValueError(f"{at} record follows {after}")
             stimuli = _logged(record, "stimuli", _COUNT, at)
+            restart = False
             if chunks is not None:
-                if len(events) == len(chunks):
+                if len(log.events) == len(chunks):
                     raise ValueError(f"{at} record is past the crt trial's {len(chunks)} chunks")
-                size = chunks[len(events)]
+                size = chunks[len(log.events)]
                 completes = new_bins and len(covered) == plan_size
                 stimuli = stimuli if completes and 0 < stimuli <= size else size
-            event = _event(
-                len(trials) + 1,
-                len(events) + 1,
-                stimuli,
-                new_bins,
-                len(covered),
-                len(covered) / plan_size,
-                _logged(record, "restart", _FLAG, at),
-                _logged(record, "tokens_in", _TOKENS, at),
-                _logged(record, "tokens_out", _TOKENS, at),
-            )
-            _match(record, line, event, at)
-            events.append(event)
+            else:  # the restart rule, as LlmAgent.prepare applies it
+                restart = should_restart(deltas, config.strategy.restart, log.rate, restart_at)
+                if restart:
+                    restart_at = len(deltas)
+                deltas.append(len(new_bins))
+            tokens_in = _logged(record, "tokens_in", _TOKENS, at)
+            tokens_out = _logged(record, "tokens_out", _TOKENS, at)
+            _match(record, line, log.event(stimuli, new_bins, restart, tokens_in, tokens_out), at)
         elif kind == "trial_end":
-            at = f"{where}trial {len(trials) + 1} trial_end"
-            if chunks is None:
-                status = _logged(record, "status", _STATUS, at)
-            elif len(covered) == plan_size:
-                status = FULL_COVERAGE
-            elif len(events) == len(chunks):
-                status = EXHAUSTED
-            else:
-                raise ValueError(
-                    f"{at} record ends the crt trial after {len(events)} of {len(chunks)} chunks"
-                )
-            trial = TrialRecord(
-                trial=len(trials) + 1,
-                status=status,
-                coverage=len(covered),
-                rate=len(covered) / plan_size,
-                messages=len(events) if config.agent == "llm" else 0,
-                tokens_in=sum(e["tokens_in"] for e in events),
-                tokens_out=sum(e["tokens_out"] for e in events),
-                events=events,
-                malformed=_logged(record, "malformed", _COUNT, at),
-                error=_logged(record, "error", _TEXT, at),
+            at = f"{where}trial {log.trial} trial_end"
+            status = log.settled(deltas)
+            if status is None and chunks is not None:
+                if len(log.events) < len(chunks):
+                    raise ValueError(
+                        f"{at} record ends the crt trial after {len(log.events)} "
+                        f"of {len(chunks)} chunks"
+                    )
+                status = EXHAUSTED  # the stimulus stream ran out
+            trial = log.end(
+                record.get("status") if status is None else status,
+                len(log.events) if chunks is None else 0,
+                _logged(record, "malformed", _COUNT, at),
+                _logged(record, "error", _TEXT, at),
             )
             _match(record, line, trial.trial_end_record(), at)
+            if status is None and trial.status not in (BUDGET_EXHAUSTED, ABORTED):
+                raise ValueError(
+                    f"{at} record status {trial.status!r}: a trial that did not stop by "
+                    f"itself ends {BUDGET_EXHAUSTED!r} or {ABORTED!r}"
+                )
             trials.append(trial)
-            events, covered = [], set()
+            log, deltas, covered, restart_at = TrialLog(len(trials) + 1, plan_size), [], set(), 0
         elif kind == "report":
-            if events:
+            if log.events:
                 raise ValueError(f"{where}the report follows events with no trial_end")
             at = f"{where}report"
             if chunks is not None and len(trials) != 1:

@@ -81,13 +81,13 @@ def test_replay_is_pure_function_of_call_index():
     assert texts_a == ["one"]
 
 
-def test_replay_truncates_to_max_tokens_worth_of_chars(stub_server):
+def test_replay_truncates_to_max_tokens_worth_of_chars(stub_server, http_backend):
     # a live server that ignores max_tokens is cut the same way as a replay
     stub_server.responses = [(200, _chat_payload("x" * 100))]
     cfg = BackendConfig(endpoint="replay:", model="replay", max_tokens=5)
     for backend in (
         ReplayBackend(["x" * 100], config=cfg),
-        HttpBackend(_config(stub_server, max_tokens=5)),
+        http_backend(_config(stub_server, max_tokens=5)),
     ):
         out = backend.complete([SYSTEM])
         assert out.text == "x" * 20  # 5 tokens * 4 chars
@@ -210,6 +210,20 @@ def stub_server():
     server.server_close()
 
 
+@pytest.fixture
+def http_backend():
+    """Build an HttpBackend; each one built is closed when the test ends."""
+    built = []
+
+    def build(config):
+        built.append(HttpBackend(config))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
+
+
 def _chat_payload(text, usage=None):
     payload = {"choices": [{"message": {"role": "assistant", "content": text}}]}
     if usage is not None:
@@ -238,34 +252,34 @@ MALFORMED_PAYLOADS = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
-def test_http_rejects_malformed_payloads(stub_server, case):
+def test_http_rejects_malformed_payloads(stub_server, case, http_backend):
     stub_server.responses = [(200, MALFORMED_PAYLOADS[case])]
     with pytest.raises(BackendError, match="malformed completion payload"):
-        HttpBackend(_config(stub_server)).complete([SYSTEM])
+        http_backend(_config(stub_server)).complete([SYSTEM])
 
 
-def test_http_usage_passthrough(stub_server):
+def test_http_usage_passthrough(stub_server, http_backend):
     stub_server.responses = [
         (200, _chat_payload("hi", usage={"prompt_tokens": 10, "completion_tokens": 20}))
     ]
-    out = HttpBackend(_config(stub_server)).complete([SYSTEM, USER])
+    out = http_backend(_config(stub_server)).complete([SYSTEM, USER])
     assert out.text == "hi"
     assert out.tokens_in == 10
     assert out.tokens_out == 20
 
 
-def test_http_fallback_estimation_when_usage_missing(stub_server):
+def test_http_fallback_estimation_when_usage_missing(stub_server, http_backend):
     stub_server.responses = [(200, _chat_payload("y" * 400))]
-    out = HttpBackend(_config(stub_server)).complete([SYSTEM, USER])
+    out = http_backend(_config(stub_server)).complete([SYSTEM, USER])
     assert out.tokens_out == 100  # 400 chars / 4
     assert out.tokens_in == estimate_tokens(SYSTEM["content"]) + estimate_tokens(
         USER["content"]
     )
 
 
-def test_http_request_wire_format(stub_server):
+def test_http_request_wire_format(stub_server, http_backend):
     cfg = _config(stub_server, temperature=0.7, max_tokens=123)
-    HttpBackend(cfg).complete([SYSTEM, USER])
+    http_backend(cfg).complete([SYSTEM, USER])
     body = stub_server.requests[0]["body"]
     assert body["model"] == "stub-model"
     assert body["temperature"] == 0.7
@@ -274,18 +288,18 @@ def test_http_request_wire_format(stub_server):
     assert body["messages"] == [SYSTEM, USER]
 
 
-def test_http_api_key_header(stub_server, monkeypatch):
+def test_http_api_key_header(stub_server, monkeypatch, http_backend):
     monkeypatch.setenv("STUB_KEY_VAR", "sekrit")
     cfg = _config(stub_server, api_key_env="STUB_KEY_VAR")
-    HttpBackend(cfg).complete([SYSTEM])
+    http_backend(cfg).complete([SYSTEM])
     assert stub_server.requests[0]["auth"] == "Bearer sekrit"
     monkeypatch.delenv("STUB_KEY_VAR")
     stub_server.requests.clear()
-    HttpBackend(cfg).complete([SYSTEM])
+    http_backend(cfg).complete([SYSTEM])
     assert stub_server.requests[0]["auth"] is None
 
 
-def test_http_retries_then_succeeds(stub_server, monkeypatch):
+def test_http_retries_then_succeeds(stub_server, monkeypatch, http_backend):
     import covstim.backend as backend_mod
 
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
@@ -294,18 +308,18 @@ def test_http_retries_then_succeeds(stub_server, monkeypatch):
         (500, {"error": "boom"}),
         (200, _chat_payload("recovered")),
     ]
-    out = HttpBackend(_config(stub_server, retries=2)).complete([SYSTEM])
+    out = http_backend(_config(stub_server, retries=2)).complete([SYSTEM])
     assert out.text == "recovered"
     assert len(stub_server.requests) == 3
 
 
-def test_http_retries_exhausted_raises(stub_server, monkeypatch):
+def test_http_retries_exhausted_raises(stub_server, monkeypatch, http_backend):
     import covstim.backend as backend_mod
 
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
     stub_server.responses = [(500, {"error": "boom"})]
     with pytest.raises(BackendError):
-        HttpBackend(_config(stub_server, retries=1)).complete([SYSTEM])
+        http_backend(_config(stub_server, retries=1)).complete([SYSTEM])
     assert len(stub_server.requests) == 2  # initial try + one retry
 
 
@@ -317,18 +331,18 @@ def _sleeps(monkeypatch):
     return slept
 
 
-def test_http_fails_fast_on_client_errors(stub_server, monkeypatch):
+def test_http_fails_fast_on_client_errors(stub_server, monkeypatch, http_backend):
     slept = _sleeps(monkeypatch)
     for status in (400, 401, 404):
         stub_server.requests.clear()
         stub_server.responses = [(status, {"error": "nope"}), (200, _chat_payload("late"))]
         with pytest.raises(BackendError, match=f"HTTP {status}"):
-            HttpBackend(_config(stub_server, retries=3)).complete([SYSTEM])
+            http_backend(_config(stub_server, retries=3)).complete([SYSTEM])
         assert len(stub_server.requests) == 1
     assert slept == []
 
 
-def test_http_retry_waits(stub_server, monkeypatch):
+def test_http_retry_waits(stub_server, monkeypatch, http_backend):
     import covstim.backend as backend_mod
 
     cases = [
@@ -343,17 +357,17 @@ def test_http_retry_waits(stub_server, monkeypatch):
         slept = _sleeps(monkeypatch)
         stub_server.requests.clear()
         stub_server.responses = failures + [(200, _chat_payload("ok"))]
-        out = HttpBackend(_config(stub_server, retries=3)).complete([SYSTEM])
+        out = http_backend(_config(stub_server, retries=3)).complete([SYSTEM])
         assert out.text == "ok"
         assert slept == expected
         assert len(stub_server.requests) == len(failures) + 1
 
 
-def test_http_retries_connection_errors(monkeypatch):
+def test_http_retries_connection_errors(monkeypatch, http_backend):
     slept = _sleeps(monkeypatch)
     cfg = BackendConfig(endpoint="http://127.0.0.1:1/v1", model="m", retries=2, timeout=5)
     with pytest.raises(BackendError, match="after 3 attempts"):
-        HttpBackend(cfg).complete([SYSTEM])
+        http_backend(cfg).complete([SYSTEM])
     assert slept == [0.5, 1.0]
 
 
@@ -403,19 +417,19 @@ def test_ca_bundle_may_be_a_directory(tmp_path, monkeypatch):
     HttpBackend(BackendConfig(endpoint="https://127.0.0.1:9/v1", model="m"))
 
 
-def test_http_calls_share_one_keep_alive_connection(stub_server):
-    backend = HttpBackend(_config(stub_server))
+def test_http_calls_share_one_keep_alive_connection(stub_server, http_backend):
+    backend = http_backend(_config(stub_server))
     for _ in range(5):
         backend.complete([SYSTEM, USER])
     assert len({r["port"] for r in stub_server.requests}) == 1
     assert len(stub_server.requests) == 5
 
 
-def test_http_reconnects_after_connection_close(stub_server, monkeypatch):
+def test_http_reconnects_after_connection_close(stub_server, monkeypatch, http_backend):
     # as the benchmark's stub server does: `Connection: close` on every reply
     slept = _sleeps(monkeypatch)
     stub_server.responses = [(200, _chat_payload("ok"), {"Connection": "close"})]
-    backend = HttpBackend(_config(stub_server))
+    backend = http_backend(_config(stub_server))
     for _ in range(5):
         assert backend.complete([SYSTEM, USER]).text == "ok"
     assert len(stub_server.requests) == 5  # no retry
@@ -423,11 +437,11 @@ def test_http_reconnects_after_connection_close(stub_server, monkeypatch):
     assert slept == []
 
 
-def test_http_reconnects_after_an_idle_close(stub_server, monkeypatch):
+def test_http_reconnects_after_an_idle_close(stub_server, monkeypatch, http_backend):
     # the server closes the kept-alive connection without saying so first
     slept = _sleeps(monkeypatch)
     stub_server.drop_after_reply = True
-    backend = HttpBackend(_config(stub_server))
+    backend = http_backend(_config(stub_server))
     backend.complete([SYSTEM])
     assert stub_server.closed.acquire(timeout=5)
     assert backend.complete([SYSTEM]).text == "ok"  # retries=0: the first try works
@@ -455,39 +469,39 @@ def test_no_runtime_dependency_on_requests(stub_server):
 DEAD_PROXY = "http://127.0.0.1:1"  # nothing listens there
 
 
-def test_http_proxy_read_when_backend_is_built(stub_server, monkeypatch):
+def test_http_proxy_read_when_backend_is_built(stub_server, monkeypatch, http_backend):
     # An address literal nothing serves: a call that skipped the proxy would
     # be refused locally instead of resolving a name.
     endpoint = "http://127.0.0.2:9/v1/chat/completions"
     monkeypatch.setenv("HTTP_PROXY", f"http://user:pw@127.0.0.1:{stub_server.server_address[1]}")
-    backend = HttpBackend(BackendConfig(endpoint=endpoint, model="m", retries=0))
+    backend = http_backend(BackendConfig(endpoint=endpoint, model="m", retries=0))
     monkeypatch.setenv("HTTP_PROXY", DEAD_PROXY)
     assert backend.complete([SYSTEM]).text == "ok"
     assert stub_server.requests[0]["path"] == endpoint  # absolute form: proxied
     assert stub_server.requests[0]["proxy_auth"] == "Basic dXNlcjpwdw=="  # user:pw
 
 
-def test_https_goes_through_a_proxy_tunnel(stub_server, monkeypatch):
+def test_https_goes_through_a_proxy_tunnel(stub_server, monkeypatch, http_backend):
     slept = _sleeps(monkeypatch)
     monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{stub_server.server_address[1]}")
     cfg = BackendConfig(endpoint="https://127.0.0.2:9443/v1/chat/completions", model="m", retries=1)
     with pytest.raises(BackendError, match="after 2 attempts"):
-        HttpBackend(cfg).complete([SYSTEM])
+        http_backend(cfg).complete([SYSTEM])
     # the stub refuses each tunnel with a 502, which is retried
     tunnel = {"tunnel": "127.0.0.2:9443", "proxy_auth": "Basic dXNlcjpwdw=="}
     assert stub_server.requests == [tunnel, tunnel]
     assert slept == [0.5]
 
 
-def test_http_no_proxy_bypasses_proxy(stub_server, monkeypatch):
+def test_http_no_proxy_bypasses_proxy(stub_server, monkeypatch, http_backend):
     monkeypatch.setenv("HTTP_PROXY", DEAD_PROXY)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    assert HttpBackend(_config(stub_server)).complete([SYSTEM]).text == "ok"
+    assert http_backend(_config(stub_server)).complete([SYSTEM]).text == "ok"
     assert stub_server.requests[0]["path"] == "/v1/chat/completions"
 
 
-def test_messages_must_start_with_system(stub_server):
-    backend = HttpBackend(_config(stub_server))
+def test_messages_must_start_with_system(stub_server, http_backend):
+    backend = http_backend(_config(stub_server))
     with pytest.raises(ValueError):
         backend.complete([])
     with pytest.raises(ValueError):

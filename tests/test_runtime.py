@@ -677,7 +677,7 @@ def edit_targets() -> tuple:
 # no later record holds): a different value of the same JSON type may pass
 NOT_REDERIVED = {
     "header": {"seed", "strategy", "crt_count"},
-    "event": {"stimuli", "restart", "new_bins"},
+    "event": {"stimuli", "new_bins"},
     "trial_end": {"malformed", "error"},
     "report": {"note"},
 }
@@ -772,8 +772,48 @@ def _set(kind, index=0, **values):
     return edit
 
 
+def _relabel_as_budget_cut(records):  # the report row and message stats agree
+    for row in _trial_rows(records):
+        row["status"] = "budget_exhausted"
+    records[-1].update(avg_messages=None, avg_cov_per_msg=None)
+
+
+def _event_after_exhaustion(records):  # one more response that covers nothing
+    extra = dict(_events(records)[-1], response_idx=38)
+    records.insert(-2, extra)
+    for row in _trial_rows(records) + [records[-1]]:
+        row["tokens_in"] += extra["tokens_in"]
+        row["tokens_out"] += extra["tokens_out"]
+    for row in _trial_rows(records):
+        row["messages"] = 38
+    records[-1].update(avg_messages=38, avg_cov_per_msg=6 / 38)
+
+
 # edits that only a rebuilt record catches, then the facts taken as logged retyped
 GOLDEN_LOG_EDITS = {
+    "status_relabelled": (
+        _relabel_as_budget_cut,
+        "trial_end record mismatch on status: logged 'budget_exhausted', recomputed 'exhausted'",
+    ),
+    "restart_dropped": (
+        _set("event", 10, restart=False),
+        "event 11 record mismatch on restart: logged False, recomputed True",
+    ),
+    "restart_added": (
+        _set("event", 4, restart=True),
+        "event 5 record mismatch on restart: logged True, recomputed False",
+    ),
+    "event_after_exhaustion": (
+        _event_after_exhaustion, "line 39: trial 1 event 38 record follows the exhaustion stop"
+    ),
+    "restart_string": (
+        _set("event", 1, restart="yes"),
+        "event 2 record mismatch on restart: logged 'yes', recomputed False",
+    ),
+    "status_unknown": (
+        _set("trial_end", status="done"),
+        "trial_end record mismatch on status: logged 'done', recomputed 'exhausted'",
+    ),
     "event_rate": (_set("event", 4, rate=0.99), "event 5 record mismatch on rate: logged 0.99"),
     "event_bool_tokens": (_bool_tokens, "field 'tokens_out' must be an integer, got True"),
     "event_bin_twice": (
@@ -804,7 +844,6 @@ GOLDEN_LOG_EDITS = {
         lambda r: r.insert(3, {"type": "note"}), "line 4: unexpected record of type 'note'"
     ),
     "no_type": (lambda r: r.insert(3, {"trial": 1}), "line 4: unexpected record of type None"),
-    "restart_string": (_set("event", 1, restart="yes"), "field 'restart' must be a boolean"),
     "stimuli_string": (
         _set("event", 1, stimuli="12"), "field 'stimuli' must be a non-negative integer"
     ),
@@ -815,7 +854,6 @@ GOLDEN_LOG_EDITS = {
         _set("trial_end", malformed="0"), "field 'malformed' must be a non-negative integer"
     ),
     "error_number": (_set("trial_end", error=5), "field 'error' must be a string or null"),
-    "status_unknown": (_set("trial_end", status="done"), "field 'status' must be one of"),
     "note_list": (_set("report", note=["x"]), "field 'note' must be a string or null"),
 }
 
@@ -828,6 +866,21 @@ def test_report_from_log_rejects_an_edited_golden_log(tmp_path, case):
     path = tmp_path / "edited.jsonl"
     path.write_text(jsonl(records))
     with pytest.raises(ValueError, match=match):
+        report_from_log(path)
+
+
+@pytest.mark.parametrize("status", [EXHAUSTED, FULL_COVERAGE, "done"])
+def test_report_from_log_rejects_a_cut_trial_relabelled(tmp_path, status):
+    # one reply, then the script runs out: the trial is aborted before it settles
+    path = tmp_path / "log.jsonl"
+    run_experiment(llm_config(), backend=ReplayBackend([DUD]), dut=ToyDut(), log_path=path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[-2]["status"] == ABORTED
+    for row in _trial_rows(records):
+        row["status"] = status
+    records[-1].update(avg_messages=1, avg_cov_per_msg=0.0)
+    path.write_text(jsonl(records))
+    with pytest.raises(ValueError, match=f"record status '{status}': a trial that did not stop"):
         report_from_log(path)
 
 
