@@ -7,9 +7,21 @@ is answered with the format-reminder query; it counts as a response that
 covered nothing, so the runtime's exhaustion rule bounds how many unusable
 replies come in a row and the budget gate bounds their cost.
 
-Extraction is deliberately forgiving: values are masked to 32 bits rather
-than rejected, and unparseable tokens inside an otherwise valid block are
-skipped.
+Extraction reads the first fenced block and masks every value to 32 bits
+rather than rejecting it:
+- Integers: the block's tokens are split at whitespace and commas. A plain
+  block, where every token is an integer that `int` reads in base 10
+  (optional sign, digits, `_` between digits), or every token one that it
+  reads in base 16 with a `0x`/`0X` prefix, is converted in one C-level
+  `map(int, ...)`. Any other block is read token by token and forgivingly:
+  `.,;:()[]` around a token is stripped, a run of leading signs is negative
+  when it starts with `-`, `0x` picks base 16, and a token that is still no
+  integer is skipped.
+- Memory updates: the block as one JSON document, or else each line as one
+  (a trailing comma allowed). An [address, word] pair is one stimulus of
+  one update, a list of pairs one stimulus, a list of lists of pairs one
+  stimulus each; booleans, floats and any other shape yield nothing, and
+  so does a document nested deeper than the JSON parser's recursion limit.
 """
 from __future__ import annotations
 
@@ -17,6 +29,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Optional
 
 from covstim.backend import Completion, estimate_prompt
@@ -56,7 +69,7 @@ def _first_fenced_block(text: str) -> Optional[str]:
 
 
 def _parse_int(token: str) -> Optional[int]:
-    token = token.strip().strip(".,;:()[]")
+    token = token.strip(".,;:()[]")
     if not token:
         return None
     negative = token.startswith("-")
@@ -68,70 +81,94 @@ def _parse_int(token: str) -> Optional[int]:
     return -value if negative else value
 
 
-def _extract_integers(block: str) -> list[int]:
-    values = []
-    for token in re.split(r"[\s,]+", block):
-        parsed = _parse_int(token)
-        if parsed is not None:
-            values.append(parsed & MASK32)
-    return values
-
-
-def _is_pair(x) -> bool:
-    return (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in x)
-    )
-
-
-def _mask_pairs(pairs) -> list:
-    return [[a & MASK32, w & MASK32] for a, w in pairs]
-
-
-def _updates_from_doc(doc) -> Optional[list]:
-    """Map one JSON document to a list of memory-update stimuli."""
-    if _is_pair(doc):
-        return [_mask_pairs([doc])]
-    if isinstance(doc, list) and doc and all(_is_pair(e) for e in doc):
-        return [_mask_pairs(doc)]
-    if (
-        isinstance(doc, list)
-        and doc
-        and all(isinstance(e, list) and e and all(_is_pair(p) for p in e) for e in doc)
-    ):
-        return [_mask_pairs(e) for e in doc]
+def _plain_integers(block: str, tokens: list[str]) -> Optional[list[int]]:
+    """The block's values when every token is an integer that `int` reads in
+    base 10, or every token one that it reads in base 16 with a 0x prefix;
+    else None."""
+    # in base 16 `int` accepts an x only in a 0x prefix, so when every token
+    # converts, one x per token means every token has the prefix
+    hexes = block.count("x") + block.count("X")
+    try:
+        if not hexes:
+            return list(map(int, tokens))
+        if hexes == len(tokens):
+            return list(map(int, tokens, repeat(16)))
+    except ValueError:
+        pass
     return None
 
 
-def _extract_updates(block: str) -> list:
+def _extract_integers(block: str) -> list[int]:
+    tokens = block.replace(",", " ").split()  # str.split and re's \s agree on whitespace
+    values = _plain_integers(block, tokens)
+    if values is None:
+        values = [v for v in map(_parse_int, tokens) if v is not None]
+    if values and (min(values) < 0 or max(values) > MASK32):
+        values = [v & MASK32 for v in values]
+    return values
+
+
+def _masked_pairs(items) -> Optional[list]:
+    """`items` with each pair masked, or None unless it is a non-empty
+    list of [int, int] pairs."""
+    if type(items) is not list or not items:
+        return None
+    pairs = []
+    for pair in items:
+        if type(pair) is not list or len(pair) != 2:
+            return None
+        address, word = pair
+        if type(address) is not int or type(word) is not int:  # bools are not ints here
+            return None
+        if not (0 <= address <= MASK32 and 0 <= word <= MASK32):
+            pair = [address & MASK32, word & MASK32]
+        pairs.append(pair)
+    return pairs
+
+
+def _updates_from_doc(doc) -> Optional[list]:
+    """Map one JSON document to a list of memory-update stimuli, in one walk.
+
+    A pair is one stimulus of one update, a list of pairs one stimulus, a
+    list of lists of pairs one stimulus each; the first element tells which
+    of the last two the document can be.
+    """
+    if type(doc) is not list or not doc:
+        return None
+    if type(doc[0]) is int:
+        doc = [doc]  # a pair: a list of one pair
+    head = doc[0]
+    if type(head) is list and head and type(head[0]) is int:
+        pairs = _masked_pairs(doc)
+        return None if pairs is None else [pairs]
+    stimuli = [_masked_pairs(element) for element in doc]
+    return None if None in stimuli else stimuli
+
+
+def _load(text: str):
+    """The JSON document `text` holds, or None; one nested deeper than the
+    parser's recursion limit holds none."""
     try:
-        doc = json.loads(block)
-    except ValueError:
-        doc = None
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _extract_updates(block: str) -> list:
+    doc = _load(block)
     if doc is not None:
         return _updates_from_doc(doc) or []
     stimuli = []
     for line in block.splitlines():
         line = line.strip().rstrip(",")
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            continue
-        stimuli.extend(_updates_from_doc(doc) or [])
+        if line and (doc := _load(line)) is not None:
+            stimuli.extend(_updates_from_doc(doc) or [])
     return stimuli
 
 
 def extract_stimuli(text: str, stimulus_format: str) -> ExtractionResult:
-    """Parse one assistant response into DUT stimuli.
-
-    Integers format: decimal or 0x hex, one per line or comma separated.
-    Memory-updates format: JSON [address, instruction] pairs; a flat array of
-    pairs is a single stimulus, an array of such arrays (or one JSON document
-    per line) yields several. Everything is masked to 32 bits.
-    """
+    """Parse one assistant response into DUT stimuli, by the rules in the
+    module docstring."""
     block = _first_fenced_block(text)
     if block is None:
         return ExtractionResult(stimuli=[])

@@ -113,8 +113,9 @@ def _check_messages(messages: Sequence[Message]) -> None:
 
 
 def estimate_prompt(messages: Sequence[Message]) -> int:
-    """Approximate prompt token count: the per-message estimates summed."""
-    return sum(estimate_tokens(m["content"]) for m in messages)
+    """Approximate prompt token count: the per-message `estimate_tokens`
+    summed, inlined."""
+    return sum([(len(m["content"]) + 3) // 4 for m in messages])
 
 
 def account_reply(

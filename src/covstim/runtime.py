@@ -265,7 +265,8 @@ def run_trial(
             except MalformedStimulusError:
                 malformed += 1
                 continue
-            new_ids.extend(state.record(hit))
+            if hit:  # most stimuli hit nothing
+                new_ids.extend(state.record(hit))
         easier = sum(
             1 for b in new_ids if plan.descriptor(b).difficulty is Difficulty.EASIER
         )

@@ -25,6 +25,7 @@ from covstim.backend import (
     RecordingBackend,
     ReplayBackend,
     ScriptExhaustedError,
+    estimate_prompt,
     estimate_tokens,
 )
 
@@ -43,6 +44,12 @@ def test_estimate_tokens_frozen_examples():
 @given(st.text(max_size=400))
 def test_estimate_tokens_is_ceiling_of_quarter_length(text):
     assert estimate_tokens(text) == math.ceil(len(text) / 4)
+
+
+@given(st.lists(st.text(max_size=60), max_size=8))
+def test_estimate_prompt_sums_the_message_estimates(contents):
+    messages = [{"role": "user", "content": c} for c in contents]
+    assert estimate_prompt(messages) == sum(estimate_tokens(c) for c in contents)
 
 
 # --- config validation ----------------------------------------------------------

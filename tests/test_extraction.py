@@ -1,21 +1,29 @@
 """Response extraction, CRT baseline, and LLM agent tests."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
 from itertools import count as count_from, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import extraction_oracle as oracle
+from covstim import agents
 from covstim.agents import CrtAgent, LlmAgent, extract_stimuli
 from covstim.backend import ReplayBackend
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
-from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
+from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
 from covstim.prompting import StrategyConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+# within the reply cap, but deeper than `json.loads` can recurse
+DEEP_REPLY = "```\n" + "[" * 1200 + "\n```"
 
 
 # --- integer extraction ---------------------------------------------------------
@@ -116,10 +124,102 @@ def test_unknown_format_is_an_error():
         extract_stimuli("```\n1\n```", "carrier_pigeon")
 
 
+def test_document_nested_too_deep_yields_nothing():
+    assert extract_stimuli(DEEP_REPLY, FORMAT_MEMORY_UPDATES).stimuli == []
+    deep_line = "```\n[[0, 19]]\n" + "[" * 1200 + "\n[[4, 51]]\n```"
+    out = extract_stimuli(deep_line, FORMAT_MEMORY_UPDATES)
+    assert out.stimuli == [[[0, 19]], [[4, 51]]]
+
+
 @given(st.text(max_size=200))
+@example(DEEP_REPLY)
+@example("```\n" + "[" * 20_000 + "\n```")  # Hypothesis lifts the recursion limit by 2000
 def test_extraction_is_total_and_consistent(text):
     for fmt in (FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES):
         assert isinstance(extract_stimuli(text, fmt).stimuli, list)
+
+
+# --- differential: the one-pass parsers against the per-token oracle -----------------
+
+LONG_DECIMAL = "7" * 5000  # past int's digit limit: skipped, not raised
+IRREGULAR = ("+5", "--5", "(12)", "5.", "1_000", "0x_ff", "0X1F", "\u0661\u0662",
+             LONG_DECIMAL, "-", "0x", "ff", "-0", "+-3", "[0x10],", "7a", "²")
+SEPARATORS = (" ", "\n", ",", ", ", "\t", " ,\n", "\xa0", "\x1c", "\u3000", "\u2028")
+
+decimal_tokens = st.integers(-2**40, 2**40).map(str)
+hex_tokens = st.builds(
+    lambda v, upper: ("-" if v < 0 else "") + ("0X" if upper else "0x") + format(abs(v), "x"),
+    st.integers(-2**40, 2**40), st.booleans(),
+)
+irregular_tokens = st.sampled_from(IRREGULAR) | st.text(max_size=6)
+
+
+def blocks_of(tokens):
+    return st.lists(st.tuples(tokens, st.sampled_from(SEPARATORS)), max_size=12).map(
+        lambda pairs: "".join(t + sep for t, sep in pairs)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks_of(decimal_tokens)
+    | blocks_of(hex_tokens)
+    | blocks_of(decimal_tokens | hex_tokens)
+    | blocks_of(decimal_tokens | hex_tokens | irregular_tokens)
+)
+@example("1\n" + LONG_DECIMAL + "\n2")
+@example("0x10, 16, -0x10, -16")
+def test_integer_extraction_matches_the_oracle(block):
+    assert agents._extract_integers(block) == oracle._extract_integers(block)
+
+
+json_leaves = st.sampled_from(
+    ("-0", "0", "true", "false", "null", "1.5", "-2.0e3", '"pc"', "{}",
+     str(2**64 + 1), str(-(2**64) - 1), str(2**32), "-4")
+) | st.integers(-2**66, 2**66).map(str)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs | st.lists(json_docs | st.sampled_from(("", "junk", "[1,")), max_size=4).map(
+    lambda lines: "\n".join(line + ("," if i % 2 else "") for i, line in enumerate(lines))
+))
+@example("[[-0, 4294967297], [18446744073709551617, -4]]")
+@example("[[[0, 1]], [], [[2, 3]]]")
+@example("[[0, 1, 2]]")
+@example("[[0, true]]")
+@example("[[1.0, 2]]")
+def test_update_extraction_matches_the_oracle(block):
+    assert agents._extract_updates(block) == oracle._extract_updates(block)
+
+
+def load_perfbench(name: str):
+    """A perfbench module, loaded from its file without touching it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["chat-long", "chat-http"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_benchmark_replies_extract_as_the_oracle_does(workload, seed):
+    gen, workloads = load_perfbench("gen"), load_perfbench("workloads")
+    wl = workloads.WORKLOADS[workload]
+    oracles = {FORMAT_INTEGERS: oracle._extract_integers,
+               FORMAT_MEMORY_UPDATES: oracle._extract_updates}
+    for device in workloads.DEVICES:
+        fmt = make_dut(device).stimulus_format
+        for variant in range(wl.variants):
+            for reply in gen.script(seed, variant, device, wl.profile, wl.script_length):
+                block = agents._first_fenced_block(reply)
+                want = [] if block is None else oracles[fmt](block)
+                assert extract_stimuli(reply, fmt).stimuli == want, reply
 
 
 # --- crt baseline -----------------------------------------------------------------

@@ -44,7 +44,7 @@ from covstim.runtime import (
     run_trial,
     write_log,
 )
-from test_extraction import per_call_draw
+from test_extraction import DEEP_REPLY, per_call_draw
 from toydut import ToyDut
 
 FULL_HOUSE = "```\n0 1 2 3 4 5 6 7 8 9\n```"
@@ -441,6 +441,19 @@ def test_abort_mid_trial_is_kept_and_noted():
     assert report.trials[0].status == ABORTED
     assert report.trials[0].messages == 2
     assert "aborted" in report.note
+
+
+def test_reply_nested_too_deep_is_an_empty_response(tmp_path):
+    program = "```\n[[0, 51], [4, 111]]\n```"
+    script = [program, DEEP_REPLY, program]
+    path = tmp_path / "deep.jsonl"
+    config = RunConfig(dut="cpu", agent="llm", seed=1)
+    report = run_experiment(config, backend=ReplayBackend(script), log_path=path)
+    assert [t.status for t in report.trials] == [ABORTED]
+    assert report.trials[0].messages == 3
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [e["stimuli"] for e in events if e["type"] == "event"] == [1, 0, 1]
+    assert report_from_log(path).trials == report.trials
 
 
 # --- logs and reports ---------------------------------------------------------------
