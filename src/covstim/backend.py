@@ -7,9 +7,12 @@ assistant responses for deterministic tests and offline reruns.
 RecordingBackend wraps a live backend and captures its responses into the
 same script format.
 
-HttpBackend uses only the standard library: `http.client`, `ssl` and
-`urllib.request` are imported when one is built, so commands that make no
-HTTP call do not pay for importing them.
+HttpBackend speaks HTTP/1.1 over one keep-alive socket: one write per
+request; a reply body framed by Content-Length, chunked or the server's
+close; 1xx interim replies skipped; no redirects and no compression. It
+imports `socket` when one is built, `ssl` only for https, `base64` only
+for proxy credentials, and `urllib.request` (which loads `http.client`)
+only to read the proxy variables, when one is set.
 
 Both backends account for a reply with `account_reply`, which prefers
 server-reported usage and falls back to a chars/4 estimate for a count the
@@ -151,71 +154,89 @@ def account_reply(
 
 
 class HttpBackend:
-    """Blocking chat-completion client over one keep-alive `http.client`
+    """Blocking chat-completion client over one keep-alive HTTP/1.1
     connection, opened by the first call and reopened after the server
-    closes it. Redirects are not followed: a 3xx fails the call.
+    closes it. Each request goes out in one write; a reply's body is read by
+    its Content-Length, its chunked framing or up to the server's close, and
+    1xx interim replies are skipped. Redirects are not followed (a 3xx fails
+    the call) and no compression is asked for.
 
     The endpoint and the proxy and CA-bundle variables are read once, when
     the backend is built; a malformed endpoint or a CA bundle that does not
-    exist is a ValueError then. netrc is not read. Connection errors, 429
-    and 5xx are retried, after the server's delta-seconds Retry-After
-    (capped at RETRY_AFTER_CAP) or else an exponential backoff; any other
-    non-200 status fails at once.
+    exist is a ValueError then. netrc is not read. Connection errors, replies
+    that do not parse, 429 and 5xx are retried, after the server's
+    delta-seconds Retry-After (capped at RETRY_AFTER_CAP) or else an
+    exponential backoff; any other non-200 status fails at once.
     """
 
     _BACKOFF_BASE = 0.5  # seconds; doubles per retry
 
     def __init__(self, config: BackendConfig) -> None:
-        import base64
-        import http.client
-        import urllib.request
+        import socket  # noqa: F401  (loaded here, so the first call does not pay)
         from urllib.parse import unquote, urlsplit
 
         self.config = config
         url = urlsplit(config.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname or url.username:
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if (
+            url.scheme not in ("http", "https")
+            or not url.hostname
+            or url.username
+            or not (path.isascii() and path.isprintable())
+            or " " in path
+        ):
             raise ValueError(
                 f"backend endpoint {config.endpoint!r} is not an http:// or "
-                "https:// URL with a host and no credentials"
+                "https:// URL with a host, no credentials and a path of "
+                "printable ASCII without spaces"
             )
         https = url.scheme == "https"
+        default_port = 443 if https else 80
         # a bad port is a ValueError too
-        host, port = url.hostname, url.port or (443 if https else 80)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json", "User-Agent": "covstim"}
-        self._transport_errors = (OSError, http.client.HTTPException)
-        kwargs = {"timeout": config.timeout}
+        host, port = url.hostname, url.port or default_port
+        authority = host if host.isascii() else host.encode("idna").decode()
+        if ":" in authority:  # an IPv6 literal
+            authority = f"[{authority}]"
+        target = f"{authority}:{port}"
+        if port != default_port:
+            authority = target
+        self._sock = None
+        self._host = host
+        self._address = (host, port)
+        self._tls = None
+        self._tunnel = None  # the CONNECT request, for https through a proxy
         if https:
-            kwargs["context"] = _ssl_context()
-        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            self._tls = _ssl_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        proxy_auth = ""
+        proxy = _proxy_for(url.scheme, host)
+        if proxy:
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+            if proxy_url.username is not None:
+                import base64
 
-        proxies = urllib.request.getproxies_environment()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if not proxy or urllib.request.proxy_bypass_environment(host, proxies):
-            self._conn = connection(host, port, **kwargs)
-            return
-        proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        if proxy_url.scheme != "http" or not proxy_url.hostname:
-            raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
-        auth = {}
-        if proxy_url.username is not None:
-            user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
-            token = base64.b64encode(user_pass.encode("latin-1")).decode("ascii")
-            auth["Proxy-Authorization"] = f"Basic {token}"
-        self._conn = connection(proxy_url.hostname, proxy_url.port or 80, **kwargs)
-        if https:
-            self._conn.set_tunnel(host, port, headers=auth)
-        else:  # absolute form: the proxy forwards the request
-            self._path = f"http://{url.netloc}{self._path}"
-            self._headers.update(auth)
+                user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                token = base64.b64encode(user_pass.encode("latin-1")).decode("ascii")
+                proxy_auth = f"Proxy-Authorization: Basic {token}\r\n"
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            if https:
+                self._tunnel = (
+                    f"CONNECT {target} HTTP/1.1\r\nHost: {target}\r\n{proxy_auth}\r\n"
+                ).encode("latin-1")
+                proxy_auth = ""
+            else:  # absolute form: the proxy forwards the request
+                path = f"http://{url.netloc}{path}"
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {authority}\r\n"
+            "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+            f"User-Agent: covstim\r\n{proxy_auth}"
+        ).encode("latin-1")
 
     def complete(self, messages: Sequence[Message]) -> Completion:
         _check_messages(messages)
         cfg = self.config
-        headers = dict(self._headers)
-        api_key = os.environ.get(cfg.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         body = json.dumps(
             {
                 "model": cfg.model,
@@ -225,7 +246,13 @@ class HttpBackend:
                 "max_tokens": cfg.max_tokens,
             }
         ).encode()
-        conn = self._conn
+        api_key = os.environ.get(cfg.api_key_env)
+        auth = b""
+        if api_key:
+            if "\r" in api_key or "\n" in api_key:
+                raise ValueError(f"{cfg.api_key_env} holds a line break")
+            auth = f"Authorization: Bearer {api_key}\r\n".encode("latin-1")
+        request = b"%s%sContent-Length: %d\r\n\r\n%s" % (self._head, auth, len(body), body)
         start = time.perf_counter()
         last_error: Optional[str] = None
         for attempt in range(cfg.retries + 1):
@@ -233,31 +260,54 @@ class HttpBackend:
                 time.sleep(wait)
             backoff = self._BACKOFF_BASE * 2**attempt
             try:
-                if conn.sock is not None and _readable(conn.sock):
-                    conn.close()  # the server closed it while it was idle
-                conn.request("POST", self._path, body, headers)
-                # a reply with `Connection: close` closes the connection here
-                resp = conn.getresponse()
-                data = resp.read()
-            except self._transport_errors as exc:
-                conn.close()
+                if self._sock is not None and _readable(self._sock):
+                    self.close()  # the server closed it while it was idle
+                if self._sock is None:
+                    self._connect()
+                self._sock.sendall(request)
+                status, headers, data, keep = _read_reply(self._sock)
+            except OSError as exc:
+                self.close()
                 last_error = f"{type(exc).__name__}: {exc}"
                 wait = backoff
                 continue
-            status = resp.status
+            if not keep:
+                self.close()
             if status == 200:
                 return self._parse(data, messages, time.perf_counter() - start)
             last_error = f"HTTP {status}: {data[:200].decode(errors='replace')}"
             if status != 429 and status < 500:
                 raise BackendError(f"chat completion failed: {last_error}")
-            wait = _retry_wait(resp.getheader("Retry-After"), backoff)
+            wait = _retry_wait(headers.get("retry-after"), backoff)
         raise BackendError(
             f"chat completion failed after {cfg.retries + 1} attempts: {last_error}"
         )
 
     def close(self) -> None:
         """Close the connection; a later call opens a new one."""
-        self._conn.close()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def _connect(self) -> None:
+        """Open the connection: TCP to the server or proxy, the proxy's
+        CONNECT tunnel for https, then TLS."""
+        import socket  # loaded by __init__: a dictionary lookup here
+
+        sock = socket.create_connection(self._address, self.config.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                status = _read_head(_Reader(sock))[0]
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
 
     def _parse(self, data: bytes, messages: Sequence[Message], latency: float) -> Completion:
         try:
@@ -286,12 +336,153 @@ def _ssl_context():
     return ssl.create_default_context()
 
 
+def _proxy_for(scheme: str, host: str) -> Optional[str]:
+    """The proxy URL the environment names for `scheme`, or None when none
+    does or NO_PROXY exempts `host`. urllib.request is imported only when
+    some `*_proxy` variable is set: without one there is nothing to read."""
+    if not any(name[-6:].lower() == "_proxy" for name in os.environ):
+        return None
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass_environment(host, proxies):
+        return None
+    return proxy
+
+
 def _readable(sock) -> bool:
     """True when an idle keep-alive socket has something to read: the
     server has closed it, so it cannot carry the next request."""
-    import select  # loaded with http.client: a dictionary lookup here
+    import select  # loaded with socket: a dictionary lookup here
 
     return bool(select.select([sock], [], [], 0)[0])
+
+
+_RECV = 65536  # bytes asked of each recv
+_MAX_HEAD = 65536  # bytes; a longer status line and header block is refused
+
+
+class _BadReply(OSError):
+    """A reply that is not HTTP/1.x: a bad status line or chunk size, or a
+    head or body the server cut short. An OSError, so the retry loop treats
+    it as a transport error."""
+
+
+class _Reader:
+    """The bytes of one reply on a socket, received as they are needed."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.buf = bytearray()
+
+    def _recv(self) -> bool:
+        """Append what the socket receives next; False when the server has
+        closed it."""
+        data = self.sock.recv(_RECV)
+        self.buf += data
+        return bool(data)
+
+    def until(self, sep: bytes, what: str) -> bytearray:
+        """The bytes before the next `sep`, consumed with it."""
+        end = self.buf.find(sep)
+        while end < 0:
+            if len(self.buf) > _MAX_HEAD:
+                raise _BadReply(f"{what} longer than {_MAX_HEAD} bytes")
+            seen = max(len(self.buf) - len(sep) + 1, 0)
+            if not self._recv():
+                if not self.buf:
+                    raise _BadReply("the server closed the connection without a reply")
+                raise _BadReply(f"{what} cut short: {bytes(self.buf[:80])!r}")
+            end = self.buf.find(sep, seen)
+        out = self.buf[:end]
+        del self.buf[: end + len(sep)]
+        return out
+
+    def take(self, size: int) -> bytes:
+        """The next `size` bytes."""
+        while len(self.buf) < size:
+            if not self._recv():
+                raise _BadReply(f"body cut short: {len(self.buf)} of {size} bytes")
+        out = bytes(self.buf[:size])
+        del self.buf[:size]
+        return out
+
+    def rest(self) -> bytes:
+        """Everything up to the server's close."""
+        while self._recv():
+            pass
+        return bytes(self.buf)
+
+
+def _read_head(reader: _Reader) -> tuple[int, bool, dict]:
+    """(status, http10, headers) of the next final reply, after any 1xx
+    interim replies. Header names are lower-cased and values stripped; a
+    repeated header keeps its first value."""
+    while True:
+        lines = reader.until(b"\r\n\r\n", "reply head").decode("latin-1").split("\r\n")
+        parts = lines[0].split(None, 2)
+        if not (
+            len(parts) > 1
+            and parts[0].startswith("HTTP/1.")
+            and parts[1].isascii()
+            and parts[1].isdigit()
+            and 100 <= int(parts[1]) <= 999
+        ):
+            raise _BadReply(f"bad status line {lines[0][:80]!r}")
+        status = int(parts[1])
+        if status >= 200:
+            break
+    headers: dict = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers.setdefault(name.lower(), value.strip())
+    return status, parts[0] == "HTTP/1.0", headers
+
+
+def _read_chunked(reader: _Reader) -> bytes:
+    """A chunked body; chunk extensions and trailers are read and dropped."""
+    body = []
+    while True:
+        line = reader.until(b"\r\n", "chunk size")
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise _BadReply(f"bad chunk size {bytes(line[:40])!r}")
+        if size == 0:
+            break
+        chunk = reader.take(size + 2)
+        if chunk[size:] != b"\r\n":
+            raise _BadReply(f"chunk of {size} bytes not followed by CRLF")
+        body.append(chunk[:size])
+    while reader.until(b"\r\n", "trailer"):
+        pass
+    return b"".join(body)
+
+
+def _read_reply(sock) -> tuple[int, dict, bytes, bool]:
+    """(status, headers, body, keep) of the next final reply on `sock`.
+    `keep` is False when the connection cannot carry another request: the
+    reply says `Connection: close`, is HTTP/1.0 without keep-alive, or has a
+    body that ends where the server closes."""
+    reader = _Reader(sock)
+    status, http10, headers = _read_head(reader)
+    connection = headers.get("connection", "").lower()
+    keep = "keep-alive" in connection if http10 else "close" not in connection
+    length = headers.get("content-length", "")
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        body = _read_chunked(reader)
+    elif status in (204, 304):
+        body = b""
+    elif length.isascii() and length.isdigit():
+        body = reader.take(int(length))
+    else:
+        body, keep = reader.rest(), False
+    return status, headers, body, keep
 
 
 def _retry_wait(retry_after: Optional[str], backoff: float) -> float:

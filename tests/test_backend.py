@@ -1,22 +1,26 @@
 """Chat-backend tests: token estimation, replay contract, HTTP transport.
 
 The HTTP tests run against a stdlib http.server stub (HTTP/1.1, keep-alive)
-so the request wire format (body fields, auth header), retry and fail-fast
-behavior, connection reuse and proxy routing are pinned without any network
-dependency.
+so the request wire format (body fields, headers), body framing, retry and
+fail-fast behavior, connection reuse and proxy routing are pinned without
+any network dependency. The reply reader is also checked against
+`http.client.HTTPResponse` reading the same bytes.
 """
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from covstim.backend import (
     BackendConfig,
@@ -27,6 +31,7 @@ from covstim.backend import (
     ScriptExhaustedError,
     estimate_prompt,
     estimate_tokens,
+    _read_reply,
 )
 
 SYSTEM = {"role": "system", "content": "You are a verification assistant."}
@@ -155,19 +160,29 @@ class _StubHandler(BaseHTTPRequestHandler):
                 "proxy_auth": self.headers.get("Proxy-Authorization"),
                 "path": self.path,
                 "port": self.client_address[1],
+                "headers": dict(self.headers),
             }
         )
-        status, payload, *headers = server.responses[
+        status, payload, *extra = server.responses[
             min(len(server.requests) - 1, len(server.responses) - 1)
         ]
         data = json.dumps(payload).encode()
+        # a reply's own headers replace these; a None value drops one
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
+        headers.update(extra[0] if extra else {})
         self.send_response(status)
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            if value is not None:
+                self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        if headers.get("Transfer-Encoding") == "chunked":
+            half = len(data) // 2
+            for part in (data[:half], data[half:], b""):
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part))
+        else:
+            self.wfile.write(data)
+            # a close ends a body without a length, or one shorter than it says
+            self.close_connection |= headers.get("Content-Length") != str(len(data))
         # close without a `Connection: close` header, as an idle timeout does
         self.close_connection |= getattr(server, "drop_after_reply", False)
 
@@ -284,15 +299,27 @@ def test_http_fallback_estimation_when_usage_missing(stub_server, http_backend):
     )
 
 
-def test_http_request_wire_format(stub_server, http_backend):
+def test_http_request_wire_format(stub_server, monkeypatch, http_backend):
     cfg = _config(stub_server, temperature=0.7, max_tokens=123)
     http_backend(cfg).complete([SYSTEM, USER])
-    body = stub_server.requests[0]["body"]
+    request = stub_server.requests[0]
+    body = request["body"]
     assert body["model"] == "stub-model"
     assert body["temperature"] == 0.7
     assert body["top_p"] == 1.0
     assert body["max_tokens"] == 123
     assert body["messages"] == [SYSTEM, USER]
+    headers = request["headers"]
+    assert headers["Host"] == f"127.0.0.1:{stub_server.server_address[1]}"
+    assert headers["Accept-Encoding"] == "identity"
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == "covstim"
+    assert headers["Content-Length"] == str(len(json.dumps(body)))
+    assert "Authorization" not in headers
+    # the scheme's default port is left out of Host; a proxy sees the endpoint's
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{stub_server.server_address[1]}")
+    http_backend(BackendConfig(endpoint="http://127.0.0.2/v1", model="m")).complete([SYSTEM])
+    assert stub_server.requests[1]["headers"]["Host"] == "127.0.0.2"
 
 
 def test_http_api_key_header(stub_server, monkeypatch, http_backend):
@@ -304,6 +331,14 @@ def test_http_api_key_header(stub_server, monkeypatch, http_backend):
     stub_server.requests.clear()
     http_backend(cfg).complete([SYSTEM])
     assert stub_server.requests[0]["auth"] is None
+
+
+def test_http_api_key_with_a_line_break_is_refused(stub_server, monkeypatch, http_backend):
+    # it would end the Authorization header and start another
+    monkeypatch.setenv("STUB_KEY_VAR", "sekrit\r\nX-Injected: 1")
+    with pytest.raises(ValueError):
+        http_backend(_config(stub_server, api_key_env="STUB_KEY_VAR")).complete([SYSTEM])
+    assert stub_server.requests == []
 
 
 def test_http_retries_then_succeeds(stub_server, monkeypatch, http_backend):
@@ -370,6 +405,85 @@ def test_http_retry_waits(stub_server, monkeypatch, http_backend):
         assert len(stub_server.requests) == len(failures) + 1
 
 
+@pytest.mark.parametrize(
+    "framing",
+    [
+        {"Transfer-Encoding": "chunked", "Content-Length": None},
+        {"Content-Length": None},  # the body ends where the server closes
+    ],
+    ids=["chunked", "close-delimited"],
+)
+def test_http_reads_a_body_without_a_length(stub_server, monkeypatch, framing, http_backend):
+    slept = _sleeps(monkeypatch)
+    stub_server.responses = [(200, _chat_payload("framed " * 50), framing)]
+    backend = http_backend(_config(stub_server))
+    for _ in range(2):
+        assert backend.complete([SYSTEM]).text == "framed " * 50
+    # chunked keeps the connection; a close-delimited body ends it
+    ports = len({r["port"] for r in stub_server.requests})
+    assert ports == (1 if "Transfer-Encoding" in framing else 2)
+    assert slept == []
+
+
+def test_http_retries_a_body_cut_short(stub_server, monkeypatch, http_backend):
+    slept = _sleeps(monkeypatch)
+    cut = _chat_payload("never read")
+    stub_server.responses = [
+        (200, cut, {"Content-Length": str(len(json.dumps(cut)) + 10)}),
+        (200, _chat_payload("whole")),
+    ]
+    assert http_backend(_config(stub_server, retries=1)).complete([SYSTEM]).text == "whole"
+    assert len(stub_server.requests) == 2
+    assert slept == [0.5]
+
+
+@pytest.fixture
+def raw_server():
+    """A TCP server that answers each connection's request with the next of
+    the raw replies given to `serve`, then closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    threads = []
+
+    def serve(replies):
+        def run():
+            for reply in replies:
+                conn, _ = listener.accept()
+                with conn:
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        head += conn.recv(4096)
+                    head, _, body = head.partition(b"\r\n\r\n")
+                    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+                    while len(body) < length:
+                        body += conn.recv(4096)
+                    conn.sendall(reply)
+
+        threads.append(threading.Thread(target=run, daemon=True))
+        threads[-1].start()
+        return f"http://127.0.0.1:{listener.getsockname()[1]}/v1"
+
+    yield serve
+    for thread in threads:
+        thread.join(timeout=5)
+    listener.close()
+    assert not any(thread.is_alive() for thread in threads), "a reply was not asked for"
+
+
+def test_http_skips_every_interim_reply(raw_server, http_backend):
+    # http.client skipped only 100 Continue, so this 103 failed the call
+    data = json.dumps(_chat_payload("after hints")).encode()
+    reply = (
+        b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n"
+        b"HTTP/1.1 100 Continue\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(data), data)
+    )
+    endpoint = raw_server([reply])
+    backend = http_backend(BackendConfig(endpoint=endpoint, model="m", retries=0))
+    assert backend.complete([SYSTEM]).text == "after hints"
+
+
 def test_http_retries_connection_errors(monkeypatch, http_backend):
     slept = _sleeps(monkeypatch)
     cfg = BackendConfig(endpoint="http://127.0.0.1:1/v1", model="m", retries=2, timeout=5)
@@ -380,15 +494,33 @@ def test_http_retries_connection_errors(monkeypatch, http_backend):
 
 # --- endpoint, connection, start-up import and proxy environment ---------------------
 
-def test_cli_import_does_not_load_requests():
+def _python(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports covstim
+    from this checkout."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, covstim.cli; print('requests' in sys.modules)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     ).stdout
-    assert out.strip() == "False"
+
+
+def test_cli_import_does_not_load_requests():
+    code = "import sys, covstim.cli; print('requests' in sys.modules)"
+    assert _python(code).strip() == "False"
+
+
+def test_building_an_http_backend_loads_no_http_client():
+    # no proxy variable is set (no_proxy_env), so urllib.request is not needed
+    code = (
+        "import sys\n"
+        "import covstim.backend as b\n"
+        "print('socket' in sys.modules)\n"
+        "b.HttpBackend(b.BackendConfig(endpoint='http://127.0.0.1:9/v1', model='m'))\n"
+        "heavy = ('http.client', 'email.parser', 'urllib.request', 'ssl')\n"
+        "print([m for m in heavy if m in sys.modules], 'socket' in sys.modules)\n"
+    )
+    assert _python(code).splitlines() == ["False", "[] True"]
 
 
 @pytest.mark.parametrize(
@@ -400,6 +532,8 @@ def test_cli_import_does_not_load_requests():
         "http:///v1/chat/completions",  # no host
         "http://127.0.0.1:port/v1",
         "http://user:pw@127.0.0.1/v1",  # credentials come from api_key_env
+        "http://127.0.0.1/v 1",  # not a request target
+        "http://127.0.0.1/v\u00e9",
     ],
 )
 def test_malformed_endpoint_fails_when_the_backend_is_built(endpoint, monkeypatch):
@@ -457,8 +591,6 @@ def test_http_reconnects_after_an_idle_close(stub_server, monkeypatch, http_back
 
 
 def test_no_runtime_dependency_on_requests(stub_server):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys\n"
         "sys.modules['requests'] = None  # any import of requests now fails\n"
@@ -466,11 +598,7 @@ def test_no_runtime_dependency_on_requests(stub_server):
         f"config = BackendConfig(endpoint={_config(stub_server).endpoint!r}, model='m')\n"
         "print(HttpBackend(config).complete([{'role': 'system', 'content': 'hi'}]).text)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout
-    assert out.strip() == "ok"
+    assert _python(code).strip() == "ok"
 
 
 DEAD_PROXY = "http://127.0.0.1:1"  # nothing listens there
@@ -513,3 +641,137 @@ def test_messages_must_start_with_system(stub_server, http_backend):
         backend.complete([])
     with pytest.raises(ValueError):
         backend.complete([USER])
+
+
+# --- the reply reader against http.client ------------------------------------------
+
+class _Segments:
+    """A socket stand-in: `recv` hands out `data` in segments of the given
+    sizes (then whole), `makefile` all of it, as http.client reads it."""
+
+    def __init__(self, data: bytes, sizes: list) -> None:
+        self.data, self.sizes, self.pos = data, list(sizes), 0
+
+    def recv(self, limit: int) -> bytes:
+        size = min(self.sizes.pop(0) if self.sizes else limit, limit)
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def makefile(self, mode: str):
+        return io.BytesIO(self.data)
+
+
+# None: the server sends no final reply at all
+BAD_STATUS_LINES = [None, "", "garbage", "HTTP/1.1", "HTTP/1.1 abc OK", "HTTP/1.1 99 Low",
+                    "HTTP/1.1 1000 Big", "HTTP/2 200 OK", "ICY 200 OK"]
+
+
+@st.composite
+def replies(draw):
+    """(bytes, fault) of one reply: its framing, header casing and
+    whitespace, an optional 100 Continue before it, and a fault (a bad
+    status line, a short body, a bad chunk size) or None."""
+    fault = draw(st.sampled_from([None, None, None, "status", "short", "chunk"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    # a 204 has no body, so it cannot be short
+    status = draw(st.sampled_from([200, 201, 400, 429, 500, 503] + ([] if fault else [204])))
+    framing = {"short": draw(st.sampled_from(["length", "chunked"])), "chunk": "chunked"}.get(
+        fault, draw(st.sampled_from(["length", "chunked", "close"]))
+    )
+    body = draw(st.binary(max_size=120))
+    headers = [("X-Pad", draw(st.text("abc =;,", max_size=8)))]
+    if framing == "length":
+        headers.append(("Content-Length", str(len(body) + (fault == "short") * 7)))
+    elif framing == "chunked":
+        headers.append(("Transfer-Encoding", "chunked"))
+        if draw(st.booleans()):  # chunked framing overrides a length
+            headers.append(("Content-Length", str(len(body) + 3)))
+    # a repeated header counts by its first value
+    for connection in draw(st.lists(st.sampled_from(
+        ["close", "keep-alive", "Keep-Alive", "keep-alive, close"]
+    ), max_size=2)):
+        headers.append(("Connection", connection))
+    retry_after = draw(st.sampled_from([None, "7", "120", "Wed, 21 Oct 2015 07:28:00 GMT"]))
+    if retry_after:
+        headers.append(("Retry-After", retry_after))
+    ows = st.sampled_from(["", " ", "  ", "\t", " \t"])
+    lines = [
+        "".join(draw(st.sampled_from([c.lower(), c.upper()])) for c in name) + ":"
+        # http.client keeps trailing whitespace in a value, so "chunked " is
+        # not chunked to it; the reader strips it, as RFC 9110 says
+        + draw(ows) + value + ("" if name == "Transfer-Encoding" else draw(ows))
+        for name, value in draw(st.permutations(headers))
+    ]
+    reason = draw(st.sampled_from(["", " OK", " Some Reason"]))
+    status_line = f"{version} {status}{reason}"
+    if fault == "status":
+        status_line = draw(st.sampled_from(BAD_STATUS_LINES))
+    head = "\r\n".join([status_line or ""] + lines) + "\r\n\r\n"
+    if framing == "chunked":
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=4)))
+        pieces = [body[a:b] for a, b in zip([0] + cuts, cuts + [len(body)]) if b > a]
+        data = b""
+        for piece in pieces:
+            size = draw(st.sampled_from(["%x", "%X"])) % len(piece)
+            ext = draw(st.sampled_from(["", ";ext", ";name=value", ' ; q="x"']))
+            data += f"{size}{ext}\r\n".encode() + piece + b"\r\n"
+        if fault == "short":  # a last chunk that says it is longer than it is
+            data += b"%x\r\n" % (len(pieces[-1]) + 5 if pieces else 5) + (pieces or [b""])[-1]
+        elif fault == "chunk":
+            data += draw(st.sampled_from([b"zz", b"", b"g1", b"-", b"-5"])) + b"\r\n" + body
+        else:
+            data += b"0" + draw(st.sampled_from([b"", b";ext"])) + b"\r\n"
+            data += draw(st.sampled_from([b"", b"X-Trailer: 1\r\n"])) + b"\r\n"
+        body = data
+    if status_line is None:
+        head, body = "", b""
+    if draw(st.booleans()):
+        head = "HTTP/1.1 100 Continue\r\n\r\n" + head
+    return head.encode("latin-1") + body, fault
+
+
+def _oracle_reply(data: bytes):
+    """(status, Retry-After, body, keep) as http.client reads `data`, or
+    None when it raises."""
+    resp = http.client.HTTPResponse(_Segments(data, []), method="POST")
+    try:
+        resp.begin()
+        body = resp.read()
+    except http.client.HTTPException:
+        return None
+    finally:
+        resp.close()
+    retry_after = resp.getheader("Retry-After")
+    return resp.status, retry_after and retry_after.strip(), body, not resp.will_close
+
+
+def _reader_reply(data: bytes, sizes: list):
+    """(status, Retry-After, body, keep) as `_read_reply` reads `data` in
+    recv segments of `sizes`, or None when it raises; an AssertionError when
+    a good reply is not read to its end."""
+    sock = _Segments(data, sizes)
+    try:
+        status, headers, body, keep = _read_reply(sock)
+    except OSError:
+        return None
+    # so the next reply on a kept connection starts clean (a 204's stray
+    # body bytes are the server's error)
+    assert sock.pos >= len(data) or status == 204
+    return status, headers.get("retry-after"), body, keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(replies(), st.lists(st.integers(1, 40), max_size=30))
+def test_reply_reader_matches_http_client(reply, sizes):
+    data, fault = reply
+    got = _reader_reply(data, sizes)
+    assert got == _oracle_reply(data)
+    assert (got is None) == (fault is not None)
+
+
+@pytest.mark.parametrize("line", BAD_STATUS_LINES)
+def test_reply_reader_rejects_a_bad_status_line(line):
+    good = b"Content-Length: 2\r\n\r\nok"
+    data = b"" if line is None else line.encode() + b"\r\n" + good
+    assert _oracle_reply(data) is None
+    assert _reader_reply(data, [5, 3]) is None
