@@ -36,7 +36,12 @@ sys.path.insert(0, str(REPO / "tests"))
 from covstim.agents import CrtAgent
 from covstim.backend import ReplayBackend
 from covstim.duts import DUT_KINDS, make_dut
-from covstim.prompting import build_initial_query, build_system_message
+from covstim.prompting import (
+    ResponseOutcome,
+    build_initial_query,
+    build_iterative_query,
+    build_system_message,
+)
 from covstim.runtime import RunConfig, report_from_log, run_experiment
 from toydut import ToyDut
 
@@ -44,6 +49,16 @@ FIXTURES = REPO / "tests" / "fixtures"
 GOLDEN_SEED = 2026
 CRT_LOG_COUNT = 20_000
 CRT_LOG_SEEDS = (0, 1)
+# the stride bins every frozen iterative query lists, and its summary branches
+ITERATIVE_BINS = (
+    "single_stride_+01", "double_stride_+00_+01", "single_overflow_pos", "double_to_single"
+)
+ITERATIVE_OUTCOMES = {
+    "unusable": ResponseOutcome(usable=False, new_hits=0),
+    "no_new_bins": ResponseOutcome(usable=True, new_hits=0),
+    "one_new_bin": ResponseOutcome(usable=True, new_hits=1),
+    "new_bins": ResponseOutcome(usable=True, new_hits=3),
+}
 
 
 def crt_log_sha256(kind: str, seed: int) -> str:
@@ -84,10 +99,22 @@ def regen_prompts() -> None:
         path = out / f"initial_{kind}.txt"
         path.write_text(build_initial_query(dut.plan, "original", dut.stimulus_format))
         print(f"wrote {path}")
+        path = out / f"initial_one_line_intro_{kind}.txt"
+        path.write_text(build_initial_query(dut.plan, "one_line_intro", dut.stimulus_format))
+        print(f"wrote {path}")
     for fmt in formats:
         path = out / f"system_{fmt}.txt"
         path.write_text(build_system_message(fmt))
         print(f"wrote {path}")
+    stride = make_dut("stride")
+    bins = [stride.plan.descriptor(bin_id) for bin_id in ITERATIVE_BINS]
+    for variant in ("original", "negative_feedback"):
+        for case, outcome in ITERATIVE_OUTCOMES.items():
+            path = out / f"iterative_{variant}_{case}.txt"
+            path.write_text(
+                build_iterative_query(outcome, bins, variant, stride.stimulus_format)
+            )
+            print(f"wrote {path}")
 
 
 def regen_golden_trial() -> None:

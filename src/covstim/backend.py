@@ -105,7 +105,6 @@ class Completion:
     text: str
     tokens_in: int
     tokens_out: int
-    latency: float
 
 
 def _check_messages(messages: Sequence[Message]) -> None:
@@ -121,9 +120,7 @@ def estimate_prompt(messages: Sequence[Message]) -> int:
     return sum([(len(m["content"]) + 3) // 4 for m in messages])
 
 
-def account_reply(
-    text, usage, messages: Sequence[Message], max_tokens: int, latency: float = 0.0
-) -> Completion:
+def account_reply(text, usage, messages: Sequence[Message], max_tokens: int) -> Completion:
     """The Completion for one reply, cut to `max_tokens` x 4 characters so
     that a server ignoring max_tokens stays within the budget gate's reply
     allowance and a recorded script replays to the same log.
@@ -149,7 +146,6 @@ def account_reply(
         text,
         estimate_prompt(messages) if tokens_in is None else tokens_in,
         estimate_tokens(text) if tokens_out is None else tokens_out,
-        latency,
     )
 
 
@@ -253,7 +249,6 @@ class HttpBackend:
                 raise ValueError(f"{cfg.api_key_env} holds a line break")
             auth = f"Authorization: Bearer {api_key}\r\n".encode("latin-1")
         request = b"%s%sContent-Length: %d\r\n\r\n%s" % (self._head, auth, len(body), body)
-        start = time.perf_counter()
         last_error: Optional[str] = None
         for attempt in range(cfg.retries + 1):
             if attempt:
@@ -274,7 +269,7 @@ class HttpBackend:
             if not keep:
                 self.close()
             if status == 200:
-                return self._parse(data, messages, time.perf_counter() - start)
+                return self._parse(data, messages)
             last_error = f"HTTP {status}: {data[:200].decode(errors='replace')}"
             if status != 429 and status < 500:
                 raise BackendError(f"chat completion failed: {last_error}")
@@ -309,14 +304,13 @@ class HttpBackend:
             raise
         self._sock = sock
 
-    def _parse(self, data: bytes, messages: Sequence[Message], latency: float) -> Completion:
+    def _parse(self, data: bytes, messages: Sequence[Message]) -> Completion:
         try:
             payload = json.loads(data)
             text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from exc
-        max_tokens = self.config.max_tokens
-        return account_reply(text, payload.get("usage"), messages, max_tokens, latency)
+        return account_reply(text, payload.get("usage"), messages, self.config.max_tokens)
 
 
 def _ssl_context():

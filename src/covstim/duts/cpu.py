@@ -3,10 +3,14 @@
 Stimuli are instruction-memory updates, a list of (address, word) pairs
 applied before each step. The CPU fetches at pc (a missing word reads as
 zero), decodes against the 14-op subset, and executes; anything else is a
-NOP that only advances pc. Writes to x0 are discarded. JAL stores pc+4 in
-rd and adds its sign-extended offset to pc; offsets >= 0 count as forward
-jumps. The encodable offset is a multiple of 2, so jump targets are masked
-to word alignment to keep pc fetchable.
+NOP that only advances pc. JAL adds its sign-extended offset to pc; offsets
+>= 0 count as forward jumps. The encodable offset is a multiple of 2, so
+jump targets are masked to word alignment to keep pc fetchable.
+
+The model keeps only the pc, the instruction memory and the last writer's
+destination register. Register and data-memory values are not modelled:
+the subset has no loads, branches or JALR, so no bin and no control flow
+reads them.
 
 Coverage: per-op seen/zero_dst/zero_src/same_src bins (where the fields
 exist), jump direction bins, and one read-after-write hazard bin per
@@ -15,7 +19,6 @@ executed NOP breaks hazard adjacency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,7 +32,6 @@ _JAL_OPCODE = 0x6F
 _STORE_OPCODE = 0x23
 _R_OPCODE = 0x33
 _STORE_F3 = {0: "sb", 1: "sh", 2: "sw"}
-_STORE_WIDTH = {"sb": 1, "sh": 2, "sw": 4}
 
 R_OPS = ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and")
 STORE_OPS = ("sb", "sh", "sw")
@@ -37,24 +39,6 @@ CPU_OPS = R_OPS + STORE_OPS + ("jal",)
 
 CPU_WRITERS = frozenset(R_OPS) | {"jal"}
 CPU_READERS = frozenset(R_OPS) | set(STORE_OPS)
-
-
-def _signed(v: int) -> int:
-    return v - 2**32 if v >= 2**31 else v
-
-
-_ALU = {
-    "add": lambda a, b: (a + b) & _MASK,
-    "sub": lambda a, b: (a - b) & _MASK,
-    "sll": lambda a, b: (a << (b & 31)) & _MASK,
-    "slt": lambda a, b: 1 if _signed(a) < _signed(b) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 31),
-    "sra": lambda a, b: (_signed(a) >> (b & 31)) & _MASK,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-}
 
 
 def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
@@ -77,10 +61,9 @@ def _cpu_model() -> tuple:
 
     Returns (plan, R-type ops keyed by the decoder's masked word, stores
     keyed by funct3, JAL bins indexed [rd == 0][offset < 0], and JAL's
-    hazard bins as the writer, keyed by reader op). An R-type or store entry is (name,
-    seen, zero_src, same_src and zero_dst bin ids, ALU function, hazard
-    bins as the writer, store width); the fields an op lacks are None, and
-    a store's hazard bins are empty.
+    hazard bins as the writer, keyed by reader op). An R-type or store entry
+    is (name, seen, zero_src, same_src and zero_dst bin ids, hazard bins as
+    the writer); a store's zero_dst is None and its hazard bins are empty.
     """
     bins = []
 
@@ -135,33 +118,25 @@ def _cpu_model() -> tuple:
             )
             for reader in sorted(CPU_READERS)
         }
-    def reader(name: str, alu=None, width=None) -> tuple:
+    def reader(name: str) -> tuple:
         own = op_bins[name]
         return (name, own["seen"], own["zero_src"], own["same_src"], own.get("zero_dst"),
-                alu, hazards.get(name, {}), width)
+                hazards.get(name, {}))
 
     # R-type encodings come from the decoder's masked-word table; sh and jal
     # are cpu-only and handled directly.
     r_ops = {
-        match: reader(spec["name"], alu=_ALU[spec["name"]])
+        match: reader(spec["name"])
         for match, (_, _, spec) in decoder_model()[1].items()
         if spec["format"] == "r"
     }
-    stores = {f3: reader(name, width=_STORE_WIDTH[name]) for f3, name in _STORE_F3.items()}
+    stores = {f3: reader(name) for f3, name in _STORE_F3.items()}
     jal = op_bins["jal"]
     jal_bins = tuple(
         tuple((jal["seen"], *zero_dst, jump) for jump in jumps)
         for zero_dst in ((), (jal["zero_dst"],))
     )
     return CoveragePlan("cpu", bins), r_ops, stores, jal_bins, hazards["jal"]
-
-
-@dataclass
-class CpuState:
-    pc: int = 0
-    regs: list[int] = field(default_factory=lambda: [0] * 32)
-    imem: dict[int, int] = field(default_factory=dict)
-    dmem: dict[int, int] = field(default_factory=dict)
 
 
 class CpuDut:
@@ -180,7 +155,8 @@ class CpuDut:
         self.reset()
 
     def reset(self) -> None:
-        self.state = CpuState()
+        self.pc = 0
+        self.imem: dict[int, int] = {}
         self._writer_rd = 0  # destination of the previous instruction if it wrote one
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
 
@@ -195,10 +171,9 @@ class CpuDut:
             if addr & 3:
                 raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
             updates[addr & _MASK] = int(word) & _MASK
-        s = self.state
-        imem = s.imem
+        imem = self.imem
         imem.update(updates)
-        pc = s.pc
+        pc = self.pc
         word = imem.get(pc, 0)
         opcode = word & 0x7F
         if opcode == _JAL_OPCODE:
@@ -211,14 +186,12 @@ class CpuDut:
                 | ((word >> 20) & 0x7FE)
             )
             imm -= (imm & 0x100000) << 1
-            if rd:
-                s.regs[rd] = (pc + 4) & _MASK
             # encodable offsets are even but not always multiples of 4
-            s.pc = (pc + imm) & 0xFFFFFFFC
+            self.pc = (pc + imm) & 0xFFFFFFFC
             self._writer_rd = rd
             self._writer_hazards = self._jal_hazards
             return list(self._jal_bins[rd == 0][imm < 0])
-        s.pc = (pc + 4) & _MASK
+        self.pc = (pc + 4) & _MASK
         if opcode == _R_OPCODE:
             op = self._r_ops.get(word & MATCH_MASK)
         elif opcode == _STORE_OPCODE:
@@ -228,25 +201,16 @@ class CpuDut:
         if op is None:
             self._writer_rd = 0
             return []
-        name, seen, zero_src, same_src, zero_dst, alu, hazards, width = op
-        regs = s.regs
+        name, seen, zero_src, same_src, zero_dst, hazards = op
         rs1 = (word >> 15) & 31
         rs2 = (word >> 20) & 31
         bins = [seen]
-        if alu is not None:  # R-type
-            rd = (word >> 7) & 31
-            if rd:
-                regs[rd] = alu(regs[rs1], regs[rs2])
-            else:
-                bins.append(zero_dst)
-        else:  # store
+        if zero_dst is None:  # a store writes no register
             rd = 0
-            # imm[11:5|4:0] from bits 31:25|11:7, sign-extended below
-            imm = ((word >> 20) & 0xFE0) | ((word >> 7) & 0x1F)
-            addr = (regs[rs1] + imm - ((imm & 0x800) << 1)) & _MASK
-            value = regs[rs2]
-            for i in range(width):
-                s.dmem[(addr + i) & _MASK] = (value >> (8 * i)) & 0xFF
+        else:
+            rd = (word >> 7) & 31
+            if not rd:
+                bins.append(zero_dst)
         if rs1 == 0 or rs2 == 0:
             bins.append(zero_src)
         if rs1 == rs2:
@@ -259,4 +223,4 @@ class CpuDut:
         return bins
 
     def extras(self) -> dict:
-        return {"pc": self.state.pc}
+        return {"pc": self.pc}

@@ -503,7 +503,10 @@ def _records(path):
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError):  # not JSON, or nested too deeply
+                    record = None
                 if not isinstance(record, dict):
                     raise ValueError(f"log {path} line {number} is not a JSON object")
                 yield number, line, record

@@ -484,6 +484,16 @@ def test_http_skips_every_interim_reply(raw_server, http_backend):
     assert backend.complete([SYSTEM]).text == "after hints"
 
 
+def test_http_rejects_a_body_nested_too_deeply(raw_server, http_backend):
+    # deeper than json.loads recurses: RecursionError once escaped run_trial
+    data = b"[" * 100_000 + b"]" * 100_000
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(data), data)
+    endpoint = raw_server([reply])
+    backend = http_backend(BackendConfig(endpoint=endpoint, model="m", retries=0))
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        backend.complete([SYSTEM])
+
+
 def test_http_retries_connection_errors(monkeypatch, http_backend):
     slept = _sleeps(monkeypatch)
     cfg = BackendConfig(endpoint="http://127.0.0.1:1/v1", model="m", retries=2, timeout=5)

@@ -402,9 +402,11 @@ def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
     lines = log.read_text().splitlines()
-    for junk in ("[1,2]", "7", '"event"', "null"):
+    # the last two are not JSON: a dropped comma, and nesting deeper than
+    # json.loads recurses
+    for junk in ("[1,2]", "7", '"event"', "null", lines[1].replace(",", " ", 1), "[" * 100_000):
         log.write_text("\n".join([lines[0], junk, *lines[1:]]) + "\n")
-        assert "line 2 is not a JSON object" in rejection(log, capsys)
+        assert rejection(log, capsys) == f"covstim: log {log} line 2 is not a JSON object\n"
 
 
 def test_run_llm_without_backend_fails(tmp_path, capsys):

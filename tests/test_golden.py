@@ -17,13 +17,27 @@ import pytest
 
 from covstim.backend import ReplayBackend
 from covstim.duts import make_dut
-from covstim.prompting import build_initial_query, build_system_message
+from covstim.prompting import (
+    ResponseOutcome,
+    build_initial_query,
+    build_iterative_query,
+    build_system_message,
+)
 from covstim.runtime import RunConfig, run_experiment
 from toydut import ToyDut
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SEED = 2026
 CRT_LOG_COUNT = 20_000
+ITERATIVE_BINS = (
+    "single_stride_+01", "double_stride_+00_+01", "single_overflow_pos", "double_to_single"
+)
+ITERATIVE_OUTCOMES = {
+    "unusable": ResponseOutcome(usable=False, new_hits=0),
+    "no_new_bins": ResponseOutcome(usable=True, new_hits=0),
+    "one_new_bin": ResponseOutcome(usable=True, new_hits=1),
+    "new_bins": ResponseOutcome(usable=True, new_hits=3),
+}
 
 
 def replay_golden(log_path):
@@ -66,6 +80,18 @@ def test_initial_queries_match_frozen_texts():
         dut = make_dut(kind)
         frozen = (FIXTURES / "prompts" / f"initial_{kind}.txt").read_text()
         assert build_initial_query(dut.plan, "original", dut.stimulus_format) == frozen
+        frozen = (FIXTURES / "prompts" / f"initial_one_line_intro_{kind}.txt").read_text()
+        assert build_initial_query(dut.plan, "one_line_intro", dut.stimulus_format) == frozen
+
+
+@pytest.mark.parametrize("case", sorted(ITERATIVE_OUTCOMES))
+@pytest.mark.parametrize("variant", ["original", "negative_feedback"])
+def test_iterative_queries_match_frozen_texts(variant, case):
+    """Each summary branch under each template that changes the bin list."""
+    stride = make_dut("stride")
+    bins = [stride.plan.descriptor(bin_id) for bin_id in ITERATIVE_BINS]
+    text = build_iterative_query(ITERATIVE_OUTCOMES[case], bins, variant, stride.stimulus_format)
+    assert text == (FIXTURES / "prompts" / f"iterative_{variant}_{case}.txt").read_text()
 
 
 def test_system_messages_match_frozen_texts():
