@@ -121,11 +121,16 @@ def build_corpus() -> list[dict]:
     return [classify(w) for w in words]
 
 
+def corpus_text(corpus: list[dict]) -> str:
+    """The fixture file's exact contents."""
+    return json.dumps(corpus, indent=1, sort_keys=True) + "\n"
+
+
 def main() -> None:
     out = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "decoder_golden.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus = build_corpus()
-    out.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    out.write_text(corpus_text(corpus))
     ops = sorted({e["op"] for e in corpus})
     print(f"wrote {len(corpus)} entries, ops seen: {ops}")
 

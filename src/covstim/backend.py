@@ -507,7 +507,10 @@ class ReplayBackend:
     @classmethod
     def from_file(cls, path, config: Optional[BackendConfig] = None) -> "ReplayBackend":
         with open(path, encoding="utf-8") as fh:
-            script = json.load(fh)
+            try:
+                script = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
+                raise ValueError(f"replay script {path} is not valid JSON: {exc}") from None
         if not isinstance(script, list):
             raise ValueError(f"replay script {path} must be a JSON array of strings")
         return cls(script, config=config)

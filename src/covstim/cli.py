@@ -93,7 +93,11 @@ def _log_path(out_dir):
 
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = RunConfig.from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
+    config = RunConfig.from_dict(raw)
     if args.seed is not None:
         config.seed = args.seed
     backend = _make_backend(args.backend, config) if config.agent == "llm" else None

@@ -149,11 +149,6 @@ class CoverageState:
             self._view._cover(newly_covered)
         return newly_covered
 
-    def rate(self) -> float:
-        if len(self.plan) == 0:
-            raise ValueError(f"plan {self.plan.name!r} has no bins")
-        return len(self.covered) / len(self.plan)
-
     def is_full(self) -> bool:
         return len(self.covered) == len(self.plan)
 

@@ -7,6 +7,10 @@ NOP that only advances pc. JAL adds its sign-extended offset to pc; offsets
 >= 0 count as forward jumps. The encodable offset is a multiple of 2, so
 jump targets are masked to word alignment to keep pc fetchable.
 
+The R-type ops are the decoder's: `encode_cpu` assembles them, and `feed`
+looks them up, by the decoder op table's match words. A store's funct3 is
+its index in STORE_OPS, and JAL is encoded here.
+
 The model keeps only the pc, the instruction memory and the last writer's
 destination register. Register and data-memory values are not modelled:
 the subset has no loads, branches or JALR, so no bin and no control flow
@@ -22,19 +26,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from covstim import rv32i
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError
-from covstim.duts.decoder import MATCH_MASK, decoder_model
+from covstim.duts.decoder import MATCH_MASK, encode, store_imm
 
 _MASK = 0xFFFFFFFF
 _JAL_OPCODE = 0x6F
 _STORE_OPCODE = 0x23
 _R_OPCODE = 0x33
-_STORE_F3 = {0: "sb", 1: "sh", 2: "sw"}
 
 R_OPS = ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and")
-STORE_OPS = ("sb", "sh", "sw")
+STORE_OPS = ("sb", "sh", "sw")  # in funct3 order
 CPU_OPS = R_OPS + STORE_OPS + ("jal",)
 
 CPU_WRITERS = frozenset(R_OPS) | {"jal"}
@@ -42,17 +44,29 @@ CPU_READERS = frozenset(R_OPS) | set(STORE_OPS)
 
 
 def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
-    """Assemble a word for one of the 14 cpu ops."""
-    if op == "jal":
-        return rv32i.encode_j(_JAL_OPCODE, rd, imm)
-    if op in _STORE_F3.values():
-        f3 = {"sb": 0, "sh": 1, "sw": 2}[op]
-        return rv32i.encode_s(_STORE_OPCODE, f3, rs1, rs2, imm)
-    for match, (_, _, spec) in decoder_model()[1].items():
-        if spec["format"] == "r" and spec["name"] == op:
-            # the match value is the word with all register fields zero
-            return (match | (rs2 << 20) | (rs1 << 15) | (rd << 7)) & _MASK
-    raise ValueError(f"unknown cpu op {op!r}")
+    """Assemble a word for one of the 14 cpu ops.
+
+    R-type words come from the decoder's `encode`. A JAL offset must be even
+    and in the 21-bit signed range; every immediate is truncated to its field.
+    """
+    if op in R_OPS:
+        return encode(op, rs1=rs1, rs2=rs2, rd=rd)
+    if op in STORE_OPS:
+        word = _STORE_OPCODE | STORE_OPS.index(op) << 12 | rs2 << 20 | rs1 << 15
+        return (word | store_imm(imm)) & _MASK
+    if op != "jal":
+        raise ValueError(f"unknown cpu op {op!r}")
+    imm &= 0x1FFFFE
+    # imm[20|10:1|11|19:12] into bits 31|30:21|20|19:12
+    word = (
+        (imm >> 20) << 31
+        | ((imm >> 1) & 0x3FF) << 21
+        | ((imm >> 11) & 1) << 20
+        | ((imm >> 12) & 0xFF) << 12
+        | rd << 7
+        | _JAL_OPCODE
+    )
+    return word & _MASK
 
 
 @lru_cache(maxsize=1)
@@ -123,14 +137,10 @@ def _cpu_model() -> tuple:
         return (name, own["seen"], own["zero_src"], own["same_src"], own.get("zero_dst"),
                 hazards.get(name, {}))
 
-    # R-type encodings come from the decoder's masked-word table; sh and jal
-    # are cpu-only and handled directly.
-    r_ops = {
-        match: reader(spec["name"])
-        for match, (_, _, spec) in decoder_model()[1].items()
-        if spec["format"] == "r"
-    }
-    stores = {f3: reader(name) for f3, name in _STORE_F3.items()}
+    # an R-type op is keyed by its word with every register field zero, which
+    # is the decoder's match word
+    r_ops = {encode(name): reader(name) for name in R_OPS}
+    stores = {f3: reader(name) for f3, name in enumerate(STORE_OPS)}
     jal = op_bins["jal"]
     jal_bins = tuple(
         tuple((jal["seen"], *zero_dst, jump) for jump in jumps)

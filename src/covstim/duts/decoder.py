@@ -3,8 +3,10 @@
 The op/port table ships as package data (data/rv32i_ops.json) and is the
 single source of truth for encodings, port usage, and the generated coverage
 plan: one bin per op, one per (register, port) pair, and one per
-op x register x port cross for the ports that op actually uses. Words that
-do not match any table entry hit nothing.
+op x register x port cross for the ports that op actually uses. Each op's
+match word (opcode | funct3 << 12 | funct7 << 25) keys the decode lookup,
+and `encode` ORs the operand fields onto it; the CPU model's encoder builds
+on the same words. Words that do not match any table entry hit nothing.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from covstim import rv32i
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_INTEGERS
 
@@ -22,6 +23,7 @@ from covstim.duts import FORMAT_INTEGERS
 # R-type op.
 MATCH_MASK = 0xFE00707F
 FREE_MASK = 0x0000707F
+_MASK = 0xFFFFFFFF
 
 _PORTS = (  # port, its word field, the field's shift
     ("read_a", "rs1", 15),
@@ -32,50 +34,61 @@ _PORTS = (  # port, its word field, the field's shift
 
 @lru_cache(maxsize=1)
 def op_table() -> dict:
+    """The shipped table, with each op's match word added as `match`."""
     raw = resources.files("covstim").joinpath("data/rv32i_ops.json").read_text()
     table = json.loads(raw)
     for op in table["ops"]:
         op["opcode"] = int(op["opcode"], 16)
         if op["funct7"] is not None:
             op["funct7"] = int(op["funct7"], 16)
+        op["match"] = op["opcode"] | op["funct3"] << 12 | (op["funct7"] or 0) << 25
     return table
+
+
+def store_imm(imm: int) -> int:
+    """An S-type immediate in place: imm[11:5] at bits 31:25, imm[4:0] at 11:7."""
+    imm &= 0xFFF
+    return (imm >> 5) << 25 | (imm & 0x1F) << 7
 
 
 def encode(
     op: str, rs1: int = 0, rs2: int = 0, rd: int = 0, imm: int = 0, shamt: int = 0
 ) -> int:
-    """Assemble a word for one of the 26 supported ops."""
+    """Assemble a word for one of the 26 supported ops.
+
+    Immediates are signed Python ints, truncated to their field; the fields
+    are ORed onto the op's match word and the result is an unsigned 32-bit
+    word. Fields the op's format does not carry are ignored.
+    """
     entry = next((e for e in op_table()["ops"] if e["name"] == op), None)
     if entry is None:
         raise ValueError(f"unknown op {op!r}")
     fmt = entry["format"]
+    word = entry["match"] | rs1 << 15
     if fmt == "r":
-        return rv32i.encode_r(entry["opcode"], entry["funct3"], entry["funct7"], rd, rs1, rs2)
-    if fmt == "i_shift":
-        imm12 = (entry["funct7"] << 5) | (shamt & 0x1F)
-        return rv32i.encode_i(entry["opcode"], entry["funct3"], rd, rs1, imm12)
-    if fmt == "store":
-        return rv32i.encode_s(entry["opcode"], entry["funct3"], rs1, rs2, imm)
-    return rv32i.encode_i(entry["opcode"], entry["funct3"], rd, rs1, imm)
-
-
-def _reg_ids() -> range:
-    return range(0, 32) if op_table()["include_x0_ports"] else range(1, 32)
+        word |= rs2 << 20 | rd << 7
+    elif fmt == "store":
+        word |= rs2 << 20 | store_imm(imm)
+    elif fmt == "i_shift":  # the shift amount sits in the rs2 field
+        word |= (shamt & 0x1F) << 20 | rd << 7
+    else:
+        word |= (imm & 0xFFF) << 20 | rd << 7
+    return word & _MASK
 
 
 @lru_cache(maxsize=1)
 def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
     """The plan and the two masked-word lookup tables, built in one pass.
 
-    A table entry is (op bin id, ports, op-table record). `ports` has one
-    (field shift, pairs) item per port the op uses, in read_a, read_b,
-    write order; `pairs[reg]` is that register's (port bin id, cross bin
-    id), or () where the plan leaves x0 out.
+    Each table is keyed on an op's match word. An entry is (op bin id,
+    ports): `ports` has one (field shift, pairs) item per port the op uses,
+    in read_a, read_b, write order, and `pairs[reg]` is that register's
+    (port bin id, cross bin id).
     """
     table = op_table()
     bins = []
     port_ids: dict[tuple[int, str], str] = {}
-    for reg in _reg_ids():
+    for reg in range(32):
         for port, field, _ in _PORTS:
             port_ids[reg, port] = f"port_x{reg:02d}_{port}"
             bins.append(
@@ -109,10 +122,10 @@ def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
         for port, field, shift in _PORTS:
             if not op[f"uses_{field}"]:
                 continue
-            pairs: list[tuple] = [()] * 32
-            for reg in _reg_ids():
+            pairs = []
+            for reg in range(32):
                 cross_id = f"cross_{op['name']}_x{reg:02d}_{port}"
-                pairs[reg] = (port_ids[reg, port], cross_id)
+                pairs.append((port_ids[reg, port], cross_id))
                 bins.append(
                     BinDescriptor(
                         id=cross_id,
@@ -125,12 +138,7 @@ def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
                     )
                 )
             ports.append((shift, tuple(pairs)))
-        entry = (op_id, tuple(ports), op)
-        key = op["opcode"] | (op["funct3"] << 12)
-        if op["funct7"] is None:
-            free.setdefault(key, entry)
-        else:
-            fixed.setdefault(key | (op["funct7"] << 25), entry)
+        (free if op["funct7"] is None else fixed).setdefault(op["match"], (op_id, tuple(ports)))
     if any(key & FREE_MASK in free for key in fixed):
         raise ValueError("op table: a funct7-free op shares opcode and funct3 with another op")
     return CoveragePlan("decoder", bins), fixed, free
@@ -156,7 +164,7 @@ class DecoderMonitor:
         entry = self._fixed_get(stimulus & MATCH_MASK) or self._free_get(stimulus & FREE_MASK)
         if entry is None:
             return []
-        op_id, ports, _ = entry
+        op_id, ports = entry
         bins = [op_id]
         for shift, pairs in ports:
             bins += pairs[(stimulus >> shift) & 31]

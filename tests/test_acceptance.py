@@ -44,6 +44,7 @@ from test_golden import FIXTURES, replay_golden
 from test_prompting import make_bins, uncovered_of
 from test_stride import monitor_stream_bins, oracle_stream_bins
 from toydut import ToyDut
+from witness import WITNESSES
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -76,6 +77,20 @@ def test_criterion_1_plan_cardinalities():
     )
     assert (stride, cpu, decoder) == (1034, 196, expected_decoder)
     assert took < 1.0
+
+
+@pytest.mark.parametrize("kind,size", [("stride", 1034), ("decoder", 2106), ("cpu", 196)])
+def test_every_plan_bin_has_a_witness(kind, size):
+    """Every bin is reachable: its witness, fed from reset, hits it on its last stimulus."""
+    dut = make_dut(kind)
+    witnesses = WITNESSES[kind]()
+    assert set(witnesses) == {b.id for b in dut.plan}
+    assert len(witnesses) == size
+    for bin_id, stimuli in witnesses.items():
+        dut.reset()
+        for stimulus in stimuli:
+            hit = dut.feed(stimulus)
+        assert bin_id in hit, bin_id
 
 
 # --- 2: constrained-random baselines ------------------------------------------------

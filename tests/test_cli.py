@@ -409,6 +409,28 @@ def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
         assert rejection(log, capsys) == f"covstim: log {log} line 2 is not a JSON object\n"
 
 
+DEEP_JSON = "[" * 100_000  # deeper than json.load recurses
+
+
+def one_line_rejection(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_run_rejects_a_config_nested_too_deeply(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(DEEP_JSON)
+    assert main(["run", "--config", str(config)]) == 1
+    one_line_rejection(capsys, f"covstim: config {config} is not valid JSON: ")
+
+
+def test_run_rejects_a_replay_script_nested_too_deeply(tmp_path, capsys):
+    config, script = write_run_setup(tmp_path)
+    script.write_text(DEEP_JSON)
+    assert main(["run", "--config", str(config), "--backend", f"replay:{script}"]) == 1
+    one_line_rejection(capsys, f"covstim: replay script {script} is not valid JSON: ")
+
+
 def test_run_llm_without_backend_fails(tmp_path, capsys):
     config, _ = write_run_setup(tmp_path)
     rc = main(["run", "--config", str(config)])

@@ -65,20 +65,12 @@ def test_unknown_bin_id_after_covered_ones_is_an_error():
             state.record(batch)
 
 
-def test_rate_and_full():
+def test_is_full():
     state = CoverageState(make_plan(4))
-    assert state.rate() == 0.0
     state.record(["bin_00", "bin_02"])
-    assert state.rate() == pytest.approx(0.5)
     assert not state.is_full()
     state.record(["bin_01", "bin_03"])
-    assert state.is_full() and state.rate() == 1.0
-
-
-def test_rate_on_empty_plan_is_an_error():
-    state = CoverageState(CoveragePlan("empty", []))
-    with pytest.raises(ValueError):
-        state.rate()
+    assert state.is_full()
 
 
 def test_uncovered_preserves_plan_order():

@@ -8,6 +8,7 @@ and `feed` is the only decode the tests exercise.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import time
@@ -22,6 +23,7 @@ from covstim.duts import make_dut
 from covstim.duts.decoder import DecoderMonitor, encode, op_table
 
 FIXTURE = Path(__file__).parent / "fixtures" / "decoder_golden.json"
+FREEZER = Path(__file__).parent.parent / "scripts" / "freeze_decoder_golden.py"
 R_OPS = {"add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and"}
 
 
@@ -31,6 +33,14 @@ def golden():
 
 
 # --- golden corpus ------------------------------------------------------------
+
+def test_freezer_reproduces_the_golden_corpus():
+    """The independent oracle and its fixture have not drifted apart."""
+    spec = importlib.util.spec_from_file_location("freeze_decoder_golden", FREEZER)
+    freezer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freezer)  # defines build_corpus; main() is not run
+    assert freezer.corpus_text(freezer.build_corpus()) == FIXTURE.read_text()
+
 
 def test_golden_corpus_covers_all_ops(golden):
     ops = {e["op"] for e in golden}
@@ -154,7 +164,7 @@ def decoder_oracle_bins(word: int) -> list[str]:
         ("write", (word >> 7) & 31, entry["uses_rd"]),
     )
     for port, reg, used in fields:
-        if not used or (reg == 0 and not table["include_x0_ports"]):
+        if not used:
             continue
         bins.append(f"port_x{reg:02d}_{port}")
         bins.append(f"cross_{entry['name']}_x{reg:02d}_{port}")

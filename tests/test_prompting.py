@@ -927,11 +927,12 @@ def test_one_series_matches_three_list_oracle(steps, restart, buffer_reset, miss
     agent = LlmAgent(SERIES_PLAN, FORMAT_INTEGERS, config, backend, random.Random(seed))
     oracle = ThreeListOracle(config)
     state = CoverageState(SERIES_PLAN)
+    rate = 0.0
     restarts, oracle_restarts = [], []
     for step, (easier, harder, covered) in enumerate(steps):
         if agent.prepare(state.uncovered()).restarted:
             restarts.append(step)
-        if oracle.prepare(state.rate()):
+        if oracle.prepare(rate):
             oracle_restarts.append(step)
         assert restarts == oracle_restarts
         prepared = agent.prepare(state.uncovered())  # a second prepare never restarts
@@ -940,8 +941,9 @@ def test_one_series_matches_three_list_oracle(steps, restart, buffer_reset, miss
         agent.submit(prepared)
         state = CoverageState(SERIES_PLAN)  # the next prepare sees `covered` bins
         state.record([b.id for b in islice(SERIES_PLAN, covered)])
-        agent.credit(easier, harder, state.rate())
-        oracle.credit(easier + harder, state.rate())
+        rate = len(state.covered) / len(SERIES_PLAN)
+        agent.credit(easier, harder, rate)
+        oracle.credit(easier + harder, rate)
         assert agent.dialogue.deltas == oracle.trial
         assert agent.dialogue.responses_since_restart == len(oracle.since_restart)
         assert agent.sampler.method == oracle.method, step
