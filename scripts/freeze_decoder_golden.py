@@ -1,5 +1,7 @@
-"""Regenerate the frozen decoder golden corpus (tests/fixtures/decoder_golden.json).
+"""The independent decoder oracle behind tests/fixtures/decoder_golden.json.
 
+`corpus_text(build_corpus())` is that fixture's exact contents;
+scripts/regen_goldens.py writes it, and tests/test_golden.py checks the file.
 The expectations here are derived from the standard RV32I mask/match encoding
 table and hand-rolled field assembly, written independently of the package
 decoder so the fixture stays an external oracle. Entries outside the decoder's
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 # (mask, match) pairs per the standard RV32I encoding table.
 MASK_MATCH = {
@@ -125,15 +126,3 @@ def corpus_text(corpus: list[dict]) -> str:
     """The fixture file's exact contents."""
     return json.dumps(corpus, indent=1, sort_keys=True) + "\n"
 
-
-def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "decoder_golden.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    corpus = build_corpus()
-    out.write_text(corpus_text(corpus))
-    ops = sorted({e["op"] for e in corpus})
-    print(f"wrote {len(corpus)} entries, ops seen: {ops}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Regenerate frozen test fixtures: crt draws and logs, prompt texts, the golden trial log.
+"""Regenerate every frozen test fixture from one table, `RECIPES`.
 
-Everything regenerated here is deterministic, so a rerun is a no-op unless
-the implementation intentionally changed. Diff regenerated goldens before
-committing them; they are the reference the acceptance tests lock against.
+Usage: python3 scripts/regen_goldens.py
+
+Each `RECIPES` entry maps a path under tests/fixtures to a zero-argument
+function that returns that file's exact bytes. `main` prints `changed` or
+`unchanged` for each fixture and writes only the changed ones; diff a
+changed fixture before committing it. `tests/test_golden.py` compares every
+fixture with its recipe, so the test suite fails on a fixture that its
+recipe no longer reproduces.
 
 The golden trial replays tests/fixtures/golden_replay_script.json (37
-responses against the ten-bin toy device): per-response new-bin deltas
+responses against the ten-bin toy device), the one fixture that is an input
+rather than a recipe's output. Its per-response new-bin deltas
   [1,0,2,0,1,0,0,0,0,0,1,1] + 25 zeros
-which forces dialogue restarts before responses 11, 18, 25, and 32 under
-the default tolerance, and trips the no-new-bins-in-25 exhaustion rule at
+force dialogue restarts before responses 11, 18, 25, and 32 under the
+default tolerance of 7, and trip the no-new-bins-in-25 exhaustion rule at
 exactly response 37.
 
-The crt fixture also pins the sha256 of each device's whole crt log.jsonl at
-seeds 0 and 1 (20,000 stimuli), so a faster crt path must draw the same
-random stream in the same order.
+The crt fixture pins each device's first draws and the sha256 of each
+device's whole crt log.jsonl at seeds 0 and 1 (20,000 stimuli), so a faster
+crt path must draw the same random stream in the same order. The decoder
+corpus comes from the independent oracle in freeze_decoder_golden.py, and
+plans_sha256.json pins every bin of every device's coverage plan.
 
-Every log written here passes `report_from_log` before its bytes or digest
-are frozen, so a writer change that the verifier rejects cannot reach a
-fixture.
+Every log goes through `report_from_log` before its bytes or digest are
+taken, so a writer change that the verifier rejects cannot reach a fixture.
 """
 from __future__ import annotations
 
@@ -27,15 +34,17 @@ import json
 import random
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
+from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
-sys.path.insert(0, str(REPO / "tests"))
+for _sub in ("src", "tests", "scripts"):
+    sys.path.insert(0, str(REPO / _sub))
 
 from covstim.agents import CrtAgent
 from covstim.backend import ReplayBackend
-from covstim.duts import DUT_KINDS, make_dut
+from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
 from covstim.prompting import (
     ResponseOutcome,
     build_initial_query,
@@ -43,9 +52,11 @@ from covstim.prompting import (
     build_system_message,
 )
 from covstim.runtime import RunConfig, report_from_log, run_experiment
+from freeze_decoder_golden import build_corpus, corpus_text
 from toydut import ToyDut
 
 FIXTURES = REPO / "tests" / "fixtures"
+REPLAY_SCRIPT = "golden_replay_script.json"
 GOLDEN_SEED = 2026
 CRT_LOG_COUNT = 20_000
 CRT_LOG_SEEDS = (0, 1)
@@ -61,76 +72,113 @@ ITERATIVE_OUTCOMES = {
 }
 
 
-def crt_log_sha256(kind: str, seed: int) -> str:
-    config = RunConfig(dut=kind, agent="crt", seed=seed, crt_count=CRT_LOG_COUNT)
+def replay_golden(log_path: Path):
+    """Run the golden trial, writing its log to `log_path`."""
+    script = json.loads((FIXTURES / REPLAY_SCRIPT).read_text())
+    config = RunConfig(dut="toy", agent="llm", seed=GOLDEN_SEED)
+    return run_experiment(
+        config, backend=ReplayBackend(script), dut=ToyDut(), log_path=log_path
+    )
+
+
+def checked_log(run: Callable[[Path], object]) -> bytes:
+    """The bytes of the log `run` writes, once `report_from_log` accepts them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
-        run_experiment(config, log_path=path)
+        run(path)
         report_from_log(path)
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
 
 
-def regen_crt_draws() -> None:
-    stride = CrtAgent("stride", random.Random(42))
-    decoder = CrtAgent("decoder", random.Random(42))
-    cpu = CrtAgent("cpu", random.Random(42))
+@cache  # crt_golden and test_crt_log_matches_frozen_digest share each 20,000-stimulus run
+def crt_log_sha256(kind: str, seed: int) -> str:
+    config = RunConfig(dut=kind, agent="crt", seed=seed, crt_count=CRT_LOG_COUNT)
+    log = checked_log(lambda path: run_experiment(config, log_path=path))
+    return hashlib.sha256(log).hexdigest()
+
+
+def json_text(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def crt_first_draws(kind: str) -> list:
+    """The first two stride or decoder stimuli a crt agent seeded 42 draws."""
+    return list(CrtAgent(kind, random.Random(42)).stimuli(2, dict))
+
+
+def crt_golden() -> bytes:
     pcs = iter([0, 24])
-    payload = {
-        "stride": list(stride.stimuli(2, dict)),
-        "decoder": list(decoder.stimuli(2, dict)),
-        "cpu_words": [s[0][1] for s in cpu.stimuli(2, lambda: {"pc": next(pcs)})],
+    cpu = CrtAgent("cpu", random.Random(42)).stimuli(2, lambda: {"pc": next(pcs)})
+    return json_text({
+        "stride": crt_first_draws("stride"),
+        "decoder": crt_first_draws("decoder"),
+        "cpu_words": [s[0][1] for s in cpu],
         "log_sha256": {
             kind: {str(seed): crt_log_sha256(kind, seed) for seed in CRT_LOG_SEEDS}
             for kind in DUT_KINDS
         },
-    }
-    path = FIXTURES / "crt_golden.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    })
 
 
-def regen_prompts() -> None:
-    out = FIXTURES / "prompts"
-    out.mkdir(exist_ok=True)
-    formats = {}
-    for kind in DUT_KINDS:
-        dut = make_dut(kind)
-        formats[dut.stimulus_format] = True
-        path = out / f"initial_{kind}.txt"
-        path.write_text(build_initial_query(dut.plan, "original", dut.stimulus_format))
-        print(f"wrote {path}")
-        path = out / f"initial_one_line_intro_{kind}.txt"
-        path.write_text(build_initial_query(dut.plan, "one_line_intro", dut.stimulus_format))
-        print(f"wrote {path}")
-    for fmt in formats:
-        path = out / f"system_{fmt}.txt"
-        path.write_text(build_system_message(fmt))
-        print(f"wrote {path}")
+def plans_sha256() -> bytes:
+    """Each plan's dump is too big to freeze whole (36-351 KB), so pin its digest."""
+    return json_text({
+        kind: hashlib.sha256(make_dut(kind).plan.dump_json().encode()).hexdigest()
+        for kind in DUT_KINDS
+    })
+
+
+def initial_query(kind: str, intro: str) -> str:
+    dut = make_dut(kind)
+    return build_initial_query(dut.plan, intro, dut.stimulus_format)
+
+
+def iterative_query(variant: str, case: str) -> str:
     stride = make_dut("stride")
     bins = [stride.plan.descriptor(bin_id) for bin_id in ITERATIVE_BINS]
-    for variant in ("original", "negative_feedback"):
-        for case, outcome in ITERATIVE_OUTCOMES.items():
-            path = out / f"iterative_{variant}_{case}.txt"
-            path.write_text(
-                build_iterative_query(outcome, bins, variant, stride.stimulus_format)
-            )
-            print(f"wrote {path}")
+    return build_iterative_query(
+        ITERATIVE_OUTCOMES[case], bins, variant, stride.stimulus_format
+    )
 
 
-def regen_golden_trial() -> None:
-    script = json.loads((FIXTURES / "golden_replay_script.json").read_text())
-    config = RunConfig(dut="toy", agent="llm", seed=GOLDEN_SEED)
-    backend = ReplayBackend(script)
-    with tempfile.TemporaryDirectory() as tmp:
-        checked = Path(tmp) / "log.jsonl"
-        run_experiment(config, backend=backend, dut=ToyDut(), log_path=checked)
-        report_from_log(checked)
-        path = FIXTURES / "golden_trial.jsonl"
-        path.write_bytes(checked.read_bytes())
-    print(f"wrote {path}")
+def text(build: Callable[..., str], *args) -> Callable[[], bytes]:
+    """A recipe for a text fixture: `build(*args)`, encoded."""
+    return lambda: build(*args).encode()
+
+
+RECIPES: dict[str, Callable[[], bytes]] = {
+    "crt_golden.json": crt_golden,
+    "decoder_golden.json": lambda: corpus_text(build_corpus()).encode(),
+    "golden_trial.jsonl": lambda: checked_log(replay_golden),
+    "plans_sha256.json": plans_sha256,
+    **{
+        f"prompts/initial_{prefix}{kind}.txt": text(initial_query, kind, intro)
+        for intro, prefix in (("original", ""), ("one_line_intro", "one_line_intro_"))
+        for kind in DUT_KINDS
+    },
+    **{
+        f"prompts/iterative_{variant}_{case}.txt": text(iterative_query, variant, case)
+        for variant in ("original", "negative_feedback")
+        for case in ITERATIVE_OUTCOMES
+    },
+    **{
+        f"prompts/system_{fmt}.txt": text(build_system_message, fmt)
+        for fmt in (FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES)
+    },
+}
+
+
+def main() -> None:
+    for name, recipe in RECIPES.items():
+        path = FIXTURES / name
+        data = recipe()
+        if path.exists() and path.read_bytes() == data:
+            print(f"unchanged {name}")
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        print(f"changed   {name}")
 
 
 if __name__ == "__main__":
-    regen_crt_draws()
-    regen_prompts()
-    regen_golden_trial()
+    main()

@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError(f"agent must be 'crt' or 'llm', got {self.agent!r}")
         if self.crt_count <= 0:
             raise ValueError("crt_count must be positive")
+        if self.budget_tokens < 0:
+            raise ValueError("budget_tokens must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

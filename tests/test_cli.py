@@ -470,6 +470,7 @@ def test_run_rejects_a_deleted_strategy_key(tmp_path, capsys, key):
 BASE_CRT_CONFIG = {"dut": "stride", "agent": "crt", "crt_count": 100}
 WRONG_TYPED_CONFIGS = {
     "budget_tokens_string": {**BASE_CRT_CONFIG, "budget_tokens": "100"},
+    "budget_tokens_negative": {**BASE_CRT_CONFIG, "budget_tokens": -5},
     "strategy_string": {**BASE_CRT_CONFIG, "strategy": "recent"},
     "crt_count_float": {**BASE_CRT_CONFIG, "crt_count": 1000.5},
     "crt_count_bool": {**BASE_CRT_CONFIG, "crt_count": True},
