@@ -28,12 +28,22 @@ from typing import Sequence
 
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError
-from covstim.duts.decoder import MATCH_MASK, encode, store_imm
+from covstim.duts.decoder import MATCH_MASK, check_registers, encode, store_imm
 
 _MASK = 0xFFFFFFFF
 _JAL_OPCODE = 0x6F
 _STORE_OPCODE = 0x23
 _R_OPCODE = 0x33
+
+# The signed part of a JAL offset that bits 31:20 carry, indexed by those
+# bits; imm[19:12] sits in place at bits 19:12 and adds on as is. Built in
+# index order, the lowest bit innermost.
+_JAL_HIGH = tuple([
+    imm20 + imm10_1 + imm11
+    for imm20 in (0, -1 << 20)  # bit 31, the sign
+    for imm10_1 in range(0, 1 << 11, 2)  # bits 30:21
+    for imm11 in (0, 1 << 11)  # bit 20
+])
 
 R_OPS = ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and")
 STORE_OPS = ("sb", "sh", "sw")  # in funct3 order
@@ -48,9 +58,11 @@ def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -
 
     R-type words come from the decoder's `encode`. A JAL offset must be even
     and in the 21-bit signed range; every immediate is truncated to its field.
+    A register number outside 0-31 raises ValueError.
     """
     if op in R_OPS:
         return encode(op, rs1=rs1, rs2=rs2, rd=rd)
+    check_registers(rd=rd, rs1=rs1, rs2=rs2)
     if op in STORE_OPS:
         word = _STORE_OPCODE | STORE_OPS.index(op) << 12 | rs2 << 20 | rs1 << 15
         return (word | store_imm(imm)) & _MASK
@@ -171,8 +183,11 @@ class CpuDut:
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
 
     def feed(self, stimulus: Sequence[Sequence[int]]) -> list[str]:
-        """Apply the updates, then execute once; a malformed update rejects the lot."""
-        updates = {}
+        """Apply the updates, then execute once; a malformed update rejects the lot.
+
+        Every update is checked before any is written, so `stimulus` and its
+        pairs are read twice: pass sequences, not iterators.
+        """
         for pair in stimulus:
             if len(pair) != 2:
                 raise MalformedStimulusError(f"update must be [address, word]: {pair!r}")
@@ -180,22 +195,16 @@ class CpuDut:
             addr = int(addr)
             if addr & 3:
                 raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
-            updates[addr & _MASK] = int(word) & _MASK
+            int(word)  # a word `int` rejects raises here, before any write
         imem = self.imem
-        imem.update(updates)
+        for addr, word in stimulus:
+            imem[int(addr) & _MASK] = int(word) & _MASK
         pc = self.pc
         word = imem.get(pc, 0)
         opcode = word & 0x7F
         if opcode == _JAL_OPCODE:
             rd = (word >> 7) & 31
-            # imm[20|10:1|11|19:12] from bits 31|30:21|20|19:12, sign-extended
-            imm = (
-                ((word >> 11) & 0x100000)
-                | (word & 0xFF000)
-                | ((word >> 9) & 0x800)
-                | ((word >> 20) & 0x7FE)
-            )
-            imm -= (imm & 0x100000) << 1
+            imm = _JAL_HIGH[word >> 20] + (word & 0xFF000)
             # encodable offsets are even but not always multiples of 4
             self.pc = (pc + imm) & 0xFFFFFFFC
             self._writer_rd = rd

@@ -51,6 +51,14 @@ def store_imm(imm: int) -> int:
     return (imm >> 5) << 25 | (imm & 0x1F) << 7
 
 
+def check_registers(**registers: int) -> None:
+    """Raise ValueError unless every given register number is 0-31, so that
+    no field spills into its neighbours."""
+    for name, reg in registers.items():
+        if not 0 <= reg <= 31:
+            raise ValueError(f"{name} must be a register number 0-31, got {reg!r}")
+
+
 def encode(
     op: str, rs1: int = 0, rs2: int = 0, rd: int = 0, imm: int = 0, shamt: int = 0
 ) -> int:
@@ -58,11 +66,13 @@ def encode(
 
     Immediates are signed Python ints, truncated to their field; the fields
     are ORed onto the op's match word and the result is an unsigned 32-bit
-    word. Fields the op's format does not carry are ignored.
+    word. Fields the op's format does not carry are ignored, but every
+    register number must be 0-31 (ValueError otherwise).
     """
     entry = next((e for e in op_table()["ops"] if e["name"] == op), None)
     if entry is None:
         raise ValueError(f"unknown op {op!r}")
+    check_registers(rs1=rs1, rs2=rs2, rd=rd)
     fmt = entry["format"]
     word = entry["match"] | rs1 << 15
     if fmt == "r":

@@ -284,11 +284,13 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
 
     No messages are exchanged; events are coverage-curve samples, one per
     chunk of `crt_chunks(count)`. A trial that runs out its stimulus count
-    without full coverage ends exhausted (the stream is over). Full
-    coverage is checked only when a stimulus covers new bins.
+    without full coverage ends exhausted (the stream is over). `record`
+    runs, and full coverage is checked, only when a stimulus hits a bin not
+    yet covered: most hit nothing or only covered bins.
     """
     state = CoverageState(dut.plan)
     record, is_full, feed = state.record, state.is_full, dut.feed
+    covers = state.covered.issuperset
     stimuli = agent.stimuli(count, dut.extras)
     log = TrialLog(1, len(dut.plan))
     status = EXHAUSTED
@@ -297,13 +299,11 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
         fed = 0
         for fed, stimulus in enumerate(islice(stimuli, size), 1):
             bins = feed(stimulus)
-            if bins:
-                new = record(bins)
-                if new:
-                    chunk_new += new
-                    if is_full():
-                        status = FULL_COVERAGE
-                        break
+            if bins and not covers(bins):
+                chunk_new += record(bins)
+                if is_full():
+                    status = FULL_COVERAGE
+                    break
         log.event(fed, chunk_new)
         if status == FULL_COVERAGE:
             break

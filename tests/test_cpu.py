@@ -9,7 +9,8 @@ the executed decode trace, independent of the monitor's incremental
 bookkeeping; the trace comes from the reference interpreter, which re-reads
 the documented semantics field by field and is compared with the model after
 every step: bins, pc, instruction memory, extras and malformed-stimulus
-rejection.
+rejection. The same comparison runs over the dialogue benchmark's CPU
+replies and over every value of the JAL offset's table-decoded bits 31:20.
 """
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_extraction import load_perfbench
+from covstim.agents import extract_stimuli
 from covstim.coverage import CoverageState, Difficulty
-from covstim.duts import MalformedStimulusError, make_dut
+from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError, make_dut
 from covstim.duts.cpu import (
     CPU_READERS,
     CPU_WRITERS,
@@ -194,6 +197,26 @@ def test_misaligned_update_rejected_without_side_effects():
         dut.feed([(0, 0x13), (2, 0x33)])
     assert dut.pc == 0
     assert dut.imem == {}
+
+
+@pytest.mark.parametrize("updates", [
+    [(0, 0x13), (4, "nop")],
+    [(0, 0x13), (4, "nop"), (2, 0x33)],  # the word fails before the address does
+])
+def test_non_integer_word_raises_before_any_write(updates):
+    dut = CpuDut()
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        dut.feed(updates)
+    assert dut.imem == {}
+
+
+@pytest.mark.parametrize("op", ["add", "sw", "jal"])
+@pytest.mark.parametrize("field", ["rs1", "rs2", "rd"])
+@pytest.mark.parametrize("reg", [-1, 32, 40])
+def test_encode_cpu_rejects_out_of_range_registers(op, field, reg):
+    # an unchecked rd of 40 would set bit 12, inside the JAL offset field
+    with pytest.raises(ValueError, match=field):
+        encode_cpu(op, **{field: reg})
 
 
 def test_extras_reports_pc():
@@ -411,3 +434,38 @@ def test_step_matches_reference_interpreter(seed, steps):
             assert dut.feed(updates) == expected
         assert (dut.pc, dut.imem) == (ref.pc, ref.imem)
         assert dut.extras() == ref.extras()
+
+
+def test_jal_offset_matches_reference_for_every_high_field():
+    """Bits 31:20 carry imm[20|10:1|11]: all 4096 values, a few rd and
+    imm[19:12] values, from a pc at the bottom and one near the top of the
+    address space, so that offsets wrap both ways."""
+    dut, ref = CpuDut(), RefCpu()
+    for high in range(1 << 12):
+        for rd in (0, 1, 31):
+            for middle in (0x00, 0x5A, 0xFF):
+                word = high << 20 | middle << 12 | rd << 7 | 0x6F
+                for pc in (0, 0xFFFFF000):
+                    dut.pc = ref.pc = pc
+                    assert dut.feed([(pc, word)]) == ref.feed([(pc, word)]), hex(word)
+                    assert dut.pc == ref.pc, hex(word)
+
+
+@pytest.mark.parametrize("profile", ["short", "long"])
+def test_benchmark_cpu_traffic_matches_reference(profile):
+    """The dialogue benchmark's CPU replies (16-slot programs, single-slot
+    rewrites, misaligned addresses), extracted as the agent extracts them and
+    fed in order to the model and the reference interpreter."""
+    gen = load_perfbench("gen")
+    for seed in range(10):
+        dut, ref = CpuDut(), RefCpu()
+        for reply in gen.script(seed, 0, "cpu", profile, 300):
+            for stimulus in extract_stimuli(reply, FORMAT_MEMORY_UPDATES).stimuli:
+                try:
+                    expected = ref.feed(stimulus)
+                except MalformedStimulusError:
+                    with pytest.raises(MalformedStimulusError):
+                        dut.feed(stimulus)
+                else:
+                    assert dut.feed(stimulus) == expected
+                assert (dut.pc, dut.imem) == (ref.pc, ref.imem)

@@ -242,6 +242,15 @@ def test_encode_decode_identity(op, rs1, rs2, rd, imm, shamt):
         assert i_type_imm(word) == imm
 
 
+@pytest.mark.parametrize("op", ["add", "addi", "sw", "slli"])
+@pytest.mark.parametrize("field", ["rs1", "rs2", "rd"])
+@pytest.mark.parametrize("reg", [-1, 32, 40])
+def test_encode_rejects_out_of_range_registers(op, field, reg):
+    # an unchecked rd of 40 would set bit 12 (funct3) and turn add into sll
+    with pytest.raises(ValueError, match=field):
+        encode(op, **{field: reg})
+
+
 # --- monitor -------------------------------------------------------------------
 
 def test_monitor_records_bins(golden):
