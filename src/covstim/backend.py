@@ -37,7 +37,8 @@ def __getattr__(name: str):
 
     HttpBackend does not use it. It stays only because the benchmark tracer
     (`perfbench/tracing.py`) and its self-tests patch this name; it goes
-    with ROADMAP item 2's benchmark change.
+    with ROADMAP item 4's benchmark change, which removes the tracer's
+    patches.
     """
     if name != "requests":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

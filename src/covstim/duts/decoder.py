@@ -6,7 +6,9 @@ plan: one bin per op, one per (register, port) pair, and one per
 op x register x port cross for the ports that op actually uses. Each op's
 match word (opcode | funct3 << 12 | funct7 << 25) keys the decode lookup,
 and `encode` ORs the operand fields onto it; the CPU model's encoder builds
-on the same words. Words that do not match any table entry hit nothing.
+on the same words. Words that do not match any table entry hit nothing: a
+word whose opcode no supported op uses is turned away by one table index,
+before either match lookup.
 """
 from __future__ import annotations
 
@@ -87,13 +89,17 @@ def encode(
 
 
 @lru_cache(maxsize=1)
-def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
-    """The plan and the two masked-word lookup tables, built in one pass.
+def decoder_model() -> tuple[
+    CoveragePlan, dict[int, tuple], dict[int, tuple], tuple[bool, ...]
+]:
+    """The plan, the two masked-word lookup tables and the opcode gate,
+    built in one pass.
 
     Each table is keyed on an op's match word. An entry is (op bin id,
     ports): `ports` has one (field shift, pairs) item per port the op uses,
     in read_a, read_b, write order, and `pairs[reg]` is that register's
-    (port bin id, cross bin id).
+    (port bin id, cross bin id). The gate has 128 entries, indexed by a
+    word's opcode (bits 6:0), true only for an opcode some op uses.
     """
     table = op_table()
     bins = []
@@ -114,7 +120,9 @@ def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
             )
     fixed: dict[int, tuple] = {}
     free: dict[int, tuple] = {}
+    gate = [False] * 128
     for op in table["ops"]:
+        gate[op["opcode"]] = True
         op_id = f"op_{op['name']}"
         f7 = f", funct7 0x{op['funct7']:02x}" if op["funct7"] is not None else ""
         bins.append(
@@ -151,7 +159,7 @@ def decoder_model() -> tuple[CoveragePlan, dict[int, tuple], dict[int, tuple]]:
         (free if op["funct7"] is None else fixed).setdefault(op["match"], (op_id, tuple(ports)))
     if any(key & FREE_MASK in free for key in fixed):
         raise ValueError("op table: a funct7-free op shares opcode and funct3 with another op")
-    return CoveragePlan("decoder", bins), fixed, free
+    return CoveragePlan("decoder", bins), fixed, free, tuple(gate)
 
 
 class DecoderMonitor:
@@ -161,7 +169,7 @@ class DecoderMonitor:
     stimulus_format = FORMAT_INTEGERS
 
     def __init__(self) -> None:
-        self.plan, fixed, free = decoder_model()
+        self.plan, fixed, free, self._gate = decoder_model()
         self._fixed_get = fixed.get
         self._free_get = free.get
 
@@ -169,6 +177,9 @@ class DecoderMonitor:
         pass  # the decoder is stateless
 
     def feed(self, stimulus: int) -> list[str]:
+        # most uniform words carry an opcode no op uses: one index turns them away
+        if not self._gate[stimulus & 0x7F]:
+            return []
         # the masks and register fields all lie in the low 32 bits, so the
         # stimulus needs no 32-bit mask first
         entry = self._fixed_get(stimulus & MATCH_MASK) or self._free_get(stimulus & FREE_MASK)

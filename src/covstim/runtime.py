@@ -244,6 +244,7 @@ def run_trial(
     malformed = 0
     error: Optional[str] = None
     max_tokens = agent.backend.config.max_tokens
+    feed = dut.feed
     while (status := log.settled(deltas)) is None:
         prepared = agent.prepare(state.uncovered())
         estimate = prepared.prompt_token_estimate
@@ -260,15 +261,15 @@ def run_trial(
         completion = record.completion
         prompt_scale.observe(estimate, completion.tokens_in)
         stimuli = record.extraction.stimuli
-        new_ids: list[str] = []
+        # one record call per response: recording the hits in feed order
+        # gives the same new bins, in the same order, as one call per stimulus
+        hits: list[str] = []
         for stimulus in stimuli:
             try:
-                hit = dut.feed(stimulus)
+                hits += feed(stimulus)
             except MalformedStimulusError:
                 malformed += 1
-                continue
-            if hit:  # most stimuli hit nothing
-                new_ids.extend(state.record(hit))
+        new_ids = state.record(hits) if hits else []
         easier = sum(
             1 for b in new_ids if plan.descriptor(b).difficulty is Difficulty.EASIER
         )

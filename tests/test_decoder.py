@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import make_dut
-from covstim.duts.decoder import DecoderMonitor, encode, op_table
+from covstim.duts.decoder import DecoderMonitor, decoder_model, encode, op_table
 
 FIXTURE = Path(__file__).parent / "fixtures" / "decoder_golden.json"
 R_OPS = {"add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and"}
@@ -196,6 +196,27 @@ def test_feed_matches_oracle_on_seeded_words():
     monitor = DecoderMonitor()
     for word in words:
         assert monitor.feed(word) == decoder_oracle_bins(word), hex(word)
+
+
+def test_feed_matches_oracle_for_every_opcode_and_funct3():
+    # the opcode gate turns a word away before either match lookup: every
+    # opcode x funct3, with funct7 values the ops use and ones they do not
+    rng = random.Random(2611)
+    monitor = DecoderMonitor()
+    for opcode in range(128):
+        for f3 in range(8):
+            for f7 in (0x00, 0x20, 0x01, 0x7F, rng.randrange(128)):
+                for _ in range(3):
+                    fields = rng.getrandbits(32) & 0x01FF8F80  # rs2, rs1, rd
+                    word = (f7 << 25) | fields | (f3 << 12) | opcode
+                    assert monitor.feed(word) == decoder_oracle_bins(word), hex(word)
+
+
+def test_opcode_gate_admits_exactly_the_ops_opcodes():
+    gate = decoder_model()[3]
+    assert len(gate) == 128
+    admitted = {opcode for opcode, used in enumerate(gate) if used}
+    assert admitted == {op["opcode"] for op in op_table()["ops"]}
 
 
 def test_bins_for_add_x0():

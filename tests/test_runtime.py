@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import ReplayBackend
-from covstim.duts import DUT_KINDS, make_dut
+from covstim.coverage import CoverageState
+from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
 from covstim.prompting import (
     BUFFER_RESETS,
     CONTEXT_STRATEGIES,
@@ -380,6 +381,37 @@ def test_malformed_stimuli_counted_not_covered():
     assert trial.malformed == EXHAUST_ZERO_WINDOW
     assert trial.coverage == 0
     assert [e["stimuli"] for e in trial.events] == [1] * EXHAUST_ZERO_WINDOW
+
+
+class StrictToyDut(ToyDut):
+    """The toy device, refusing values of 100 and above as malformed."""
+
+    def feed(self, stimulus: int) -> list[str]:
+        if stimulus >= 100:
+            raise MalformedStimulusError(f"stimulus {stimulus} out of range")
+        return super().feed(stimulus)
+
+
+def test_response_records_as_if_each_stimulus_were_recorded_in_turn():
+    # bin 3 is hit twice, around a malformed stimulus; 99 hits nothing
+    stimuli = [3, 7, 500, 3, 99, 1, 7]
+    dut = StrictToyDut()
+    state = CoverageState(dut.plan)
+    want_new, want_malformed = [], 0
+    for stimulus in stimuli:
+        try:
+            want_new += state.record(dut.feed(stimulus))
+        except MalformedStimulusError:
+            want_malformed += 1
+    assert want_new == ["bin_03", "bin_07", "bin_01"] and want_malformed == 1
+
+    reply = "```\n" + " ".join(map(str, stimuli)) + "\n```"
+    backend = ReplayBackend([reply])
+    agent = LlmAgent(dut.plan, dut.stimulus_format, StrategyConfig(), backend, random.Random(7))
+    trial = run_trial(dut, agent, 10**9)
+    assert trial.events[0]["stimuli"] == len(stimuli)
+    assert trial.events[0]["new_bins"] == want_new
+    assert trial.malformed == want_malformed
 
 
 # --- experiments --------------------------------------------------------------------
