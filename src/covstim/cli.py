@@ -1,10 +1,9 @@
-"""Command-line entry point: run experiments, baselines, plan dumps, reports.
+"""Command-line entry point: run experiments, plan dumps, reports.
 
 Subcommands:
-  run       run an experiment described by a JSON config file
-  baseline  constrained-random baseline against one device
-  plans     inspect or dump a device's coverage plan
-  report    verify a JSONL run log and print its report
+  run     run an experiment (llm or crt) described by a JSON config file
+  plans   inspect or dump a device's coverage plan
+  report  verify a JSONL run log and print its report
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from pathlib import Path
 from covstim.backend import HttpBackend, RecordingBackend, ReplayBackend
 from covstim.duts import DUT_KINDS, make_dut
 from covstim.runtime import (
-    DEFAULT_CRT_COUNT,
     RunConfig,
     report_csv,
     report_from_log,
@@ -37,18 +35,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to a JSON run config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument(
-        "--backend", default=None, help="'live' or 'replay:<script.json>'"
+        "--backend", default=None, help="llm runs only: 'live' or 'replay:<script.json>'"
     )
     run_p.add_argument(
         "--out", default=None,
         help="directory for log.jsonl, report.csv, report.txt (+ replay_script.json if live)",
     )
-
-    base_p = sub.add_parser("baseline", help="constrained-random baseline on one device")
-    base_p.add_argument("--dut", required=True, choices=DUT_KINDS)
-    base_p.add_argument("--count", type=int, default=DEFAULT_CRT_COUNT)
-    base_p.add_argument("--seed", type=int, default=0)
-    base_p.add_argument("--out", default=None)
 
     plans_p = sub.add_parser("plans", help="inspect a device's coverage plan")
     plans_p.add_argument("--dut", required=True, choices=DUT_KINDS)
@@ -100,6 +92,8 @@ def _cmd_run(args) -> int:
     config = RunConfig.from_dict(raw)
     if args.seed is not None:
         config.seed = args.seed
+    if config.agent != "llm" and args.backend is not None:
+        raise ValueError(f"--backend applies only to llm runs; {args.config} is a crt run")
     backend = _make_backend(args.backend, config) if config.agent == "llm" else None
     log_path = _log_path(args.out)
     live = isinstance(backend, HttpBackend)
@@ -116,13 +110,6 @@ def _cmd_run(args) -> int:
     if not report.trials:  # the log holds only its header and report
         print(f"covstim: {report.note}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    config = RunConfig(dut=args.dut, agent="crt", seed=args.seed, crt_count=args.count)
-    report = run_experiment(config, log_path=_log_path(args.out))
-    _emit(report, args.out)
     return 0
 
 
@@ -146,7 +133,6 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "baseline": _cmd_baseline,
     "plans": _cmd_plans,
     "report": _cmd_report,
 }

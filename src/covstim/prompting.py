@@ -228,10 +228,7 @@ def should_restart(deltas: Sequence[int], restart_plan: str, rate: float, start:
 # --- missed-bin sampling -------------------------------------------------------------
 
 def sample_missed_bins(
-    uncovered: UncoveredBins,
-    config: StrategyConfig,
-    rng: random.Random,
-    method: Optional[str] = None,
+    uncovered: UncoveredBins, method: str, rng: random.Random
 ) -> list[BinDescriptor]:
     """Pick the min(SAMPLE_SIZE, len(uncovered)) bins the next query will list.
 
@@ -240,9 +237,8 @@ def sample_missed_bins(
     type_based keeps the first two in plan order and fills the rest with
     3 easier + 2 harder bins (topping up from the other pool when one runs
     short, or 5 uniform when no easier bins remain); when fewer bins remain,
-    the easier share is filled before the harder one. The stateless form of
-    "mixed" is its below-threshold behavior, type_based; use
-    MissedBinSampler for the toggling version.
+    the easier share is filled before the harder one. "mixed" is not a
+    method here: MissedBinSampler resolves it to one of the two.
 
     Nothing is copied: `random.sample` picks positions from the population's
     length and k alone, so sampling the view's lists, or the positions past
@@ -250,9 +246,6 @@ def sample_missed_bins(
     """
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
-    method = method or config.missed_bin
-    if method == "mixed":
-        method = "type_based"
     k = min(SAMPLE_SIZE, len(uncovered))
     if method == "pure_random":
         return rng.sample(uncovered.bins, k)
@@ -308,7 +301,7 @@ class MissedBinSampler:
             self.toggled_at = len(deltas)
 
     def sample(self, uncovered: UncoveredBins, rng: random.Random) -> list[BinDescriptor]:
-        return sample_missed_bins(uncovered, self.config, rng, method=self.method)
+        return sample_missed_bins(uncovered, self.method, rng)
 
 
 # --- context selection ---------------------------------------------------------------

@@ -225,8 +225,8 @@ def run_trial(
     dut,
     agent: LlmAgent,
     budget_remaining: int,
-    trial_index: int = 1,
-    prompt_scale: Optional[PromptScale] = None,
+    trial_index: int,
+    prompt_scale: PromptScale,
 ) -> TrialRecord:
     """One dialogue-driven trial against a freshly reset DUT.
 
@@ -235,8 +235,6 @@ def run_trial(
     still fits), or a backend error (status aborted). `prompt_scale` carries
     the reported/estimated ratio across an experiment's trials.
     """
-    if prompt_scale is None:
-        prompt_scale = PromptScale()
     state = CoverageState(dut.plan)
     plan = dut.plan
     log = TrialLog(trial_index, len(plan))

@@ -239,18 +239,15 @@ def test_criterion_5_strategy_examples():
     checks = []
 
     bins = make_bins(easier=6, harder=6)
-    config = StrategyConfig()
-    few = sample_missed_bins(uncovered_of(bins[:5]), config, rng)
+    few = sample_missed_bins(uncovered_of(bins[:5]), "pure_random", rng)
     checks.append(
         ("fewer-than-k returns all", sorted(b.id for b in few) == [b.id for b in bins[:5]])
     )
-    drawn = sample_missed_bins(uncovered_of(bins), config, rng)
+    drawn = sample_missed_bins(uncovered_of(bins), "pure_random", rng)
     checks.append(
         ("pure_random 7 unique", len(drawn) == 7 and len(set(d.id for d in drawn)) == 7)
     )
-    typed = sample_missed_bins(
-        uncovered_of(bins), StrategyConfig(missed_bin="type_based"), rng
-    )
+    typed = sample_missed_bins(uncovered_of(bins), "type_based", rng)
     head, tail = typed[:2], typed[2:]
     easier_tail = sum(1 for b in tail if b.difficulty.value == "easier")
     checks.append(

@@ -1,4 +1,4 @@
-"""CLI subcommands (run, baseline, plans, report) and the baselines script."""
+"""CLI subcommands (run, plans, report) and the baselines script."""
 from __future__ import annotations
 
 import gc
@@ -47,20 +47,20 @@ def test_plans_rejects_unknown_dut():
         main(["plans", "--dut", "fifo"])
 
 
-def test_baseline_writes_reports_and_log(tmp_path, capsys):
-    rc = main(
-        [
-            "baseline",
-            "--dut",
-            "stride",
-            "--count",
-            "2000",
-            "--seed",
-            "3",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+def write_crt_config(tmp_path, dut="stride", count=2000) -> Path:
+    config = tmp_path / f"crt_{dut}.json"
+    config.write_text(json.dumps({"dut": dut, "agent": "crt", "crt_count": count}))
+    return config
+
+
+def run_crt(tmp_path, *extra, dut="stride", count=2000) -> int:
+    """`covstim run` on a crt config, writing the log and reports to `tmp_path`."""
+    config = write_crt_config(tmp_path, dut, count)
+    return main(["run", "--config", str(config), "--out", str(tmp_path), *extra])
+
+
+def test_run_on_a_crt_config_writes_reports_and_log(tmp_path, capsys):
+    rc = run_crt(tmp_path, "--seed", "3")
     assert rc == 0
     out = capsys.readouterr().out
     assert "dut:" in out and "stride" in out
@@ -347,7 +347,7 @@ def test_report_flags_tampered_log(tmp_path, capsys):
 
 
 def test_report_rejects_record_missing_a_field(tmp_path, capsys):
-    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    assert run_crt(tmp_path) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
     original = log.read_text()
@@ -357,7 +357,7 @@ def test_report_rejects_record_missing_a_field(tmp_path, capsys):
 
 
 def test_report_flags_tampered_events(tmp_path, capsys):
-    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    assert run_crt(tmp_path) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
     log.write_text(
@@ -379,7 +379,7 @@ def test_report_rejects_wrong_typed_trial_end_fields(tmp_path, capsys, field, va
 
 
 def test_report_checks_a_device_log_against_its_plan(tmp_path, capsys):
-    assert main(["baseline", "--dut", "decoder", "--count", "3000", "--out", str(tmp_path)]) == 0
+    assert run_crt(tmp_path, dut="decoder", count=3000) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
     original = log.read_text()
@@ -398,7 +398,7 @@ def test_report_checks_a_device_log_against_its_plan(tmp_path, capsys):
 
 
 def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
-    assert main(["baseline", "--dut", "stride", "--count", "2000", "--out", str(tmp_path)]) == 0
+    assert run_crt(tmp_path) == 0
     capsys.readouterr()
     log = tmp_path / "log.jsonl"
     lines = log.read_text().splitlines()
@@ -450,6 +450,27 @@ def test_sample_configs_load():
     assert paths
     for path in paths:
         RunConfig.from_dict(json.loads(path.read_text()))
+
+
+def test_crt_configs_cover_every_device_once():
+    crt = {}
+    for path in sorted((REPO / "configs").glob("*.json")):
+        raw = json.loads(path.read_text())
+        if raw["agent"] == "crt":
+            crt[path.name] = raw["dut"]
+    assert sorted(crt.values()) == sorted(DUT_KINDS)
+    assert all(name == f"crt_{dut}.json" for name, dut in crt.items())
+
+
+def test_run_rejects_a_backend_on_a_crt_run(tmp_path, capsys):
+    config = write_crt_config(tmp_path)
+    out = tmp_path / "out"
+    for spec in ("live", "replay:script.json", "bogus"):
+        assert main(["run", "--config", str(config), "--backend", spec, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"covstim: --backend applies only to llm runs; {config} is a crt run\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["crt_chunk", "exhaust_zero_window"])

@@ -88,25 +88,22 @@ def test_config_rejects_unknown_variants():
 # --- missed-bin sampling -----------------------------------------------------------
 
 def test_pure_random_returns_all_when_fewer_than_sample_size():
-    cfg = StrategyConfig(missed_bin="pure_random")
     uncovered = make_bins(3, 2)
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(1))
+    out = sample_missed_bins(uncovered_of(uncovered), "pure_random", random.Random(1))
     assert sorted(b.id for b in out) == [b.id for b in uncovered]
 
 
 def test_pure_random_is_seven_without_replacement():
-    cfg = StrategyConfig(missed_bin="pure_random")
     uncovered = make_bins(10, 10)
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(1))
+    out = sample_missed_bins(uncovered_of(uncovered), "pure_random", random.Random(1))
     assert len(out) == 7
     assert len({b.id for b in out}) == 7
     assert all(b in uncovered for b in out)
 
 
 def test_type_based_head_then_three_easier_two_harder():
-    cfg = StrategyConfig(missed_bin="type_based")
     uncovered = make_bins(8, 8)  # plan order: easier first here
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(3))
+    out = sample_missed_bins(uncovered_of(uncovered), "type_based", random.Random(3))
     assert out[0] is uncovered[0] and out[1] is uncovered[1]
     tail = out[2:]
     assert len(tail) == 5
@@ -116,34 +113,39 @@ def test_type_based_head_then_three_easier_two_harder():
 
 
 def test_type_based_falls_back_to_random_five_when_easier_exhausted():
-    cfg = StrategyConfig(missed_bin="type_based")
     uncovered = make_bins(0, 12)  # nothing easier anywhere
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(3))
+    out = sample_missed_bins(uncovered_of(uncovered), "type_based", random.Random(3))
     assert out[0] is uncovered[0] and out[1] is uncovered[1]
     assert len(out) == 7
     assert len({b.id for b in out}) == 7
 
 
 def test_type_based_tops_up_when_one_pool_runs_short():
-    cfg = StrategyConfig(missed_bin="type_based")
     # after the first-two head, one easier and many harder remain
     uncovered = make_bins(3, 10)
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(5))
+    out = sample_missed_bins(uncovered_of(uncovered), "type_based", random.Random(5))
     tail = out[2:]
     assert len(out) == 7
     assert sum(1 for b in tail if b.difficulty is Difficulty.EASIER) == 1
     assert sum(1 for b in tail if b.difficulty is Difficulty.HARDER) == 4
     # and the mirror case: plenty easier, one harder
     uncovered = make_bins(10, 1)
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(5))
+    out = sample_missed_bins(uncovered_of(uncovered), "type_based", random.Random(5))
     tail = out[2:]
     assert sum(1 for b in tail if b.difficulty is Difficulty.HARDER) == 1
     assert sum(1 for b in tail if b.difficulty is Difficulty.EASIER) == 4
 
 
 def test_empty_uncovered_is_a_hard_error():
-    with pytest.raises(ValueError):
-        sample_missed_bins(uncovered_of([]), StrategyConfig(), random.Random(0))
+    with pytest.raises(ValueError, match="no uncovered bins"):
+        sample_missed_bins(uncovered_of([]), "type_based", random.Random(0))
+
+
+@pytest.mark.parametrize("method", ["mixed", "greedy"])
+def test_sampling_by_an_unknown_method_is_a_hard_error(method):
+    # "mixed" is a plan, not a method: MissedBinSampler resolves it
+    with pytest.raises(ValueError, match="unknown missed-bin method"):
+        sample_missed_bins(uncovered_of(make_bins(4, 4)), method, random.Random(0))
 
 
 @settings(max_examples=120, deadline=None)
@@ -157,8 +159,8 @@ def test_sampler_never_duplicates_and_bounds_size(easier, harder, method, seed):
     uncovered = make_bins(easier, harder)
     if not uncovered:
         return
-    cfg = StrategyConfig(missed_bin=method)
-    out = sample_missed_bins(uncovered_of(uncovered), cfg, random.Random(seed))
+    sampler = MissedBinSampler(StrategyConfig(missed_bin=method))
+    out = sampler.sample(uncovered_of(uncovered), random.Random(seed))
     assert len(out) == min(7, len(uncovered))
     assert len({b.id for b in out}) == len(out)
     ids = {b.id for b in uncovered}
@@ -171,9 +173,9 @@ def test_every_method_lists_sample_size_bins(method):
         uncovered_of(make_bins(easier, harder))
         for easier, harder in ((0, 4), (4, 0), (1, 3), (3, 9), (12, 12))
     ]
-    cfg = StrategyConfig(missed_bin=method)
+    sampler = MissedBinSampler(StrategyConfig(missed_bin=method))
     for seed, uncovered in enumerate(views):
-        out = sample_missed_bins(uncovered, cfg, random.Random(seed))
+        out = sampler.sample(uncovered, random.Random(seed))
         assert len(out) == min(SAMPLE_SIZE, len(uncovered)), len(uncovered)
         assert len({b.id for b in out}) == len(out)
 
@@ -189,9 +191,7 @@ def test_mixed_below_threshold_equals_type_based():
     sampler = MissedBinSampler(StrategyConfig(missed_bin="mixed"))
     respond(sampler, Dialogue("sys"), 1, rate=0.10)
     a = sampler.sample(uncovered_of(uncovered), random.Random(7))
-    b = sample_missed_bins(
-        uncovered_of(uncovered), StrategyConfig(missed_bin="type_based"), random.Random(7)
-    )
+    b = sample_missed_bins(uncovered_of(uncovered), "type_based", random.Random(7))
     assert [x.id for x in a] == [x.id for x in b]
 
 
@@ -520,13 +520,10 @@ def test_iterative_query_handles_complete_plan():
 # The oracles are the list-based functions the incremental code replaced; a
 # run must draw the same random stream and pick the same bins and exchanges.
 
-def oracle_sample(uncovered, config, rng, method=None):
+def oracle_sample(uncovered, method, rng):
     """List-based sampler: partitions the plan-order uncovered list each call."""
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
-    method = method or config.missed_bin
-    if method == "mixed":
-        method = "type_based"
     k = SAMPLE_SIZE
     if method == "pure_random":
         return rng.sample(list(uncovered), min(k, len(uncovered)))
@@ -570,11 +567,10 @@ def assert_samplers_agree(state, seed):
     assert list(state.uncovered()) == expected
     if not expected:
         return
-    for method in ("pure_random", "type_based", "mixed"):
-        config = StrategyConfig(missed_bin=method)
+    for method in ("pure_random", "type_based"):
         fast, slow = random.Random(seed), random.Random(seed)
-        got = outcome(sample_missed_bins, state.uncovered(), config, fast)
-        assert got == outcome(oracle_sample, expected, config, slow), method
+        got = outcome(sample_missed_bins, state.uncovered(), method, fast)
+        assert got == outcome(oracle_sample, expected, method, slow), method
         assert fast.getstate() == slow.getstate(), method
 
 
@@ -703,13 +699,10 @@ def test_pool_and_context_match_list_oracle(ops, buffer_reset, seed):
 # sampler copied each side of the view per query, and the ranking re-scored and
 # re-sorted every outcome group per call.
 
-def copying_sample(uncovered, config, rng, method=None):
+def copying_sample(uncovered, method, rng):
     """The sampler that listed the view's bins before each `random.sample`."""
     if not uncovered:
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
-    method = method or config.missed_bin
-    if method == "mixed":
-        method = "type_based"
     k = min(SAMPLE_SIZE, len(uncovered))
     if method == "pure_random":
         return rng.sample(list(uncovered), k)
@@ -755,11 +748,10 @@ def test_sampler_matches_copying_oracle(device, order, easier_first, seed):
         state.record(ids[done:cut])
         done = cut
         view = state.uncovered()
-        for method in ("pure_random", "type_based", "mixed"):
-            config = StrategyConfig(missed_bin=method)
+        for method in ("pure_random", "type_based"):
             fast, slow = random.Random(seed + cut), random.Random(seed + cut)
-            got = sample_missed_bins(view, config, fast)
-            assert got == copying_sample(view, config, slow), (method, cut)
+            got = sample_missed_bins(view, method, fast)
+            assert got == copying_sample(view, method, slow), (method, cut)
             assert fast.getstate() == slow.getstate(), (method, cut)
 
 

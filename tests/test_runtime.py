@@ -32,6 +32,7 @@ from covstim.runtime import (
     EXHAUSTED,
     FULL_COVERAGE,
     ExperimentReport,
+    PromptScale,
     RunConfig,
     TrialSummary,
     build_report,
@@ -61,7 +62,7 @@ def run_toy_trial(script, budget=10**9, strategy=StrategyConfig(), backend_confi
     backend = ReplayBackend(script, config=backend_config)
     dut = ToyDut()
     agent = LlmAgent(dut.plan, dut.stimulus_format, strategy, backend, random.Random(7))
-    return run_trial(dut, agent, budget), backend
+    return run_trial(dut, agent, budget, 1, PromptScale()), backend
 
 
 # --- exhaustion rule ----------------------------------------------------------------
@@ -328,7 +329,7 @@ def test_unusable_replies_end_in_exhaustion(restart, window):
     dut = ToyDut()
     backend = QueryLog(["I cannot help with that."] * (window + 5))
     agent = LlmAgent(dut.plan, dut.stimulus_format, strategy, backend, random.Random(7))
-    trial = run_trial(dut, agent, 10**9)
+    trial = run_trial(dut, agent, 10**9, 1, PromptScale())
     assert trial.status == EXHAUSTED
     assert trial.messages == backend.calls == window
     for query, restarted in zip(backend.queries[1:], [e["restart"] for e in trial.events[1:]]):
@@ -376,7 +377,7 @@ def test_malformed_stimuli_counted_not_covered():
     agent = LlmAgent(
         dut.plan, dut.stimulus_format, StrategyConfig(), backend, random.Random(7)
     )
-    trial = run_trial(dut, agent, 10**9)
+    trial = run_trial(dut, agent, 10**9, 1, PromptScale())
     assert trial.status == EXHAUSTED
     assert trial.malformed == EXHAUST_ZERO_WINDOW
     assert trial.coverage == 0
@@ -408,7 +409,7 @@ def test_response_records_as_if_each_stimulus_were_recorded_in_turn():
     reply = "```\n" + " ".join(map(str, stimuli)) + "\n```"
     backend = ReplayBackend([reply])
     agent = LlmAgent(dut.plan, dut.stimulus_format, StrategyConfig(), backend, random.Random(7))
-    trial = run_trial(dut, agent, 10**9)
+    trial = run_trial(dut, agent, 10**9, 1, PromptScale())
     assert trial.events[0]["stimuli"] == len(stimuli)
     assert trial.events[0]["new_bins"] == want_new
     assert trial.malformed == want_malformed
