@@ -8,6 +8,13 @@ whose stride (or both alternating strides) fall outside that range hit
 overflow bins. A window with one alternating stride in range and one out of
 range hits nothing. Transition bins fire when the two adjacent disjoint
 16-value windows ending at the newest input change pattern category.
+
+A window can only have a pattern when its newest difference equals one of
+the two before it, so on any other input the monitor restarts its two
+difference runs and returns without classifying. Only patterned windows are
+remembered, each tagged with the position it ended at, so a window that
+matched nothing costs no bookkeeping: an older window with no tag at its
+position is the "none" category.
 """
 from __future__ import annotations
 
@@ -125,14 +132,20 @@ def _stride_model() -> tuple[CoveragePlan, dict, dict, dict]:
 class StrideMonitor:
     """Feeds a 32-bit value stream through sliding-window classification.
 
-    Windows are evaluated at every input once 16 values have arrived, in O(1)
-    from two trailing run counters over the consecutive differences: the
-    window is a single stride when its 15 differences all match the newest
-    (`_equal_run` >= 15), and a double stride when each of its last 13
-    differences matches the one two places before it (`_alternate_run` >=
-    13) and the newest two differ. The transition check compares the
-    category of the disjoint older window (inputs n-31..n-16), kept in a
-    16-slot ring, against the newest (n-15..n).
+    Windows are evaluated at every input in O(1) from two trailing run
+    counters over the consecutive differences: the window is a single
+    stride when its 15 differences all match the newest (`_equal_run` >=
+    15), and a double stride when each of its last 13 differences matches
+    the one two places before it (`_alternate_run` >= 13) and the newest
+    two differ. Neither run can reach its length before 16 values have
+    arrived. A newest difference equal to neither of the two before it
+    resets both runs and ends the step: no window there has a pattern.
+
+    The transition check needs the category of the disjoint older window
+    (inputs n-31..n-16). A 16-slot ring keeps the patterned windows only:
+    slot n % 16 holds the position in `_ring_at` and the category in
+    `_ring`, and the older window is that category when the slot's
+    position is n-16, and "none" otherwise.
     """
 
     kind = "stride"
@@ -149,7 +162,11 @@ class StrideMonitor:
         self._diff2: Optional[int] = None  # the one before it
         self._equal_run = 0
         self._alternate_run = 0
-        self._ring = [_NONE] * WINDOW  # categories of windows ending at n-16..n-1
+        # patterned windows: slot p % 16 holds the position p a window ended
+        # at and its category; transitions are read from position 32 on, so
+        # the zero positions here never count as a window
+        self._ring_at = [0] * WINDOW
+        self._ring = [_NONE] * WINDOW
 
     def feed(self, stimulus: int) -> list[str]:
         value = stimulus & _MASK
@@ -160,39 +177,45 @@ class StrideMonitor:
         diff = (value - self._last_value) & _MASK
         self._last_value = value
         diff1 = self._diff1
-        if diff == diff1:
-            self._equal_run += 1
-        else:
-            self._equal_run = 1
-        if diff == self._diff2:
-            self._alternate_run += 1
-        else:
-            self._alternate_run = 0
-        self._diff2 = diff1
-        self._diff1 = diff
-        if count < WINDOW:
-            return []
-        if self._equal_run >= WINDOW - 1:
+        if diff == diff1:  # no double stride: the newest two differences match
+            # `_diff1` already holds diff, and `_diff2` only changes when it differs
+            equal_run = self._equal_run = self._equal_run + 1
+            if diff == self._diff2:
+                self._alternate_run += 1
+            else:
+                self._alternate_run = 0
+                self._diff2 = diff1
+            if equal_run < WINDOW - 1:
+                return []
             category = _SINGLE
             pattern = self._single.get(diff)
             if pattern is None:
                 pattern = "single_overflow_neg" if diff >= _HALF else "single_overflow_pos"
-        elif self._alternate_run >= WINDOW - 3 and diff != diff1:
+        elif diff == self._diff2:  # no single stride: the equal run restarts
+            self._equal_run = 1
+            alternate_run = self._alternate_run = self._alternate_run + 1
+            self._diff2 = diff1
+            self._diff1 = diff
+            if alternate_run < WINDOW - 3:
+                return []
             # 15 differences alternate, so the newest is also the first stride
             category = _DOUBLE
             pattern = self._double.get((diff, diff1))
             if pattern is None:
                 if diff in self._single or diff1 in self._single:
-                    category = _NONE  # mixed: one stride in range, one out
-                else:
-                    pattern = self._double_overflow[diff >= _HALF, diff1 >= _HALF]
-        else:
-            category = _NONE
-        slot = count % WINDOW
-        older = self._ring[slot]
-        self._ring[slot] = category
-        if category == _NONE:  # no pattern, and no transition ends in "none"
+                    return []  # mixed: one stride in range, one out
+                pattern = self._double_overflow[diff >= _HALF, diff1 >= _HALF]
+        else:  # no pattern, and no transition ends in "none"
+            self._equal_run = 1
+            self._alternate_run = 0
+            self._diff2 = diff1
+            self._diff1 = diff
             return []
+        slot = count % WINDOW
+        ring_at = self._ring_at
+        older = self._ring[slot] if ring_at[slot] == count - WINDOW else _NONE
+        ring_at[slot] = count
+        self._ring[slot] = category
         if count >= 2 * WINDOW:
             transition = _TRANSITIONS.get((older, category))
             if transition is not None:

@@ -6,8 +6,10 @@ the whole stream for every window instead of sliding incrementally.
 """
 from __future__ import annotations
 
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from covstim.coverage import Difficulty
@@ -200,6 +202,9 @@ def test_classify_wrap_produces_int_min_overflow():
 
 # --- frozen feed examples ---------------------------------------------------
 
+_JUNK = [9, 2, 77, 5, 13, 40, 8, 61, 3, 90, 17, 55, 4, 70, 21, 36]
+
+
 def test_feed_no_bins_before_16_values():
     mon = StrideMonitor()
     for v in range(15):
@@ -232,18 +237,15 @@ def test_feed_single_to_double_transition():
 
 
 def test_feed_no_to_single_transition():
-    junk = [9, 2, 77, 5, 13, 40, 8, 61, 3, 90, 17, 55, 4, 70, 21, 36]
-    assert oracle_classify(junk) is None
-    stream = junk + [100 + 2 * i for i in range(16)]
+    assert oracle_classify(_JUNK) is None
+    stream = _JUNK + [100 + 2 * i for i in range(16)]
     bins = monitor_stream_bins(stream)
     assert bins["no_to_single"] == 1
     assert oracle_stream_bins(stream) == bins
 
 
 def test_feed_transition_needs_32_values():
-    stream = [9, 2, 77, 5, 13, 40, 8, 61, 3, 90, 17, 55, 4, 70, 21] + [
-        100 + 2 * i for i in range(16)
-    ]
+    stream = _JUNK[:15] + [100 + 2 * i for i in range(16)]
     assert len(stream) == 31
     bins = monitor_stream_bins(stream)
     assert "no_to_single" not in bins
@@ -256,6 +258,24 @@ def test_monitor_reset_clears_history():
     mon.reset()
     for v in range(15):
         assert mon.feed(v) == []
+    # after the reset, the window ending at position 40 has no pattern and
+    # the one at 56 is single: a ring slot still tagged with a pre-reset
+    # window ending at 40 would turn no_to_single into no transition (a
+    # single there) or into double_to_single (a double there)
+    after = _JUNK + _JUNK[:8] + _JUNK + _arith(900, 2, 16)
+    assert len(after) == 56
+    for stale in (_arith(700, 5, 16), _alt(700, 5, -3, 16)):
+        before = _JUNK + _JUNK[:8] + stale
+        assert len(before) == 40
+        mon.reset()
+        for v in before:
+            mon.feed(v)
+        mon.reset()
+        hits: Counter = Counter()
+        for v in after:
+            hits.update(mon.feed(v))
+        assert hits == oracle_stream_bins(after)
+        assert hits["no_to_single"] == 1
 
 
 def test_monitor_emits_only_plan_bins():
@@ -279,6 +299,32 @@ def _alt(start: int, c1: int, c2: int, n: int) -> list[int]:
     for i in range(n - 1):
         out.append((out[-1] + (c1 if i % 2 == 0 else c2)) & MASK)
     return out
+
+
+# Streams whose last window is patterned and falls in a ring slot last
+# written 16, 32 or 48 positions earlier, with the transitions they hit. A
+# slot written 32 or 48 earlier is stale and must read as "none".
+RING_TAG_CASES = [
+    (_arith(0, 3, 16) + _JUNK + _arith(500, 2, 16), {"no_to_single": 1}),
+    (_alt(0, 4, -7, 16) + _JUNK * 2 + _alt(500, 1, 6, 16), {"no_to_double": 1}),
+    (_alt(0, 4, -7, 16) + _JUNK * 2 + _arith(500, -9, 16), {"no_to_single": 1}),
+    (_arith(0, 3, 16) + _JUNK + _alt(500, 300, 2**31, 16), {"no_to_double": 1}),
+    (_arith(0, 3, 16) + _alt(100, 2, 9, 16), {"single_to_double": 1}),
+    (_alt(0, 4, -7, 16) + _arith(100, 1000, 16), {"double_to_single": 1}),
+    (_arith(0, 3, 16) + _arith(500, 2, 16), {}),
+    (_alt(0, 4, -7, 16) + _alt(500, 1, 6, 16), {}),
+]
+TRANSITION_BINS = {"no_to_single", "no_to_double", "single_to_double", "double_to_single"}
+
+
+def _transitions(bins: Counter) -> dict:
+    return {b: n for b, n in bins.items() if b in TRANSITION_BINS}
+
+
+@pytest.mark.parametrize("stream,transitions", RING_TAG_CASES)
+def test_ring_tag_cases_hit_their_transitions(stream, transitions):
+    assert _transitions(oracle_stream_bins(stream)) == transitions
+    assert _transitions(monitor_stream_bins(stream)) == transitions
 
 
 def _segments() -> st.SearchStrategy:
@@ -307,8 +353,48 @@ def _segments() -> st.SearchStrategy:
 # runs that wrap past 2**32, and strides of +-2**31 (both wrap to INT_MIN)
 @example(stream=_arith(0xFFFFFFF0, 1, 40) + _arith(3, 2**31, 40))
 @example(stream=_alt(5, 2**31, 7, 40) + _alt(5, -(2**31), 100, 40))
+# the newest window's ring slot was last written 16, 32 or 48 positions earlier
+@example(stream=RING_TAG_CASES[0][0])
+@example(stream=RING_TAG_CASES[1][0])
+@example(stream=RING_TAG_CASES[2][0])
+@example(stream=RING_TAG_CASES[3][0])
+@example(stream=RING_TAG_CASES[4][0])
+@example(stream=RING_TAG_CASES[5][0])
+@example(stream=RING_TAG_CASES[6][0])
+@example(stream=RING_TAG_CASES[7][0])
 def test_feed_matches_brute_force_oracle(stream):
     assert monitor_stream_bins(stream) == oracle_stream_bins(stream)
+
+
+def _crt_stream(rng: random.Random, length: int) -> list[int]:
+    """Uniform 32-bit words, as the crt draw makes them, with single and
+    double runs of 16-40 values (in range, overflowing or mixed) planted at
+    random gaps, some of them back to back."""
+    words = rng.getrandbits
+    stream: list[int] = []
+    while len(stream) < length:
+        gap = rng.choice((0, 0, rng.randrange(1, 16), rng.randrange(16, 49),
+                          rng.randrange(49, 200)))
+        stream += [words(32) for _ in range(gap)]
+        strides = [rng.randrange(-16, 16) if rng.random() < 0.6 else words(32)
+                   for _ in range(2)]
+        n = rng.randrange(16, 41)
+        if rng.random() < 0.5:
+            stream += _arith(words(32), strides[0], n)
+        else:
+            stream += _alt(words(32), strides[0], strides[1], n)
+    return stream[:length]
+
+
+def test_feed_matches_oracle_on_crt_shaped_streams():
+    seen: Counter = Counter()
+    for seed in range(4):
+        stream = _crt_stream(random.Random(seed), 4000)
+        bins = monitor_stream_bins(stream)
+        assert bins == oracle_stream_bins(stream)
+        seen.update(bins)
+    assert TRANSITION_BINS <= set(seen)
+    assert {"single_overflow_pos", "double_overflow_pn"} <= set(seen)
 
 
 @settings(max_examples=100, deadline=None)
