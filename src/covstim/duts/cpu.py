@@ -16,6 +16,13 @@ destination register. Register and data-memory values are not modelled:
 the subset has no loads, branches or JALR, so no bin and no control flow
 reads them.
 
+The instruction memory has two parts: a write log of masked (address, word)
+pairs in two `array("I")` columns, 8 bytes a write, and an address map that
+holds the writes folded so far. A fetch at the address of the step's newest
+write executes that word; any other fetch first folds the log into the map,
+in write order, then reads the map. A constrained-random step writes a jump
+at the pc it then fetches, so a crt run never builds the map.
+
 Coverage: per-op seen/zero_dst/zero_src/same_src bins (where the fields
 exist), jump direction bins, and one read-after-write hazard bin per
 (writer op, reader op) pair of back-to-back executed instructions. An
@@ -23,6 +30,7 @@ executed NOP breaks hazard adjacency.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Sequence
 
@@ -167,6 +175,10 @@ class CpuDut:
     `feed` decodes inline and emits prebuilt bin ids. The last writer's
     destination register carries read-after-write adjacency to the next
     instruction; a NOP, a store or an x0 destination clears it.
+
+    Writes go to the log `_addrs`/`_words`; `imem` folds the log into the
+    address map `_imem` and returns the map. A step whose newest write is at
+    the pc executes that word without folding.
     """
 
     kind = "cpu"
@@ -178,7 +190,9 @@ class CpuDut:
 
     def reset(self) -> None:
         self.pc = 0
-        self.imem: dict[int, int] = {}
+        self._imem: dict[int, int] = {}  # folded writes by address
+        self._addrs = array("I")  # writes not folded yet, in write order
+        self._words = array("I")
         self._writer_rd = 0  # destination of the previous instruction if it wrote one
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
 
@@ -196,11 +210,16 @@ class CpuDut:
             if addr & 3:
                 raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
             int(word)  # a word `int` rejects raises here, before any write
-        imem = self.imem
+        addrs, words = self._addrs, self._words
+        addr = -1  # no write: the fetch folds
         for addr, word in stimulus:
-            imem[int(addr) & _MASK] = int(word) & _MASK
+            addr = int(addr) & _MASK
+            word = int(word) & _MASK
+            addrs.append(addr)
+            words.append(word)
         pc = self.pc
-        word = imem.get(pc, 0)
+        if addr != pc:  # the newest write, if any, is not the word at pc
+            word = self.imem.get(pc, 0)
         opcode = word & 0x7F
         if opcode == _JAL_OPCODE:
             rd = (word >> 7) & 31
@@ -240,6 +259,15 @@ class CpuDut:
         self._writer_rd = rd
         self._writer_hazards = hazards
         return bins
+
+    @property
+    def imem(self) -> dict[int, int]:
+        """The instruction memory by address, with every logged write folded in."""
+        addrs = self._addrs
+        if addrs:
+            self._imem.update(zip(addrs, self._words))
+            del addrs[:], self._words[:]
+        return self._imem
 
     def extras(self) -> dict:
         return {"pc": self.pc}

@@ -8,20 +8,25 @@ instruction fields. The hazard oracle re-derives read-after-write pairs from
 the executed decode trace, independent of the monitor's incremental
 bookkeeping; the trace comes from the reference interpreter, which re-reads
 the documented semantics field by field and is compared with the model after
-every step: bins, pc, instruction memory, extras and malformed-stimulus
-rejection. The same comparison runs over the dialogue benchmark's CPU
-replies and over every value of the JAL offset's table-decoded bits 31:20.
+every step: bins, pc, extras and malformed-stimulus rejection, and the
+instruction memory either after every step or only at the end. Reading
+`imem` folds the model's write log, so the end-only mode is the one where
+writes stay in the log across steps and a later fetch reads one of them.
+The same comparison runs over the dialogue benchmark's CPU replies and over
+every value of the JAL offset's table-decoded bits 31:20.
 """
 from __future__ import annotations
 
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_extraction import load_perfbench
-from covstim.agents import extract_stimuli
+from covstim.agents import CrtAgent, extract_stimuli
 from covstim.coverage import CoverageState, Difficulty
 from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError, make_dut
 from covstim.duts.cpu import (
@@ -30,6 +35,7 @@ from covstim.duts.cpu import (
     CpuDut,
     encode_cpu,
 )
+from covstim.runtime import run_crt_trial
 
 MASK = 0xFFFFFFFF
 
@@ -191,12 +197,24 @@ def test_store_source_register_bins():
     assert "hazard_sh_sb" not in hits  # stores write no register
 
 
+JAL_TO_8 = encode_cpu("jal", rd=1, imm=8)
+ADD = encode_cpu("add", rd=2, rs1=1, rs2=3)
+
+
+def fed_cpus():
+    """A fresh CpuDut, and one whose only write (a jump to 8 at 0) is still
+    in its write log, with the pc and `imem` each should show."""
+    pending = CpuDut()
+    pending.feed([(0, JAL_TO_8)])  # the newest write is at the pc: not folded
+    return [(CpuDut(), 0, {}), (pending, 8, {0: JAL_TO_8})]
+
+
 def test_misaligned_update_rejected_without_side_effects():
-    dut = CpuDut()
-    with pytest.raises(MalformedStimulusError):
-        dut.feed([(0, 0x13), (2, 0x33)])
-    assert dut.pc == 0
-    assert dut.imem == {}
+    for dut, pc, imem in fed_cpus():
+        with pytest.raises(MalformedStimulusError):
+            dut.feed([(0, 0x13), (2, 0x33)])
+        assert dut.pc == pc
+        assert dut.imem == imem
 
 
 @pytest.mark.parametrize("updates", [
@@ -204,10 +222,37 @@ def test_misaligned_update_rejected_without_side_effects():
     [(0, 0x13), (4, "nop"), (2, 0x33)],  # the word fails before the address does
 ])
 def test_non_integer_word_raises_before_any_write(updates):
-    dut = CpuDut()
-    with pytest.raises(ValueError, match="invalid literal for int"):
-        dut.feed(updates)
-    assert dut.imem == {}
+    for dut, pc, imem in fed_cpus():
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            dut.feed(updates)
+        assert dut.pc == pc
+        assert dut.imem == imem
+
+
+@pytest.mark.parametrize("steps, bins, pc, imem", [
+    # the last of two writes at the pc is the one executed
+    ([[(0, ADD), (0, JAL_TO_8)]], ["jal_seen", "jump_forward"], 8, {0: JAL_TO_8}),
+    ([[(0, JAL_TO_8), (0, ADD)]], ["add_seen"], 4, {0: ADD}),
+    # the pc is written first and another address last: the fetch folds the log
+    ([[(0, JAL_TO_8), (4, ADD)]], ["jal_seen", "jump_forward"], 8, {0: JAL_TO_8, 4: ADD}),
+    ([[(0, JAL_TO_8), (8, ADD), (0, ADD), (8, JAL_TO_8)]], ["add_seen"], 4,
+     {0: ADD, 8: JAL_TO_8}),
+    # an empty stimulus fetches what is there: nothing, then a logged write
+    ([[]], [], 4, {}),
+    ([[(0, JAL_TO_8), (8, ADD)], [], [(12, ADD)]], ["add_seen"], 16,
+     {0: JAL_TO_8, 8: ADD, 12: ADD}),
+    # a jump back to a word logged two steps earlier, never rewritten
+    ([[(0, JAL_TO_8)], [(8, encode_cpu("jal", rd=1, imm=-8))], []],
+     ["jal_seen", "jump_forward"], 8, {0: JAL_TO_8, 8: encode_cpu("jal", rd=1, imm=-8)}),
+], ids=["pc-twice-jal-last", "pc-twice-add-last", "pc-then-other", "two-addresses-twice",
+        "empty", "empty-reads-log", "jump-back-to-logged"])
+def test_fetch_reads_the_newest_write_at_pc(steps, bins, pc, imem):
+    dut, ref = CpuDut(), RefCpu()
+    for updates in steps:
+        got, expected = dut.feed(updates), ref.feed(updates)
+        assert got == expected
+    assert got == bins
+    assert (dut.pc, dut.imem) == (ref.pc, ref.imem) == (pc, imem)
 
 
 @pytest.mark.parametrize("op", ["add", "sw", "jal"])
@@ -227,12 +272,36 @@ def test_extras_reports_pc():
 
 def test_reset_restores_power_on_state():
     dut = CpuDut()
-    dut.feed([(0, encode_cpu("jal", rd=1, imm=8))])
+    dut.feed([(0, JAL_TO_8)])  # x1 := 4; the write stays in the log
     dut.reset()
     assert dut.pc == 0
+    # the logged jump is gone: the fetch at 0 reads 0, a NOP
+    assert dut.feed([]) == []
+    assert dut.pc == 4
     assert dut.imem == {}
+    dut.feed([(4, encode_cpu("jal", rd=1, imm=-4))])  # x1 := 8
+    dut.reset()
     # the jal's write to x1 does not reach across the reset
     assert dut.feed([(0, encode_cpu("add", rd=2, rs1=1, rs2=1))]) == ["add_seen", "add_same_src"]
+
+
+def test_write_log_item_holds_a_word():
+    # a smaller item would raise OverflowError on the first word above 0xFFFF
+    assert array("I").itemsize == 4
+
+
+def test_crt_cpu_trial_traced_peak_stays_under_1_mb():
+    """20,000 crt stimuli log 8 bytes a write, about 160 kB. Folding each
+    write into the address map, one entry per stimulus, would peak at about
+    1.8 MB."""
+    dut, agent = CpuDut(), CrtAgent("cpu", random.Random(0))
+    tracemalloc.start()
+    try:
+        run_crt_trial(dut, agent, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- hazard oracle property ------------------------------------------------------
@@ -407,11 +476,11 @@ def program_word(rng: random.Random) -> int:
     return rng.choice((0, rng.getrandbits(32)))  # nearly always a NOP
 
 
-def program_updates(rng: random.Random, pc: int) -> list:
-    """Usually the next instruction at pc (else re-run what is there), and
-    sometimes one more update: misaligned ones and one-element ones are
-    malformed and reject the step."""
-    updates = [[pc, program_word(rng)]] if rng.random() < 0.85 else []
+def program_updates(rng: random.Random, pc: int, rewrite: float = 0.85) -> list:
+    """With chance `rewrite` the next instruction at pc (else re-run what is
+    there), and sometimes one more update: misaligned ones and one-element
+    ones are malformed and reject the step."""
+    updates = [[pc, program_word(rng)]] if rng.random() < rewrite else []
     if rng.random() < 0.15:
         where = rng.choice((4, 8, -4, 0, 1, 2, 3, None))
         updates.append([pc] if where is None else [(pc + where) & MASK, program_word(rng)])
@@ -419,12 +488,19 @@ def program_updates(rng: random.Random, pc: int) -> list:
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), steps=st.integers(min_value=0, max_value=150))
-def test_step_matches_reference_interpreter(seed, steps):
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    steps=st.integers(min_value=0, max_value=150),
+    imem_every_step=st.booleans(),
+    # at 0.3 most steps re-run a word, and short jumps back reach words
+    # written several steps earlier
+    rewrite=st.sampled_from((0.85, 0.3)),
+)
+def test_step_matches_reference_interpreter(seed, steps, imem_every_step, rewrite):
     rng = random.Random(seed)
     dut, ref = CpuDut(), RefCpu()
     for _ in range(steps):
-        updates = program_updates(rng, ref.pc)
+        updates = program_updates(rng, ref.pc, rewrite)
         try:
             expected = ref.feed(updates)
         except MalformedStimulusError:
@@ -432,8 +508,11 @@ def test_step_matches_reference_interpreter(seed, steps):
                 dut.feed(updates)
         else:
             assert dut.feed(updates) == expected
-        assert (dut.pc, dut.imem) == (ref.pc, ref.imem)
+        assert dut.pc == ref.pc
         assert dut.extras() == ref.extras()
+        if imem_every_step:
+            assert dut.imem == ref.imem
+    assert dut.imem == ref.imem
 
 
 def test_jal_offset_matches_reference_for_every_high_field():
@@ -455,7 +534,8 @@ def test_jal_offset_matches_reference_for_every_high_field():
 def test_benchmark_cpu_traffic_matches_reference(profile):
     """The dialogue benchmark's CPU replies (16-slot programs, single-slot
     rewrites, misaligned addresses), extracted as the agent extracts them and
-    fed in order to the model and the reference interpreter."""
+    fed in order to the model and the reference interpreter. Odd seeds read
+    `imem` only at the end, so writes stay in the model's log across steps."""
     gen = load_perfbench("gen")
     for seed in range(10):
         dut, ref = CpuDut(), RefCpu()
@@ -468,4 +548,7 @@ def test_benchmark_cpu_traffic_matches_reference(profile):
                         dut.feed(stimulus)
                 else:
                     assert dut.feed(stimulus) == expected
-                assert (dut.pc, dut.imem) == (ref.pc, ref.imem)
+                assert dut.pc == ref.pc
+                if seed % 2 == 0:
+                    assert dut.imem == ref.imem
+        assert dut.imem == ref.imem
