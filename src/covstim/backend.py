@@ -22,6 +22,7 @@ bookkeeping, not any correctness decision.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -88,13 +89,13 @@ class BackendConfig:
     def __post_init__(self) -> None:
         check_field_types(self)
         # written as not (in range) so that a NaN, which JSON config can hold,
-        # fails too
-        if not self.temperature >= 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
+        # fails too; so does an Infinity, which no request can carry
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p!r}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be > 0")
         if self.retries < 0:

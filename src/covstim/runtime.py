@@ -48,14 +48,6 @@ EXHAUST_LOW_WINDOW = 40
 EXHAUST_LOW_HITS = 3
 
 
-def crt_chunks(count: int) -> list[int]:
-    """Stimuli per crt coverage-curve event: DEFAULT_CRT_CHUNK each, the last
-    the remainder. Only a trial's last event may run fewer, and only when its
-    stimuli complete the plan."""
-    full, rest = divmod(count, DEFAULT_CRT_CHUNK)
-    return [DEFAULT_CRT_CHUNK] * full + ([rest] if rest else [])
-
-
 def exhausted(deltas: Sequence[int]) -> bool:
     """The stopping rule; windows must be full before they can fire."""
     return stalled(deltas, EXHAUST_ZERO_WINDOW, 1) or stalled(
@@ -142,23 +134,33 @@ class TrialLog:
     covered, and `report_from_log` feeds it the same facts read back from a
     log: either way it numbers the events, keeps the running coverage, rate
     and token sums, applies the stopping rule, and builds the TrialRecord.
+    A crt trial (`crt_count` > 0) also gets its chunk schedule from it.
     """
 
-    def __init__(self, trial: int, plan_size: int) -> None:
+    def __init__(self, trial: int, plan_size: int, crt_count: int = 0) -> None:
         self.trial = trial
         self.plan_size = plan_size
+        self.crt_count = crt_count
         self.events: list[dict] = []  # JSONL-ready, in order
-        self.coverage = self.tokens_in = self.tokens_out = 0
+        self.coverage = self.stimuli = self.tokens_in = self.tokens_out = 0
 
     @property
     def rate(self) -> float:
         return self.coverage / self.plan_size
+
+    @property
+    def chunk(self) -> int:
+        """Stimuli in a crt trial's next coverage-curve event: DEFAULT_CRT_CHUNK,
+        the last the remainder. Only a trial's last event may run fewer than
+        this, when its stimuli complete the plan."""
+        return min(DEFAULT_CRT_CHUNK, self.crt_count - self.stimuli)
 
     def event(
         self, stimuli: int, new_bins: list[str], restart=False, tokens_in=0, tokens_out=0
     ) -> dict:
         """Keep and return the next event; `new_bins` are the bins it newly covered."""
         self.coverage += len(new_bins)
+        self.stimuli += stimuli
         self.tokens_in += tokens_in
         self.tokens_out += tokens_out
         event = {
@@ -176,22 +178,23 @@ class TrialLog:
         self.events.append(event)
         return event
 
-    def settled(self, deltas: Sequence[int]) -> Optional[str]:
+    def settled(self, deltas: Sequence[int] = ()) -> Optional[str]:
         """The stopping rule: the status of a trial that has stopped by itself,
-        else None. `deltas` are its per-response new-bin counts."""
+        else None. A crt trial is exhausted once its stimuli run out; a
+        dialogue trial's `deltas` are its per-response new-bin counts."""
         if self.coverage == self.plan_size:
             return FULL_COVERAGE
+        if self.crt_count:
+            return EXHAUSTED if self.stimuli >= self.crt_count else None
         return EXHAUSTED if exhausted(deltas) else None
 
-    def end(
-        self, status: str, messages: int, malformed: int = 0, error: Optional[str] = None
-    ) -> TrialRecord:
+    def end(self, status: str, malformed: int = 0, error: Optional[str] = None) -> TrialRecord:
         return TrialRecord(
             trial=self.trial,
             status=status,
             coverage=self.coverage,
             rate=self.rate,
-            messages=messages,
+            messages=0 if self.crt_count else len(self.events),  # one per response
             tokens_in=self.tokens_in,
             tokens_out=self.tokens_out,
             events=self.events,
@@ -275,38 +278,36 @@ def run_trial(
             len(stimuli), new_ids, prepared.restarted, completion.tokens_in, completion.tokens_out
         )
         agent.credit(easier, len(new_ids) - easier, log.rate)
-    return log.end(status, len(log.events), malformed, error)
+    return log.end(status, malformed, error)
 
 
 def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     """One budget-free constrained-random trial of `count` stimuli.
 
     No messages are exchanged; events are coverage-curve samples, one per
-    chunk of `crt_chunks(count)`. A trial that runs out its stimulus count
-    without full coverage ends exhausted (the stream is over). `record`
-    runs, and full coverage is checked, only when a stimulus hits a bin not
-    yet covered: most hit nothing or only covered bins.
+    `TrialLog.chunk` stimuli, until full coverage or the stimulus count
+    runs out (status exhausted). `record` runs, and full coverage is
+    checked, only when a stimulus hits a bin not yet covered: most hit
+    nothing or only covered bins. `agent.stimuli` must yield `count`.
     """
     state = CoverageState(dut.plan)
     record, is_full, feed = state.record, state.is_full, dut.feed
     covers = state.covered.issuperset
     stimuli = agent.stimuli(count, dut.extras)
-    log = TrialLog(1, len(dut.plan))
-    status = EXHAUSTED
-    for size in crt_chunks(count):
-        chunk_new: list[str] = []
-        fed = 0
+    log = TrialLog(1, len(dut.plan), count)
+    while (status := log.settled()) is None:
+        size, chunk_new, fed = log.chunk, [], 0
         for fed, stimulus in enumerate(islice(stimuli, size), 1):
             bins = feed(stimulus)
             if bins and not covers(bins):
                 chunk_new += record(bins)
                 if is_full():
-                    status = FULL_COVERAGE
                     break
+        else:  # no full coverage: the chunk ran out, or the stream did
+            if fed < size:
+                raise ValueError(f"crt stimuli ended after {log.stimuli + fed} of {count}")
         log.event(fed, chunk_new)
-        if status == FULL_COVERAGE:
-            break
-    return log.end(status, 0)
+    return log.end(status)
 
 
 @dataclass
@@ -520,9 +521,10 @@ def report_from_log(path) -> ExperimentReport:
     and its trial_end, then the report. Each record is rebuilt by what wrote
     it (a trial's through a TrialLog) and must equal the logged one as
     canonical JSON. A dialogue event's restart follows the header's restart
-    plan, and a trial_end's status the stopping rule; a trial that did not
-    stop by itself ends as logged, budget_exhausted or aborted, and no event
-    follows one that did. A crt event's stimuli follow `crt_chunks`. The
+    plan, and a trial_end's status the stopping rule; a dialogue trial that
+    did not stop by itself ends as logged, budget_exhausted or aborted, and
+    no event follows one that did. A crt event's stimuli follow
+    `TrialLog.chunk`, and a crt trial ends only by its stopping rule. The
     facts a log alone cannot re-derive (a dialogue event's stimuli, a
     trial_end's malformed and error, the report's note) are only
     type-checked. A device's log must also match its plan. Raises
@@ -549,9 +551,9 @@ def report_from_log(path) -> ExperimentReport:
         raise ValueError(
             f"{at} plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
         )
-    chunks = crt_chunks(config.crt_count) if config.agent == "crt" else None
+    crt_count = config.crt_count if config.agent == "crt" else 0
     trials: list[TrialRecord] = []
-    log = TrialLog(1, plan_size)
+    log = TrialLog(1, plan_size, crt_count)
     deltas: list[int] = []  # a dialogue trial's per-response new-bin counts
     covered: set = set()
     restart_at = 0  # where in `deltas` the dialogue last restarted
@@ -576,15 +578,14 @@ def report_from_log(path) -> ExperimentReport:
             stop = log.settled(deltas)
             if stop is not None:
                 after = "full coverage" if stop == FULL_COVERAGE else "the exhaustion stop"
+                if crt_count and stop == EXHAUSTED:
+                    after = f"the crt trial's {crt_count} stimuli"
                 raise ValueError(f"{at} record follows {after}")
             stimuli = _logged(record, "stimuli", _COUNT, at)
             restart = False
-            if chunks is not None:
-                if len(log.events) == len(chunks):
-                    raise ValueError(f"{at} record is past the crt trial's {len(chunks)} chunks")
-                size = chunks[len(log.events)]
+            if crt_count:
                 completes = new_bins and len(covered) == plan_size
-                stimuli = stimuli if completes and 0 < stimuli <= size else size
+                stimuli = stimuli if completes and 0 < stimuli <= log.chunk else log.chunk
             else:  # the restart rule, as LlmAgent.prepare applies it
                 restart = should_restart(deltas, config.strategy.restart, log.rate, restart_at)
                 if restart:
@@ -596,16 +597,12 @@ def report_from_log(path) -> ExperimentReport:
         elif kind == "trial_end":
             at = f"{where}trial {log.trial} trial_end"
             status = log.settled(deltas)
-            if status is None and chunks is not None:
-                if len(log.events) < len(chunks):
-                    raise ValueError(
-                        f"{at} record ends the crt trial after {len(log.events)} "
-                        f"of {len(chunks)} chunks"
-                    )
-                status = EXHAUSTED  # the stimulus stream ran out
+            if status is None and crt_count:
+                raise ValueError(
+                    f"{at} record ends the crt trial after {log.stimuli} of {crt_count} stimuli"
+                )
             trial = log.end(
                 record.get("status") if status is None else status,
-                len(log.events) if chunks is None else 0,
                 _logged(record, "malformed", _COUNT, at),
                 _logged(record, "error", _TEXT, at),
             )
@@ -616,12 +613,13 @@ def report_from_log(path) -> ExperimentReport:
                     f"itself ends {BUDGET_EXHAUSTED!r} or {ABORTED!r}"
                 )
             trials.append(trial)
-            log, deltas, covered, restart_at = TrialLog(len(trials) + 1, plan_size), [], set(), 0
+            log = TrialLog(len(trials) + 1, plan_size, crt_count)
+            deltas, covered, restart_at = [], set(), 0
         elif kind == "report":
             if log.events:
                 raise ValueError(f"{where}the report follows events with no trial_end")
             at = f"{where}report"
-            if chunks is not None and len(trials) != 1:
+            if crt_count and len(trials) != 1:
                 raise ValueError(f"{at} record follows {len(trials)} crt trials, not one")
             note = _logged(record, "note", _TEXT, at)
             report = build_report(config, plan_size, trials, note)

@@ -397,6 +397,17 @@ def test_report_checks_a_device_log_against_its_plan(tmp_path, capsys):
     assert "the decoder plan has" in rejection(log, capsys)
 
 
+def test_report_rejects_a_crt_log_cut_short_of_a_huge_count(tmp_path, capsys):
+    # the header's count is valid config, and no schedule is built from it
+    assert run_crt(tmp_path, count=20_000) == 0
+    capsys.readouterr()
+    log = tmp_path / "log.jsonl"
+    log.write_text(doctor(log.read_text(), "header", lambda r: r.update(crt_count=10**30)))
+    err = rejection(log, capsys)
+    assert err.endswith(f"ends the crt trial after 20000 of {10**30} stimuli\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_report_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
     assert run_crt(tmp_path) == 0
     capsys.readouterr()
@@ -523,13 +534,16 @@ def test_run_rejects_a_wrong_typed_config(tmp_path, capsys, case):
         ("timeout", float("nan")),
         ("top_p", 7),
         ("top_p", -1),
+        ("timeout", float("inf")),
         ("temperature", float("nan")),
+        ("temperature", float("inf")),
     ],
 )
 def test_run_rejects_an_out_of_range_backend_value(tmp_path, capsys, field, value):
     config = tmp_path / "config.json"
     backend = {"endpoint": "http://127.0.0.1:9/v1", "model": "m", field: value}
-    # json writes a NaN as the bare token NaN, which json.load reads back
+    # json writes a NaN or an infinity as the bare token NaN or Infinity,
+    # which json.load reads back
     config.write_text(json.dumps({"dut": "stride", "agent": "llm", "backend": backend}))
     assert main(["run", "--config", str(config), "--backend", "live"]) == 1
     err = capsys.readouterr().err

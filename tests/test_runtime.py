@@ -5,7 +5,7 @@ import functools
 import json
 import random
 import tempfile
-from itertools import cycle, islice
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -167,8 +167,9 @@ class SeqAgent:
     def __init__(self, values):
         self.values = list(values)
 
-    def stimuli(self, count, extras):
-        return islice(cycle(self.values), count)
+    def stimuli(self, count, extras):  # lazy, so any count is fine
+        for _, value in zip(range(count), cycle(self.values)):
+            yield value
 
 
 def test_crt_trial_chunks_and_status():
@@ -188,6 +189,21 @@ def test_crt_trial_stops_on_full_coverage():
     assert trial.events[0]["stimuli"] == 10
     assert trial.events[0]["coverage"] == 10
     assert trial.coverage == 10
+
+
+def test_crt_trial_of_a_huge_count_stops_on_full_coverage():
+    trial = run_crt_trial(ToyDut(), SeqAgent(range(10)), count=10**30)
+    assert trial.status == FULL_COVERAGE
+    assert [e["stimuli"] for e in trial.events] == [10]
+
+
+def test_crt_trial_rejects_a_stream_that_ends_early():
+    class ShortAgent(SeqAgent):
+        def stimuli(self, count, extras):
+            return super().stimuli(count - 1, extras)
+
+    with pytest.raises(ValueError, match="crt stimuli ended after 10000 of 10001"):
+        run_crt_trial(ToyDut(), ShortAgent([99]), count=10_001)
 
 
 def test_crt_trial_on_real_dut():
@@ -698,8 +714,13 @@ def test_every_scripted_toy_log_verifies(tmp_path_factory, script, strategy, bud
 @pytest.mark.parametrize("kind", DUT_KINDS)
 def test_every_device_crt_log_verifies(tmp_path, kind):
     path = tmp_path / "log.jsonl"
-    report = run_experiment(RunConfig(dut=kind, agent="crt", crt_count=2_000), log_path=path)
-    assert report_from_log(path) == report
+    for count in CRT_COUNTS:  # each side of a chunk boundary
+        report = run_experiment(RunConfig(dut=kind, agent="crt", crt_count=count), log_path=path)
+        assert report_from_log(path) == report
+        full, rest = divmod(count, 10_000)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        stimuli = [e["stimuli"] for e in _events(records)]
+        assert stimuli == [10_000] * full + ([rest] if rest else []), count
 
 
 @functools.lru_cache(maxsize=None)
@@ -956,9 +977,19 @@ def _second_trial(records):
     records[-1:-1] = [dict(r, trial=2) for r in records[1:5]]
 
 
+def _last_chunk_deleted_as_aborted(records):  # the report row agrees; crt logs no message stats
+    records.pop(3)
+    for row in _trial_rows(records):
+        row["status"] = ABORTED
+
+
 CRT_LOG_EDITS = {
     "last_chunk_deleted": (
-        "stride", lambda r: r.pop(3), "ends the crt trial after 2 of 3 chunks"
+        "stride", lambda r: r.pop(3), "ends the crt trial after 20000 of 30000 stimuli"
+    ),
+    "last_chunk_deleted_as_aborted": (
+        "stride", _last_chunk_deleted_as_aborted,
+        "ends the crt trial after 20000 of 30000 stimuli",
     ),
     "chunk_resized": (
         "stride", _set("event", 0, stimuli=7),
@@ -966,7 +997,7 @@ CRT_LOG_EDITS = {
     ),
     "chunk_past_count": (
         "stride", lambda r: r.insert(4, dict(r[3], response_idx=4)),
-        "event 4 record is past the crt trial's 3 chunks",
+        "event 4 record follows the crt trial's 30000 stimuli",
     ),
     "second_trial": (
         "stride", _second_trial, "report record follows 2 crt trials, not one"
