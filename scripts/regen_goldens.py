@@ -103,12 +103,11 @@ def json_text(payload) -> bytes:
 
 def crt_first_draws(kind: str) -> list:
     """The first two stride or decoder stimuli a crt agent seeded 42 draws."""
-    return list(CrtAgent(kind, random.Random(42)).stimuli(2, dict))
+    return list(CrtAgent(kind, random.Random(42)).stimuli(2))
 
 
 def crt_golden() -> bytes:
-    pcs = iter([0, 24])
-    cpu = CrtAgent("cpu", random.Random(42)).stimuli(2, lambda: {"pc": next(pcs)})
+    cpu = CrtAgent("cpu", random.Random(42)).stimuli(2)
     return json_text({
         "stride": crt_first_draws("stride"),
         "decoder": crt_first_draws("decoder"),

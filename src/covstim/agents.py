@@ -30,11 +30,12 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from covstim.backend import Completion, estimate_prompt
 from covstim.coverage import CoveragePlan, UncoveredBins
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
+from covstim.duts.cpu import JAL_HIGH, JAL_OPCODE
 from covstim.prompting import (
     Dialogue,
     MissedBinSampler,
@@ -48,8 +49,6 @@ from covstim.prompting import (
 )
 
 MASK32 = 0xFFFFFFFF
-
-_JAL_OPCODE = 0x6F
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,9 @@ class CrtAgent:
     Stride and decoder inputs are uniform 32-bit words. The CPU baseline
     writes one jump-and-link instruction at the current pc each cycle
     (uniform destination register, uniform offset field), so execution never
-    stalls on an empty instruction slot.
+    stalls on an empty instruction slot. The draw follows its own jumps: the
+    pc starts at 0, a reset CPU's, and moves to each jump's target by the
+    CPU's rule, so the stream is a function of the seed alone.
     """
 
     def __init__(self, dut_kind: str, rng: random.Random) -> None:
@@ -198,25 +199,28 @@ class CrtAgent:
         self.dut_kind = dut_kind
         self.rng = rng
 
-    def stimuli(self, count: int, extras: Callable[[], dict]) -> Iterator:
+    def stimuli(self, count: int) -> Iterator:
         """Yield `count` stimuli, each drawn when it is asked for.
 
-        `extras` is the DUT's `extras`; the CPU draw reads its pc before
-        each stimulus, so the jump lands where the previous one went. The
-        random words are those of `getrandbits(32)` per stride/decoder
+        The random words are those of `getrandbits(32)` per stride/decoder
         stimulus and of `randrange(32)` then `getrandbits(20)` per CPU one.
+        A CPU stimulus is a JAL at the pc the previous one jumped to, which
+        a reset `CpuDut` fed this stream executes in turn.
         """
         getrandbits = self.rng.getrandbits
         if self.dut_kind != "cpu":
             for _ in range(count):
                 yield getrandbits(32)
             return
+        jal, jal_high, pc = JAL_OPCODE, JAL_HIGH, 0
         for _ in range(count):
             # randrange(32) as CPython draws it: 6 bits, redrawn while >= 32
             rd = getrandbits(6)
             while rd >= 32:
                 rd = getrandbits(6)
-            yield [[extras()["pc"], _JAL_OPCODE | (rd << 7) | (getrandbits(20) << 12)]]
+            bits = getrandbits(20)  # instruction bits 31:12
+            yield [[pc, jal | (rd << 7) | (bits << 12)]]
+            pc = (pc + jal_high[bits >> 8] + ((bits & 0xFF) << 12)) & 0xFFFFFFFC
 
 
 # --- llm agent ----------------------------------------------------------------------

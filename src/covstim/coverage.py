@@ -102,9 +102,6 @@ class UncoveredBins:
     def __len__(self) -> int:
         return len(self.bins)
 
-    def __iter__(self) -> Iterator[BinDescriptor]:
-        return iter(self.bins)
-
     def _cover(self, bin_ids: Iterable[str]) -> None:
         by_id, bins = self._by_id, self.bins
         for bin_id in bin_ids:

@@ -1,12 +1,10 @@
 """Behavioral designs under test and their coverage monitors.
 
-Every DUT exposes the same surface: a coverage plan, a `feed` method that
-consumes one stimulus and returns the bin ids it hit (the device's only
-decode; the CPU's applies the memory updates and executes in the same
-call), `reset` for trial boundaries, and `extras` for agent-facing state
-(the CPU reports its `pc`, which the crt agent's stimulus generator reads
-once per CPU stimulus, after the previous one was fed; the others report
-nothing and the crt loop never asks them).
+Every DUT exposes the same surface: its `kind` and `stimulus_format`, a
+coverage plan, a `feed` method that consumes one stimulus and returns the
+bin ids it hit (the device's only decode; the CPU's applies the memory
+updates and executes in the same call), and `reset` for trial boundaries.
+The harness reads nothing else of a device.
 """
 from __future__ import annotations
 
@@ -32,8 +30,6 @@ class Dut(Protocol):
     def reset(self) -> None: ...
 
     def feed(self, stimulus) -> list[str]: ...
-
-    def extras(self) -> dict: ...
 
 
 def make_dut(kind: str) -> Dut:

@@ -39,14 +39,14 @@ from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError
 from covstim.duts.decoder import MATCH_MASK, check_registers, encode, store_imm
 
 _MASK = 0xFFFFFFFF
-_JAL_OPCODE = 0x6F
+JAL_OPCODE = 0x6F
 _STORE_OPCODE = 0x23
 _R_OPCODE = 0x33
 
 # The signed part of a JAL offset that bits 31:20 carry, indexed by those
 # bits; imm[19:12] sits in place at bits 19:12 and adds on as is. Built in
-# index order, the lowest bit innermost.
-_JAL_HIGH = tuple([
+# index order, the lowest bit innermost. The crt draw moves its pc by it too.
+JAL_HIGH = tuple([
     imm20 + imm10_1 + imm11
     for imm20 in (0, -1 << 20)  # bit 31, the sign
     for imm10_1 in range(0, 1 << 11, 2)  # bits 30:21
@@ -84,7 +84,7 @@ def encode_cpu(op: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -
         | ((imm >> 11) & 1) << 20
         | ((imm >> 12) & 0xFF) << 12
         | rd << 7
-        | _JAL_OPCODE
+        | JAL_OPCODE
     )
     return word & _MASK
 
@@ -221,9 +221,9 @@ class CpuDut:
         if addr != pc:  # the newest write, if any, is not the word at pc
             word = self.imem.get(pc, 0)
         opcode = word & 0x7F
-        if opcode == _JAL_OPCODE:
+        if opcode == JAL_OPCODE:
             rd = (word >> 7) & 31
-            imm = _JAL_HIGH[word >> 20] + (word & 0xFF000)
+            imm = JAL_HIGH[word >> 20] + (word & 0xFF000)
             # encodable offsets are even but not always multiples of 4
             self.pc = (pc + imm) & 0xFFFFFFFC
             self._writer_rd = rd
@@ -268,6 +268,3 @@ class CpuDut:
             self._imem.update(zip(addrs, self._words))
             del addrs[:], self._words[:]
         return self._imem
-
-    def extras(self) -> dict:
-        return {"pc": self.pc}

@@ -190,6 +190,3 @@ class DecoderMonitor:
         for shift, pairs in ports:
             bins += pairs[(stimulus >> shift) & 31]
         return bins
-
-    def extras(self) -> dict:
-        return {}

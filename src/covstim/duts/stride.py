@@ -221,6 +221,3 @@ class StrideMonitor:
             if transition is not None:
                 return [pattern, transition]
         return [pattern]
-
-    def extras(self) -> dict:
-        return {}

@@ -288,12 +288,15 @@ def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
     `TrialLog.chunk` stimuli, until full coverage or the stimulus count
     runs out (status exhausted). `record` runs, and full coverage is
     checked, only when a stimulus hits a bin not yet covered: most hit
-    nothing or only covered bins. `agent.stimuli` must yield `count`.
+    nothing or only covered bins. `agent.stimuli` must yield `count`, and
+    `count` must be at least 1.
     """
+    if count < 1:
+        raise ValueError(f"crt count must be at least 1, not {count}")
     state = CoverageState(dut.plan)
     record, is_full, feed = state.record, state.is_full, dut.feed
     covers = state.covered.issuperset
-    stimuli = agent.stimuli(count, dut.extras)
+    stimuli = agent.stimuli(count)
     log = TrialLog(1, len(dut.plan), count)
     while (status := log.settled()) is None:
         size, chunk_new, fed = log.chunk, [], 0

@@ -77,7 +77,7 @@ def test_uncovered_preserves_plan_order():
     plan = make_plan(5)
     state = CoverageState(plan)
     state.record(["bin_03", "bin_00"])
-    assert [b.id for b in state.uncovered()] == ["bin_01", "bin_02", "bin_04"]
+    assert [b.id for b in state.uncovered().bins] == ["bin_01", "bin_02", "bin_04"]
 
 
 def test_dump_json_round_trips():
@@ -106,7 +106,7 @@ def test_uncovered_matches_set_difference_oracle(hits):
         newly = state.record(batch)
         assert set(newly) == set(batch) - seen
         seen |= set(batch)
-    assert {b.id for b in state.uncovered()} == set([b.id for b in plan]) - seen
+    assert {b.id for b in state.uncovered().bins} == set([b.id for b in plan]) - seen
     assert state.covered == seen
 
 
@@ -147,7 +147,7 @@ def test_uncovered_view_matches_oracle_on_real_plans(device, batches, first_aske
             continue
         expected = oracle_uncovered(plan, state.covered)
         assert state.uncovered() is view  # one live view per state
-        assert list(view) == expected and len(view) == len(expected)
+        assert view.bins == expected and len(view) == len(expected)
         assert list(view.easier) == [b for b in expected if b.difficulty is Difficulty.EASIER]
         assert list(view.harder) == [b for b in expected if b.difficulty is Difficulty.HARDER]
 
@@ -158,8 +158,8 @@ def test_uncovered_view_does_not_depend_on_when_it_is_first_asked_for():
     view = early.uncovered()
     for state in (early, late):
         state.record(["bin_00", "bin_03"])
-    assert [b.id for b in view] == [b.id for b in late.uncovered()] == ["bin_01", "bin_02"]
+    assert [b.id for b in view.bins] == [b.id for b in late.uncovered().bins] == ["bin_01", "bin_02"]
     assert [b.id for b in late.uncovered().easier] == ["bin_01"]
     assert [b.id for b in late.uncovered().harder] == ["bin_02"]
     # states of one plan share nothing
-    assert [b.id for b in CoverageState(plan).uncovered()] == [b.id for b in plan]
+    assert [b.id for b in CoverageState(plan).uncovered().bins] == [b.id for b in plan]

@@ -8,12 +8,14 @@ instruction fields. The hazard oracle re-derives read-after-write pairs from
 the executed decode trace, independent of the monitor's incremental
 bookkeeping; the trace comes from the reference interpreter, which re-reads
 the documented semantics field by field and is compared with the model after
-every step: bins, pc, extras and malformed-stimulus rejection, and the
+every step: bins, pc and malformed-stimulus rejection, and the
 instruction memory either after every step or only at the end. Reading
 `imem` folds the model's write log, so the end-only mode is the one where
 writes stay in the log across steps and a later fetch reads one of them.
-The same comparison runs over the dialogue benchmark's CPU replies and over
-every value of the JAL offset's table-decoded bits 31:20.
+The same comparison runs over the dialogue benchmark's CPU replies, over
+every value of the JAL offset's table-decoded bits 31:20, and over crt
+streams, whose draw tracks the pc with the model's jump table; there the
+reference interpreter's pc is the check on the draw's.
 """
 from __future__ import annotations
 
@@ -264,10 +266,10 @@ def test_encode_cpu_rejects_out_of_range_registers(op, field, reg):
         encode_cpu(op, **{field: reg})
 
 
-def test_extras_reports_pc():
+def test_jal_moves_pc_to_its_target():
     dut = CpuDut()
     dut.feed([(0, encode_cpu("jal", rd=1, imm=8))])
-    assert dut.extras() == {"pc": 8}
+    assert dut.pc == 8
 
 
 def test_reset_restores_power_on_state():
@@ -440,9 +442,6 @@ class RefCpu:
         self.executed = (op, *(reads or (None, None)), writes)
         return bins
 
-    def extras(self) -> dict:
-        return {"pc": self.pc}
-
 
 def jal_word(offset: int, rd: int) -> int:
     imm = offset & 0x1FFFFE
@@ -509,7 +508,6 @@ def test_step_matches_reference_interpreter(seed, steps, imem_every_step, rewrit
         else:
             assert dut.feed(updates) == expected
         assert dut.pc == ref.pc
-        assert dut.extras() == ref.extras()
         if imem_every_step:
             assert dut.imem == ref.imem
     assert dut.imem == ref.imem
@@ -528,6 +526,19 @@ def test_jal_offset_matches_reference_for_every_high_field():
                     dut.pc = ref.pc = pc
                     assert dut.feed([(pc, word)]) == ref.feed([(pc, word)]), hex(word)
                     assert dut.pc == ref.pc, hex(word)
+
+
+def test_crt_stream_matches_reference():
+    """Each crt stimulus writes a jump at the pc that the model and the
+    reference interpreter have both reached, and the two agree on its bins:
+    20 seeds x 2,000 stimuli from a reset CPU."""
+    for seed in range(20):
+        dut, ref = CpuDut(), RefCpu()
+        for stimulus in CrtAgent("cpu", random.Random(seed)).stimuli(2_000):
+            [[addr, _]] = stimulus
+            assert addr == dut.pc == ref.pc, seed
+            assert dut.feed(stimulus) == ref.feed(stimulus), seed
+        assert dut.pc == ref.pc
 
 
 @pytest.mark.parametrize("profile", ["short", "long"])

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import random
 import sys
-from itertools import count as count_from, islice
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -237,30 +237,46 @@ def test_crt_decoder_first_draws_match_golden():
     assert regen.crt_first_draws("decoder") == golden()["decoder"]
 
 
+def jal_target(pc: int, word: int) -> int:
+    """Where the JAL `word` at `pc` jumps: the J-type immediate decoded field
+    by field as RV32I lays it out (imm[20|10:1|11|19:12] in bits
+    31|30:21|20|19:12), then word-aligned as the cpu aligns its targets."""
+    imm = (
+        (word >> 31 & 1) << 20 | (word >> 21 & 0x3FF) << 1
+        | (word >> 20 & 1) << 11 | (word >> 12 & 0xFF) << 12
+    )
+    if imm >> 20:
+        imm -= 1 << 21
+    return (pc + imm) % 2**32 // 4 * 4
+
+
 def test_crt_cpu_update_follows_the_pc():
-    agent = CrtAgent("cpu", random.Random(42))
     words = golden()["cpu_words"]
-    pcs = iter([0, 24])
-    assert list(agent.stimuli(2, lambda: {"pc": next(pcs)})) == [
+    assert list(CrtAgent("cpu", random.Random(42)).stimuli(2)) == [
         [[0, words[0]]],
-        [[24, words[1]]],
+        [[jal_target(0, words[0]), words[1]]],
     ]
 
 
 def test_crt_cpu_words_are_jump_and_link():
-    agent = CrtAgent("cpu", random.Random(7))
-    pcs = range(0, 400, 4)
-    at = iter(pcs)
-    for pc, [[addr, word]] in zip(pcs, agent.stimuli(len(pcs), lambda: {"pc": next(at)})):
+    pc = 0
+    for [[addr, word]] in CrtAgent("cpu", random.Random(7)).stimuli(100):
         assert addr == pc
         assert word & 0x7F == 0x6F  # the JAL opcode
+        pc = jal_target(pc, word)
 
 
-def per_call_draw(kind: str, rng: random.Random, extras: dict):
-    """One crt stimulus drawn call by call: the oracle for `CrtAgent.stimuli`."""
-    if kind != "cpu":
-        return rng.getrandbits(32)
-    return [[extras["pc"], 0x6F | (rng.randrange(32) << 7) | (rng.getrandbits(20) << 12)]]
+def per_call_draws(kind: str, rng: random.Random):
+    """crt stimuli drawn call by call: the oracle for `CrtAgent.stimuli`. A
+    CPU stimulus is a JAL at the pc the previous one jumps to, from 0."""
+    pc = 0
+    while True:
+        if kind != "cpu":
+            yield rng.getrandbits(32)
+            continue
+        word = 0x6F | (rng.randrange(32) << 7) | (rng.getrandbits(20) << 12)
+        yield [[pc, word]]
+        pc = jal_target(pc, word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,23 +288,13 @@ def per_call_draw(kind: str, rng: random.Random, extras: dict):
 )
 def test_crt_stimuli_match_per_call_draws(kind, seed, count, data):
     taken = data.draw(st.integers(0, count), label="taken")
-    base = data.draw(st.integers(0, 2**30 - 1), label="base") * 4
     fast, slow = random.Random(seed), random.Random(seed)
-    calls = []
-
-    def extras():  # the pc moves on with every call, as a cpu's does
-        calls.append(base + 4 * len(calls))
-        return {"pc": calls[-1]}
-
-    stream = CrtAgent(kind, fast).stimuli(count, extras)
-    pcs = count_from(base, 4)
-    want = [per_call_draw(kind, slow, {"pc": next(pcs)}) for _ in range(taken)]
-    assert list(islice(stream, taken)) == want
+    stream = CrtAgent(kind, fast).stimuli(count)
+    draws = per_call_draws(kind, slow)
+    assert list(islice(stream, taken)) == list(islice(draws, taken))
     assert fast.getstate() == slow.getstate()  # lazy: nothing drawn ahead
-    want = [per_call_draw(kind, slow, {"pc": next(pcs)}) for _ in range(count - taken)]
-    assert list(stream) == want
+    assert list(stream) == list(islice(draws, count - taken))
     assert fast.getstate() == slow.getstate()
-    assert len(calls) == (count if kind == "cpu" else 0)
 
 
 def test_crt_rejects_unknown_kind():

@@ -564,7 +564,7 @@ def outcome(fn, *args):
 
 def assert_samplers_agree(state, seed):
     expected = [b for b in state.plan.bins if b.id not in state.covered]
-    assert list(state.uncovered()) == expected
+    assert state.uncovered().bins == expected
     if not expected:
         return
     for method in ("pure_random", "type_based"):
@@ -596,7 +596,7 @@ def test_sampler_matches_list_oracle_on_real_plans(device, steps):
         elif kind == "easier":  # every easier bin but at most one
             batch = easier_ids[rng.randrange(2):]
         else:  # the plan-order head itself, so the head's make-up changes
-            batch = [b.id for b in state.uncovered()][: rng.randrange(1, 4)]
+            batch = [b.id for b in state.uncovered().bins][: rng.randrange(1, 4)]
         state.record(batch)
         assert_samplers_agree(state, seed)
 
@@ -705,8 +705,8 @@ def copying_sample(uncovered, method, rng):
         raise ValueError("no uncovered bins to sample: monitor bug or plan complete")
     k = min(SAMPLE_SIZE, len(uncovered))
     if method == "pure_random":
-        return rng.sample(list(uncovered), k)
-    head = list(islice(uncovered, 2))
+        return rng.sample(list(uncovered.bins), k)
+    head = list(islice(uncovered.bins, 2))
     want = k - len(head)
     m = sum(1 for b in head if b.difficulty is Difficulty.EASIER)
     easier = list(uncovered.easier)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import ReplayBackend
 from covstim.coverage import CoverageState
-from covstim.duts import DUT_KINDS, MalformedStimulusError, make_dut
+from covstim.duts import DUT_KINDS, Dut, MalformedStimulusError, make_dut
 from covstim.prompting import (
     BUFFER_RESETS,
     CONTEXT_STRATEGIES,
@@ -46,7 +46,8 @@ from covstim.runtime import (
     run_trial,
     write_log,
 )
-from test_extraction import DEEP_REPLY, per_call_draw
+from test_extraction import DEEP_REPLY, per_call_draws
+from test_golden import regen
 from toydut import ToyDut
 
 FULL_HOUSE = "```\n0 1 2 3 4 5 6 7 8 9\n```"
@@ -167,7 +168,7 @@ class SeqAgent:
     def __init__(self, values):
         self.values = list(values)
 
-    def stimuli(self, count, extras):  # lazy, so any count is fine
+    def stimuli(self, count):  # lazy, so any count is fine
         for _, value in zip(range(count), cycle(self.values)):
             yield value
 
@@ -199,11 +200,48 @@ def test_crt_trial_of_a_huge_count_stops_on_full_coverage():
 
 def test_crt_trial_rejects_a_stream_that_ends_early():
     class ShortAgent(SeqAgent):
-        def stimuli(self, count, extras):
-            return super().stimuli(count - 1, extras)
+        def stimuli(self, count):
+            return super().stimuli(count - 1)
 
     with pytest.raises(ValueError, match="crt stimuli ended after 10000 of 10001"):
         run_crt_trial(ToyDut(), ShortAgent([99]), count=10_001)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_crt_trial_rejects_a_count_below_one(count):
+    with pytest.raises(ValueError, match=f"crt count must be at least 1, not {count}"):
+        run_crt_trial(ToyDut(), SeqAgent([99]), count)
+
+
+class ProtocolOnly:
+    """A device seen through the `Dut` protocol alone: `__slots__` and no
+    `__getattr__`, so reading any other attribute raises AttributeError."""
+
+    __slots__ = ("kind", "stimulus_format", "plan", "reset", "feed")
+
+    def __init__(self, dut) -> None:
+        self.kind, self.stimulus_format, self.plan = dut.kind, dut.stimulus_format, dut.plan
+        self.reset, self.feed = dut.reset, dut.feed
+
+
+@pytest.mark.parametrize("kind", DUT_KINDS)
+def test_crt_run_reads_the_device_only_through_its_protocol(tmp_path, kind):
+    dut = make_dut(kind)
+    assert isinstance(dut, Dut) and isinstance(ProtocolOnly(dut), Dut)
+    config = RunConfig(dut=kind, agent="crt", crt_count=25_000)
+    run_experiment(config, log_path=tmp_path / "bare.jsonl")
+    run_experiment(config, dut=ProtocolOnly(dut), log_path=tmp_path / "proxied.jsonl")
+    assert (tmp_path / "proxied.jsonl").read_bytes() == (tmp_path / "bare.jsonl").read_bytes()
+
+
+def test_dialogue_run_reads_the_device_only_through_its_protocol(tmp_path):
+    assert isinstance(ToyDut(), Dut)
+    script = json.loads((regen.FIXTURES / regen.REPLAY_SCRIPT).read_text())
+    run_experiment(
+        llm_config(seed=regen.GOLDEN_SEED), backend=ReplayBackend(script),
+        dut=ProtocolOnly(ToyDut()), log_path=tmp_path / "log.jsonl",
+    )
+    assert (tmp_path / "log.jsonl").read_bytes() == GOLDEN_LOG.read_bytes()
 
 
 def test_crt_trial_on_real_dut():
@@ -215,14 +253,14 @@ def test_crt_trial_on_real_dut():
 
 
 def oracle_crt_trial(dut, draw, count: int) -> tuple:
-    """The crt loop as it ran one stimulus at a time: one `draw(extras())` and
-    one feed per stimulus, full coverage checked after each; a plain set
+    """The crt loop as it ran one stimulus at a time: one `draw()` and one
+    feed per stimulus, full coverage checked after each; a plain set
     stands in for the coverage state. Returns (status, coverage, events)."""
     plan_ids = {b.id for b in dut.plan}
     covered: set = set()
     events, chunk_new, fed, status = [], [], 0, EXHAUSTED
     for i in range(count):
-        for bin_id in dut.feed(draw(dut.extras())):
+        for bin_id in dut.feed(draw()):
             assert bin_id in plan_ids
             if bin_id not in covered:
                 covered.add(bin_id)
@@ -258,9 +296,8 @@ CRT_COUNTS = [1, 9_999, 10_000, 10_001, 25_000]
 def test_crt_trial_matches_per_stimulus_oracle_on_devices(kind, count):
     fast, slow = random.Random(count), random.Random(count)
     trial = run_crt_trial(make_dut(kind), CrtAgent(kind, fast), count)
-    oracle = oracle_crt_trial(
-        make_dut(kind), lambda extras: per_call_draw(kind, slow, extras), count
-    )
+    draws = per_call_draws(kind, slow)
+    oracle = oracle_crt_trial(make_dut(kind), lambda: next(draws), count)
     assert_crt_trial_matches_oracle(trial, oracle)
     assert fast.getstate() == slow.getstate()
 
@@ -272,7 +309,7 @@ def test_crt_trial_matches_per_stimulus_oracle_on_toy(gap, count):
     values = [99] * gap + [3, 3, 0, 1, 2, 4, 5, 6, 7, 8, 9]
     trial = run_crt_trial(ToyDut(), SeqAgent(values), count)
     stream = cycle(values)
-    oracle = oracle_crt_trial(ToyDut(), lambda extras: next(stream), count)
+    oracle = oracle_crt_trial(ToyDut(), lambda: next(stream), count)
     assert_crt_trial_matches_oracle(trial, oracle)
     if gap + 11 <= count:
         assert trial.status == FULL_COVERAGE
@@ -285,14 +322,14 @@ def test_crt_trial_matches_per_stimulus_oracle_on_random_toy_draws(seed, gap, co
     fast, slow = random.Random(seed), random.Random(seed)
 
     class GapAgent:  # `gap` misses, then uniform values of which ten hit
-        def stimuli(self, count, extras):
+        def stimuli(self, count):
             for i in range(count):
                 yield 99 if i < gap else fast.randrange(12)
 
     trial = run_crt_trial(ToyDut(), GapAgent(), count)
     at = iter(range(count))
     oracle = oracle_crt_trial(
-        ToyDut(), lambda extras: 99 if next(at) < gap else slow.randrange(12), count
+        ToyDut(), lambda: 99 if next(at) < gap else slow.randrange(12), count
     )
     assert_crt_trial_matches_oracle(trial, oracle)
     assert fast.getstate() == slow.getstate()

@@ -36,6 +36,3 @@ class ToyDut:
         if 0 <= stimulus < 10:
             return [f"bin_{stimulus:02d}"]
         return []
-
-    def extras(self) -> dict:
-        return {}
