@@ -8,7 +8,7 @@ The harness reads nothing else of a device.
 """
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from covstim.coverage import CoveragePlan
 
@@ -21,7 +21,6 @@ class MalformedStimulusError(ValueError):
     """Raised when a stimulus parses but violates the DUT's input contract."""
 
 
-@runtime_checkable
 class Dut(Protocol):
     kind: str
     stimulus_format: str

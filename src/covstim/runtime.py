@@ -95,8 +95,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """Per-trial outcome: the only list of per-trial fields; the trial_end log
-    record and the report's trial rows are built from it."""
+    """Per-trial outcome, one row of the report: the fields a finished
+    `TrialLog` sums up for it, which its trial_end record also carries."""
 
     trial: int
     status: str
@@ -111,29 +111,15 @@ class TrialSummary:
         return self.tokens_in + self.tokens_out
 
 
-@dataclass(frozen=True)
-class TrialRecord(TrialSummary):
-    """A finished trial: its summary plus what only the log keeps."""
-
-    events: list  # JSONL-ready event dicts, one per response (or crt chunk)
-    malformed: int = 0
-    error: Optional[str] = None
-
-    def summary(self) -> TrialSummary:
-        return TrialSummary(**{f.name: getattr(self, f.name) for f in fields(TrialSummary)})
-
-    def trial_end_record(self) -> dict:
-        kept = (f.name for f in fields(self) if f.name != "events")
-        return {"type": "trial_end", **{name: getattr(self, name) for name in kept}}
-
-
 class TrialLog:
-    """One trial's records, derived from its facts as they arrive.
+    """One trial's record, derived from its facts as they arrive.
 
     The trial loops feed it what each response (or crt chunk) ran and newly
     covered, and `report_from_log` feeds it the same facts read back from a
-    log: either way it numbers the events, keeps the running coverage, rate
-    and token sums, applies the stopping rule, and builds the TrialRecord.
+    log: either way it numbers the events, keeps the running coverage, rate,
+    token sums and new-bin counts (`deltas`, the last restart's position in
+    them being `restart_at`), and applies the stopping rule. `end` adds the
+    status, malformed count and error: a finished log is the trial's record.
     A crt trial (`crt_count` > 0) also gets its chunk schedule from it.
     """
 
@@ -142,11 +128,21 @@ class TrialLog:
         self.plan_size = plan_size
         self.crt_count = crt_count
         self.events: list[dict] = []  # JSONL-ready, in order
-        self.coverage = self.stimuli = self.tokens_in = self.tokens_out = 0
+        self.deltas: list[int] = []  # new bins per event; restarts keep it
+        self.coverage = self.stimuli = self.tokens_in = self.tokens_out = self.restart_at = 0
+        self.status, self.malformed, self.error = None, 0, None  # as `end` sets them
 
     @property
     def rate(self) -> float:
         return self.coverage / self.plan_size
+
+    @property
+    def messages(self) -> int:
+        return 0 if self.crt_count else len(self.events)  # one per response
+
+    @property
+    def tokens(self) -> int:
+        return self.tokens_in + self.tokens_out
 
     @property
     def chunk(self) -> int:
@@ -159,6 +155,9 @@ class TrialLog:
         self, stimuli: int, new_bins: list[str], restart=False, tokens_in=0, tokens_out=0
     ) -> dict:
         """Keep and return the next event; `new_bins` are the bins it newly covered."""
+        if restart:  # the new dialogue's window starts at this response
+            self.restart_at = len(self.deltas)
+        self.deltas.append(len(new_bins))
         self.coverage += len(new_bins)
         self.stimuli += stimuli
         self.tokens_in += tokens_in
@@ -178,29 +177,27 @@ class TrialLog:
         self.events.append(event)
         return event
 
-    def settled(self, deltas: Sequence[int] = ()) -> Optional[str]:
+    def settled(self) -> Optional[str]:
         """The stopping rule: the status of a trial that has stopped by itself,
-        else None. A crt trial is exhausted once its stimuli run out; a
-        dialogue trial's `deltas` are its per-response new-bin counts."""
+        else None. A crt trial is exhausted once its stimuli run out, a
+        dialogue trial by the 25/40/3 rule over its `deltas`."""
         if self.coverage == self.plan_size:
             return FULL_COVERAGE
         if self.crt_count:
             return EXHAUSTED if self.stimuli >= self.crt_count else None
-        return EXHAUSTED if exhausted(deltas) else None
+        return EXHAUSTED if exhausted(self.deltas) else None
 
-    def end(self, status: str, malformed: int = 0, error: Optional[str] = None) -> TrialRecord:
-        return TrialRecord(
-            trial=self.trial,
-            status=status,
-            coverage=self.coverage,
-            rate=self.rate,
-            messages=0 if self.crt_count else len(self.events),  # one per response
-            tokens_in=self.tokens_in,
-            tokens_out=self.tokens_out,
-            events=self.events,
-            malformed=malformed,
-            error=error,
-        )
+    def end(self, status: str, malformed: int = 0, error: Optional[str] = None) -> TrialLog:
+        """Finish the trial; the log itself is its record."""
+        self.status, self.malformed, self.error = status, malformed, error
+        return self
+
+    def summary(self) -> TrialSummary:
+        return TrialSummary(**{f.name: getattr(self, f.name) for f in fields(TrialSummary)})
+
+    def trial_end_record(self) -> dict:
+        summary = asdict(self.summary())
+        return {"type": "trial_end", **summary, "malformed": self.malformed, "error": self.error}
 
 
 class PromptScale:
@@ -230,7 +227,7 @@ def run_trial(
     budget_remaining: int,
     trial_index: int,
     prompt_scale: PromptScale,
-) -> TrialRecord:
+) -> TrialLog:
     """One dialogue-driven trial against a freshly reset DUT.
 
     Stops on full coverage, the exhaustion rule, the budget gate (a call is
@@ -241,16 +238,14 @@ def run_trial(
     state = CoverageState(dut.plan)
     plan = dut.plan
     log = TrialLog(trial_index, len(plan))
-    deltas = agent.dialogue.deltas  # the trial's new-bin counts; restarts keep it
     malformed = 0
     error: Optional[str] = None
     max_tokens = agent.backend.config.max_tokens
     feed = dut.feed
-    while (status := log.settled(deltas)) is None:
+    while (status := log.settled()) is None:
         prepared = agent.prepare(state.uncovered())
         estimate = prepared.prompt_token_estimate
-        spent = log.tokens_in + log.tokens_out
-        if spent + prompt_scale.scaled(estimate) + max_tokens > budget_remaining:
+        if log.tokens + prompt_scale.scaled(estimate) + max_tokens > budget_remaining:
             status = BUDGET_EXHAUSTED
             break
         try:
@@ -281,7 +276,7 @@ def run_trial(
     return log.end(status, malformed, error)
 
 
-def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialRecord:
+def run_crt_trial(dut, agent: CrtAgent, count: int) -> TrialLog:
     """One budget-free constrained-random trial of `count` stimuli.
 
     No messages are exchanged; events are coverage-curve samples, one per
@@ -358,7 +353,7 @@ def compute_metrics(summaries: Sequence[TrialSummary], plan_size: int) -> dict:
 
 
 def build_report(
-    config: RunConfig, plan_size: int, trials: Sequence[TrialRecord], note: Optional[str]
+    config: RunConfig, plan_size: int, trials: Sequence[TrialLog], note: Optional[str]
 ) -> ExperimentReport:
     summaries = [t.summary() for t in trials]
     return ExperimentReport(
@@ -388,7 +383,7 @@ def run_experiment(
     if dut is None:
         dut = make_dut(config.dut)
     rng = random.Random(config.seed)
-    trials: list[TrialRecord] = []
+    trials: list[TrialLog] = []
     note: Optional[str] = None
     if config.agent == "crt":
         dut.reset()
@@ -455,7 +450,7 @@ def report_record(report: ExperimentReport) -> dict:
 
 
 def write_log(
-    path, config: RunConfig, plan_size: int, trials: Sequence[TrialRecord], report
+    path, config: RunConfig, plan_size: int, trials: Sequence[TrialLog], report
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(header_record(config, plan_size)) + "\n")
@@ -524,7 +519,8 @@ def report_from_log(path) -> ExperimentReport:
     and its trial_end, then the report. Each record is rebuilt by what wrote
     it (a trial's through a TrialLog) and must equal the logged one as
     canonical JSON. A dialogue event's restart follows the header's restart
-    plan, and a trial_end's status the stopping rule; a dialogue trial that
+    plan over the rebuilt TrialLog's own new-bin counts (`deltas`), and a
+    trial_end's status the stopping rule; a dialogue trial that
     did not stop by itself ends as logged, budget_exhausted or aborted, and
     no event follows one that did. A crt event's stimuli follow
     `TrialLog.chunk`, and a crt trial ends only by its stopping rule. The
@@ -555,11 +551,10 @@ def report_from_log(path) -> ExperimentReport:
             f"{at} plan_size {plan_size}, the {plan.name} plan has {len(plan)} bins"
         )
     crt_count = config.crt_count if config.agent == "crt" else 0
-    trials: list[TrialRecord] = []
+    restart_plan = config.strategy.restart
+    trials: list[TrialLog] = []
     log = TrialLog(1, plan_size, crt_count)
-    deltas: list[int] = []  # a dialogue trial's per-response new-bin counts
     covered: set = set()
-    restart_at = 0  # where in `deltas` the dialogue last restarted
     report: Optional[ExperimentReport] = None
     for number, line, record in records:
         kind = record.get("type")
@@ -578,7 +573,7 @@ def report_from_log(path) -> ExperimentReport:
             covered.update(new_bins)
             if len(covered) > plan_size:
                 raise ValueError(f"{at} record covers {len(covered)} bins, plan_size {plan_size}")
-            stop = log.settled(deltas)
+            stop = log.settled()
             if stop is not None:
                 after = "full coverage" if stop == FULL_COVERAGE else "the exhaustion stop"
                 if crt_count and stop == EXHAUSTED:
@@ -590,34 +585,31 @@ def report_from_log(path) -> ExperimentReport:
                 completes = new_bins and len(covered) == plan_size
                 stimuli = stimuli if completes and 0 < stimuli <= log.chunk else log.chunk
             else:  # the restart rule, as LlmAgent.prepare applies it
-                restart = should_restart(deltas, config.strategy.restart, log.rate, restart_at)
-                if restart:
-                    restart_at = len(deltas)
-                deltas.append(len(new_bins))
+                restart = should_restart(log.deltas, restart_plan, log.rate, log.restart_at)
             tokens_in = _logged(record, "tokens_in", _TOKENS, at)
             tokens_out = _logged(record, "tokens_out", _TOKENS, at)
             _match(record, line, log.event(stimuli, new_bins, restart, tokens_in, tokens_out), at)
         elif kind == "trial_end":
             at = f"{where}trial {log.trial} trial_end"
-            status = log.settled(deltas)
+            status = log.settled()
             if status is None and crt_count:
                 raise ValueError(
                     f"{at} record ends the crt trial after {log.stimuli} of {crt_count} stimuli"
                 )
-            trial = log.end(
+            log.end(
                 record.get("status") if status is None else status,
                 _logged(record, "malformed", _COUNT, at),
                 _logged(record, "error", _TEXT, at),
             )
-            _match(record, line, trial.trial_end_record(), at)
-            if status is None and trial.status not in (BUDGET_EXHAUSTED, ABORTED):
+            _match(record, line, log.trial_end_record(), at)
+            if status is None and log.status not in (BUDGET_EXHAUSTED, ABORTED):
                 raise ValueError(
-                    f"{at} record status {trial.status!r}: a trial that did not stop by "
+                    f"{at} record status {log.status!r}: a trial that did not stop by "
                     f"itself ends {BUDGET_EXHAUSTED!r} or {ABORTED!r}"
                 )
-            trials.append(trial)
+            trials.append(log)
             log = TrialLog(len(trials) + 1, plan_size, crt_count)
-            deltas, covered, restart_at = [], set(), 0
+            covered = set()
         elif kind == "report":
             if log.events:
                 raise ValueError(f"{where}the report follows events with no trial_end")

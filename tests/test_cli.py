@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from covstim.backend import BackendConfig, HttpBackend
-from covstim.cli import main
+from covstim.cli import _COMMANDS, _build_parser, main
 from covstim.duts import DUT_KINDS
 from covstim.runtime import ABORTED, RunConfig, run_experiment
 from test_backend import (  # noqa: F401 (fixtures)
@@ -471,6 +472,35 @@ def test_crt_configs_cover_every_device_once():
             crt[path.name] = raw["dut"]
     assert sorted(crt.values()) == sorted(DUT_KINDS)
     assert all(name == f"crt_{dut}.json" for name, dut in crt.items())
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block after README's `heading` line."""
+    text = (REPO / "README.md").read_text()
+    section = text[text.index(f"\n{heading}\n"):]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_lines_parse_and_name_real_configs():
+    lines = [
+        shlex.split(line, comments=True)
+        for line in readme_block("## CLI", "sh").splitlines()
+        if line.startswith("covstim ")
+    ]
+    assert {argv[1] for argv in lines} == set(_COMMANDS)  # every subcommand is shown
+    for argv in lines:
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README's {shlex.join(argv)!r} is not a valid command line")
+        for arg in argv:
+            if arg.startswith("configs/"):
+                assert (REPO / arg).is_file(), f"README's {shlex.join(argv)!r} names {arg}"
+
+
+def test_readme_config_example_loads():
+    config = RunConfig.from_dict(json.loads(readme_block("### Config format", "json")))
+    assert config.agent == "llm" and config.backend is not None
 
 
 def test_run_rejects_a_backend_on_a_crt_run(tmp_path, capsys):

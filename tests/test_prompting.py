@@ -19,7 +19,7 @@ from covstim.agents import LlmAgent
 from covstim.backend import ReplayBackend
 from covstim.coverage import BinDescriptor, CoveragePlan, CoverageState, Difficulty
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
-from covstim.runtime import exhausted
+from covstim.runtime import EXHAUSTED, TrialLog, exhausted
 from covstim.prompting import (
     BUFFER_RESETS,
     CONTEXT_STRATEGIES,
@@ -918,11 +918,13 @@ def test_one_series_matches_three_list_oracle(steps, restart, buffer_reset, miss
     backend = ReplayBackend(["```\n1\n```"] * len(steps))
     agent = LlmAgent(SERIES_PLAN, FORMAT_INTEGERS, config, backend, random.Random(seed))
     oracle = ThreeListOracle(config)
+    log = TrialLog(1, 10**6)  # the trial's record; its plan is never filled
     state = CoverageState(SERIES_PLAN)
     rate = 0.0
     restarts, oracle_restarts = [], []
     for step, (easier, harder, covered) in enumerate(steps):
-        if agent.prepare(state.uncovered()).restarted:
+        restarted = agent.prepare(state.uncovered()).restarted
+        if restarted:
             restarts.append(step)
         if oracle.prepare(rate):
             oracle_restarts.append(step)
@@ -936,8 +938,11 @@ def test_one_series_matches_three_list_oracle(steps, restart, buffer_reset, miss
         rate = len(state.covered) / len(SERIES_PLAN)
         agent.credit(easier, harder, rate)
         oracle.credit(easier + harder, rate)
-        assert agent.dialogue.deltas == oracle.trial
+        log.event(1, ["bin"] * (easier + harder), restarted)
+        assert agent.dialogue.deltas == oracle.trial == log.deltas
         assert agent.dialogue.responses_since_restart == len(oracle.since_restart)
+        assert len(log.deltas) - log.restart_at == len(oracle.since_restart)
+        assert (log.settled() == EXHAUSTED) == oracle.exhausted()
         assert agent.sampler.method == oracle.method, step
         assert len(agent.dialogue.pool) == oracle.pool
         assert exhausted(agent.dialogue.deltas) == oracle.exhausted()

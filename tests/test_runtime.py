@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from covstim import runtime
 from covstim.agents import CrtAgent, LlmAgent
 from covstim.backend import ReplayBackend
 from covstim.coverage import CoverageState
@@ -24,6 +25,7 @@ from covstim.prompting import (
     TEMPLATE_VARIANTS,
     StrategyConfig,
     format_requirement,
+    should_restart,
 )
 from covstim.runtime import (
     ABORTED,
@@ -46,7 +48,7 @@ from covstim.runtime import (
     run_trial,
     write_log,
 )
-from test_extraction import DEEP_REPLY, per_call_draws
+from test_extraction import DEEP_REPLY, load_perfbench, per_call_draws
 from test_golden import regen
 from toydut import ToyDut
 
@@ -213,6 +215,16 @@ def test_crt_trial_rejects_a_count_below_one(count):
         run_crt_trial(ToyDut(), SeqAgent([99]), count)
 
 
+# the `Dut` protocol's members: its annotated attributes and its methods
+DUT_MEMBERS = {*Dut.__annotations__} | {
+    name for name, value in vars(Dut).items() if callable(value) and not name.startswith("_")
+}
+
+
+def has_dut_members(dut) -> bool:
+    return all(hasattr(dut, name) for name in DUT_MEMBERS)
+
+
 class ProtocolOnly:
     """A device seen through the `Dut` protocol alone: `__slots__` and no
     `__getattr__`, so reading any other attribute raises AttributeError."""
@@ -227,7 +239,8 @@ class ProtocolOnly:
 @pytest.mark.parametrize("kind", DUT_KINDS)
 def test_crt_run_reads_the_device_only_through_its_protocol(tmp_path, kind):
     dut = make_dut(kind)
-    assert isinstance(dut, Dut) and isinstance(ProtocolOnly(dut), Dut)
+    assert set(ProtocolOnly.__slots__) == DUT_MEMBERS
+    assert has_dut_members(dut) and has_dut_members(ProtocolOnly(dut))
     config = RunConfig(dut=kind, agent="crt", crt_count=25_000)
     run_experiment(config, log_path=tmp_path / "bare.jsonl")
     run_experiment(config, dut=ProtocolOnly(dut), log_path=tmp_path / "proxied.jsonl")
@@ -235,7 +248,7 @@ def test_crt_run_reads_the_device_only_through_its_protocol(tmp_path, kind):
 
 
 def test_dialogue_run_reads_the_device_only_through_its_protocol(tmp_path):
-    assert isinstance(ToyDut(), Dut)
+    assert has_dut_members(ToyDut())
     script = json.loads((regen.FIXTURES / regen.REPLAY_SCRIPT).read_text())
     run_experiment(
         llm_config(seed=regen.GOLDEN_SEED), backend=ReplayBackend(script),
@@ -540,6 +553,68 @@ def test_reply_nested_too_deep_is_an_empty_response(tmp_path):
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [e["stimuli"] for e in events if e["type"] == "event"] == [1, 0, 1]
     assert report_from_log(path).trials == report.trials
+
+
+# --- the trial's new-bin series: the record's against the agent's ------------------
+
+
+@pytest.fixture
+def ended_trials(monkeypatch) -> list:
+    """(record, dialogue) of every trial `run_experiment` runs, checked as
+    it ends: the record keeps the same new-bin counts and last restart as its
+    agent's dialogue. The one restart no event shows is that of the query a
+    trial stopped before (the budget gate refused it, or its call failed);
+    the record's own series must then predict it."""
+    ended = []
+    run = runtime.run_trial
+
+    def checked(dut, agent, *args, **kwargs):
+        trial = run(dut, agent, *args, **kwargs)
+        dialogue = agent.dialogue
+        assert trial.deltas == dialogue.deltas
+        if trial.restart_at != dialogue.restart_at:
+            assert trial.status in (BUDGET_EXHAUSTED, ABORTED)
+            assert dialogue.restart_at == len(trial.deltas)
+            plan = agent.strategy.restart
+            assert should_restart(trial.deltas, plan, trial.rate, trial.restart_at)
+        ended.append((trial, dialogue))
+        return trial
+
+    monkeypatch.setattr(runtime, "run_trial", checked)
+    return ended
+
+
+def test_golden_trial_series_matches_its_dialogue(tmp_path, ended_trials):
+    regen.replay_golden(tmp_path / "log.jsonl")
+    (golden, _), (unstarted, _) = ended_trials
+    assert golden.deltas == [1, 0, 2, 0, 1, 0, 0, 0, 0, 0, 1, 1] + [0] * 25
+    assert golden.restart_at == 31  # the last restart, before response 32
+    assert (unstarted.deltas, unstarted.restart_at) == ([], 0)
+
+
+@pytest.mark.parametrize("buffer_reset", BUFFER_RESETS)
+@pytest.mark.parametrize("restart", RESTART_PLANS)
+def test_scripted_trial_series_match_their_dialogues(
+    tmp_path, ended_trials, restart, buffer_reset
+):
+    """The benchmark's long-trial replies on every device, each log verified;
+    then each script cut where its first restart fires, so the trial aborts
+    on a restarted query that no event shows."""
+    gen = load_perfbench("gen")
+    strategy = StrategyConfig(restart=restart, buffer_reset=buffer_reset)
+    path = tmp_path / "log.jsonl"
+    for device in DUT_KINDS:
+        script = gen.script(0, 0, device, "long", 600)
+        config = RunConfig(dut=device, agent="llm", strategy=strategy)
+        first = len(ended_trials)
+        report = run_experiment(config, backend=ReplayBackend(script), log_path=path)
+        assert report_from_log(path) == report
+        events = ended_trials[first][0].events
+        cut = next(i for i, event in enumerate(events) if event["restart"])
+        run_experiment(config, backend=ReplayBackend(script[:cut]))
+        trial, dialogue = ended_trials[-1]
+        assert (trial.status, trial.restart_at, dialogue.restart_at) == (ABORTED, 0, cut)
+    assert len(ended_trials) > 2 * len(DUT_KINDS)  # some run ended a trial by itself
 
 
 # --- logs and reports ---------------------------------------------------------------
