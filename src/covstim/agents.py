@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional
@@ -182,6 +183,10 @@ def extract_stimuli(text: str, stimulus_format: str) -> ExtractionResult:
 
 # --- constrained-random baseline -----------------------------------------------------
 
+# the low 12 bits of a JAL, indexed by its destination register
+_JAL_RD = tuple(JAL_OPCODE | rd << 7 for rd in range(32))
+
+
 class CrtAgent:
     """Unguided random stimuli.
 
@@ -200,27 +205,30 @@ class CrtAgent:
         self.rng = rng
 
     def stimuli(self, count: int) -> Iterator:
-        """Yield `count` stimuli, each drawn when it is asked for.
+        """Return an iterator over `count` stimuli, each drawn when it is asked for.
 
-        The random words are those of `getrandbits(32)` per stride/decoder
-        stimulus and of `randrange(32)` then `getrandbits(20)` per CPU one.
-        A CPU stimulus is a JAL at the pc the previous one jumped to, which
-        a reset `CpuDut` fed this stream executes in turn.
+        A stride or decoder stimulus is one `getrandbits(32)` word, drawn by
+        `map` at C level. A count beyond `sys.maxsize`, which `repeat` cannot
+        take, is cut to it: no trial feeds that many. A CPU stimulus draws
+        `randrange(32)` then `getrandbits(20)`; it is a JAL at the pc the
+        previous one jumped to, which a reset `CpuDut` fed this stream
+        executes in turn.
         """
-        getrandbits = self.rng.getrandbits
         if self.dut_kind != "cpu":
-            for _ in range(count):
-                yield getrandbits(32)
-            return
-        jal, jal_high, pc = JAL_OPCODE, JAL_HIGH, 0
+            return map(self.rng.getrandbits, repeat(32, min(count, sys.maxsize)))
+        return self._jumps(count)
+
+    def _jumps(self, count: int) -> Iterator:
+        getrandbits = self.rng.getrandbits
+        jal_rd, jal_high, pc = _JAL_RD, JAL_HIGH, 0
         for _ in range(count):
             # randrange(32) as CPython draws it: 6 bits, redrawn while >= 32
             rd = getrandbits(6)
             while rd >= 32:
                 rd = getrandbits(6)
-            bits = getrandbits(20)  # instruction bits 31:12
-            yield [[pc, jal | (rd << 7) | (bits << 12)]]
-            pc = (pc + jal_high[bits >> 8] + ((bits & 0xFF) << 12)) & 0xFFFFFFFC
+            high = getrandbits(20) << 12  # instruction bits 31:12
+            yield [[pc, jal_rd[rd] | high]]
+            pc = (pc + jal_high[high >> 20] + (high & 0xFF000)) & 0xFFFFFFFC
 
 
 # --- llm agent ----------------------------------------------------------------------

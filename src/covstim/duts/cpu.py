@@ -1,11 +1,12 @@
 """Small RV32I CPU: 10 R-type ALU ops, the three stores, and JAL.
 
-Stimuli are instruction-memory updates, a list of (address, word) pairs
-applied before each step. The CPU fetches at pc (a missing word reads as
-zero), decodes against the 14-op subset, and executes; anything else is a
-NOP that only advances pc. JAL adds its sign-extended offset to pc; offsets
->= 0 count as forward jumps. The encodable offset is a multiple of 2, so
-jump targets are masked to word alignment to keep pc fetchable.
+Stimuli are instruction-memory updates, (address, word) pairs applied
+before each step; any iterable of pairs will do, an iterator included. The
+CPU fetches at pc (a missing word reads as zero), decodes against the
+14-op subset, and executes; anything else is a NOP that only advances pc.
+JAL adds its sign-extended offset to pc; offsets >= 0 count as forward
+jumps. The encodable offset is a multiple of 2, so jump targets are masked
+to word alignment to keep pc fetchable.
 
 The R-type ops are the decoder's: `encode_cpu` assembles them, and `feed`
 looks them up, by the decoder op table's match words. A store's funct3 is
@@ -21,7 +22,9 @@ pairs in two `array("I")` columns, 8 bytes a write, and an address map that
 holds the writes folded so far. A fetch at the address of the step's newest
 write executes that word; any other fetch first folds the log into the map,
 in write order, then reads the map. A constrained-random step writes a jump
-at the pc it then fetches, so a crt run never builds the map.
+at the pc it then fetches, so a crt run never builds the map. A step checks
+and logs its updates in one pass; a malformed one cuts the log back to its
+length before the step, so a rejected stimulus writes nothing.
 
 Coverage: per-op seen/zero_dst/zero_src/same_src bins (where the fields
 exist), jump direction bins, and one read-after-write hazard bin per
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty
 from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError
@@ -196,27 +199,36 @@ class CpuDut:
         self._writer_rd = 0  # destination of the previous instruction if it wrote one
         self._writer_hazards: dict[str, str] = {}  # its hazard bins by reader op
 
-    def feed(self, stimulus: Sequence[Sequence[int]]) -> list[str]:
+    def feed(self, stimulus: Iterable[Sequence[int]]) -> list[str]:
         """Apply the updates, then execute once; a malformed update rejects the lot.
 
-        Every update is checked before any is written, so `stimulus` and its
-        pairs are read twice: pass sequences, not iterators.
+        One pass checks each update and appends it to the write log. When an
+        update is rejected, the log is cut back to its length before this
+        stimulus and the error propagates, so a rejected stimulus writes
+        nothing and does not step.
         """
-        for pair in stimulus:
-            if len(pair) != 2:
-                raise MalformedStimulusError(f"update must be [address, word]: {pair!r}")
-            addr, word = pair
-            addr = int(addr)
-            if addr & 3:
-                raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
-            int(word)  # a word `int` rejects raises here, before any write
         addrs, words = self._addrs, self._words
+        logged = len(addrs)
         addr = -1  # no write: the fetch folds
-        for addr, word in stimulus:
-            addr = int(addr) & _MASK
-            word = int(word) & _MASK
-            addrs.append(addr)
-            words.append(word)
+        try:
+            for pair in stimulus:
+                if len(pair) != 2:
+                    raise MalformedStimulusError(f"update must be [address, word]: {pair!r}")
+                addr, word = pair
+                # values are nearly always exact ints, for which int() is a wasted call
+                if type(addr) is not int:
+                    addr = int(addr)
+                if addr & 3:
+                    raise MalformedStimulusError(f"misaligned update address 0x{addr & _MASK:08x}")
+                if type(word) is not int:
+                    word = int(word)
+                addr &= _MASK
+                word &= _MASK
+                addrs.append(addr)
+                words.append(word)
+        except BaseException:
+            del addrs[logged:], words[logged:]
+            raise
         pc = self.pc
         if addr != pc:  # the newest write, if any, is not the word at pc
             word = self.imem.get(pc, 0)

@@ -34,9 +34,12 @@ from covstim.duts import FORMAT_MEMORY_UPDATES, MalformedStimulusError, make_dut
 from covstim.duts.cpu import (
     CPU_READERS,
     CPU_WRITERS,
+    JAL_HIGH,
+    JAL_OPCODE,
     CpuDut,
     encode_cpu,
 )
+from covstim.duts.decoder import MATCH_MASK
 from covstim.runtime import run_crt_trial
 
 MASK = 0xFFFFFFFF
@@ -228,6 +231,34 @@ def test_non_integer_word_raises_before_any_write(updates):
         with pytest.raises(ValueError, match="invalid literal for int"):
             dut.feed(updates)
         assert dut.pc == pc
+        assert dut.imem == imem
+
+
+@pytest.mark.parametrize("make", [
+    lambda updates: iter(updates),
+    lambda updates: (pair for pair in updates),
+    lambda updates: map(tuple, updates),
+], ids=["iter", "generator", "map"])
+@pytest.mark.parametrize("updates", [
+    [(0, JAL_TO_8)],
+    [(8, ADD), (0, JAL_TO_8)],
+    [(8, ADD)],
+], ids=["at-pc", "two", "elsewhere"])
+def test_one_shot_stimulus_writes_like_a_list(make, updates):
+    """A stimulus read once, such as an iterator, writes its updates as the
+    same list does: each pair is checked and written in the same pass."""
+    for (dut, _, _), (twin, _, _) in zip(fed_cpus(), fed_cpus()):
+        assert dut.feed(make(updates)) == twin.feed(updates)
+        assert (dut.pc, len(dut._addrs)) == (twin.pc, len(twin._addrs))
+        assert dut.imem == twin.imem
+
+
+def test_one_shot_stimulus_rejected_leaves_the_log():
+    for dut, pc, imem in fed_cpus():
+        logged = len(dut._addrs)
+        with pytest.raises(MalformedStimulusError, match="misaligned"):
+            dut.feed(iter([(4, ADD), (8, JAL_TO_8), (6, ADD)]))
+        assert (dut.pc, len(dut._addrs)) == (pc, logged)
         assert dut.imem == imem
 
 
@@ -563,3 +594,131 @@ def test_benchmark_cpu_traffic_matches_reference(profile):
                 if seed % 2 == 0:
                     assert dut.imem == ref.imem
         assert dut.imem == ref.imem
+
+
+# --- one-pass writes against the two-pass feed --------------------------------------
+
+class TwoPassCpu(CpuDut):
+    """The model with a `feed` that checks every update before it writes
+    any, so the stimulus and its pairs are read twice: the oracle for the
+    model's one-pass write path. Its step after the writes is the model's."""
+
+    def feed(self, stimulus):
+        for pair in stimulus:
+            if len(pair) != 2:
+                raise MalformedStimulusError(f"update must be [address, word]: {pair!r}")
+            addr, word = pair
+            addr = int(addr)
+            if addr & 3:
+                raise MalformedStimulusError(f"misaligned update address 0x{addr & MASK:08x}")
+            int(word)  # a word `int` rejects raises here, before any write
+        addrs, words = self._addrs, self._words
+        addr = -1  # no write: the fetch folds
+        for addr, word in stimulus:
+            addr = int(addr) & MASK
+            word = int(word) & MASK
+            addrs.append(addr)
+            words.append(word)
+        pc = self.pc
+        if addr != pc:  # the newest write, if any, is not the word at pc
+            word = self.imem.get(pc, 0)
+        opcode = word & 0x7F
+        if opcode == JAL_OPCODE:
+            rd = (word >> 7) & 31
+            imm = JAL_HIGH[word >> 20] + (word & 0xFF000)
+            self.pc = (pc + imm) & 0xFFFFFFFC
+            self._writer_rd = rd
+            self._writer_hazards = self._jal_hazards
+            return list(self._jal_bins[rd == 0][imm < 0])
+        self.pc = (pc + 4) & MASK
+        if opcode == 0x33:
+            op = self._r_ops.get(word & MATCH_MASK)
+        elif opcode == 0x23:
+            op = self._stores.get((word >> 12) & 7)
+        else:
+            op = None
+        if op is None:
+            self._writer_rd = 0
+            return []
+        name, seen, zero_src, same_src, zero_dst, hazards = op
+        rs1 = (word >> 15) & 31
+        rs2 = (word >> 20) & 31
+        bins = [seen]
+        if zero_dst is None:
+            rd = 0
+        else:
+            rd = (word >> 7) & 31
+            if not rd:
+                bins.append(zero_dst)
+        if rs1 == 0 or rs2 == 0:
+            bins.append(zero_src)
+        if rs1 == rs2:
+            bins.append(same_src)
+        writer_rd = self._writer_rd
+        if writer_rd and (writer_rd == rs1 or writer_rd == rs2):
+            bins.append(self._writer_hazards[name])
+        self._writer_rd = rd
+        self._writer_hazards = hazards
+        return bins
+
+
+PROGRAM_WORDS = (
+    JAL_TO_8, ADD, 0, encode_cpu("jal", rd=0, imm=-4), encode_cpu("sw", rs1=2, rs2=2),
+    encode_cpu("add", rd=1, rs1=1, rs2=0),
+)
+# low addresses, so that writes land on the pc the steps reach and fetches
+# read earlier writes
+good_pair = st.tuples(
+    st.sampled_from((0, 4, 8, 12)) | st.integers(0, 2**30 - 1).map(lambda n: 4 * n),
+    st.sampled_from(PROGRAM_WORDS) | st.integers(0, MASK),
+    st.booleans(),
+).map(lambda t: list(t[:2]) if t[2] else t[:2])
+
+# values that replace a good address or word
+BAD_VALUES = {
+    "non_integer": st.sampled_from(("nop", "0x10", "8", b"12", "", None, [4], 1j)),
+    "float_or_bool": st.floats() | st.booleans(),
+    "out_of_range": st.integers(max_value=-1) | st.integers(min_value=2**32),
+}
+
+
+@st.composite
+def faulty_pair(draw, fault):
+    addr, word = draw(good_pair)
+    if fault == "length":
+        return draw(st.sampled_from(((), (addr,), [addr, word, 0], (addr, word, word, 0))))
+    if fault == "misaligned":
+        return (addr + draw(st.integers(1, 3)), word)
+    bad = draw(BAD_VALUES[fault])
+    return (bad, word) if draw(st.booleans()) else [addr, bad]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    history=st.lists(st.lists(good_pair, max_size=3), max_size=4),
+    before=st.lists(good_pair, max_size=5),
+    fault=st.sampled_from(("length", "misaligned", *BAD_VALUES)).flatmap(faulty_pair),
+    after=st.lists(good_pair, max_size=3),
+    follow=st.lists(good_pair, max_size=2),
+)
+def test_one_pass_feed_matches_two_pass_feed(history, before, fault, after, follow):
+    """Good updates with one fault among them, fed to a fresh CPU or one
+    `history` has stepped: the same bins, or the same exception type and
+    message; then the same pc, write-log length, `imem` and next step. A
+    rejected stimulus leaves the write log at its length before it."""
+    dut, oracle = CpuDut(), TwoPassCpu()
+    for updates in history:
+        assert dut.feed(updates) == oracle.feed(updates)
+    logged = len(dut._addrs)
+    outcomes = []
+    for cpu in (dut, oracle):
+        try:
+            outcomes.append(cpu.feed(before + [fault] + after))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], tuple):
+        assert len(dut._addrs) == logged
+    assert (dut.pc, len(dut._addrs)) == (oracle.pc, len(oracle._addrs))
+    assert dut.imem == oracle.imem
+    assert dut.feed(follow) == oracle.feed(follow)  # the last writer carries over

@@ -297,6 +297,15 @@ def test_crt_stimuli_match_per_call_draws(kind, seed, count, data):
     assert fast.getstate() == slow.getstate()
 
 
+@pytest.mark.parametrize("kind", DUT_KINDS)
+def test_crt_stimuli_take_a_count_beyond_sys_maxsize(kind):
+    """A `crt_count` of 10**30 is legal; `repeat` would overflow on it."""
+    fast, slow = random.Random(3), random.Random(3)
+    stream = CrtAgent(kind, fast).stimuli(10**30)
+    assert list(islice(stream, 1_000)) == list(islice(per_call_draws(kind, slow), 1_000))
+    assert fast.getstate() == slow.getstate()
+
+
 def test_crt_rejects_unknown_kind():
     with pytest.raises(ValueError):
         CrtAgent("fpga", random.Random(0))
