@@ -24,12 +24,23 @@ crt path must draw the same random stream in the same order. The decoder
 corpus comes from the independent oracle in freeze_decoder_golden.py, and
 plans_sha256.json pins every bin of every device's coverage plan.
 
+strategy_logs_sha256.json pins the dialogue strategies: one sha256 per
+device per strategy over a log replayed from perfbench/gen.py's `long`
+replies, for the default strategy, each other value of each of the five
+knobs, and the strategies of the benchmark's chat-long workload. A replayed
+reply does not depend on its query, but each event's `tokens_in` is the
+prompt's estimate, so a changed pick of missed bins or context exchanges
+shows in the digest. At that budget restarts fire in every cpu log and in
+the stride logs of the quicker restart plans; decoder trials, with 2,106
+bins to find, rarely stall.
+
 Every log goes through `report_from_log` before its bytes or digest are
 taken, so a writer change that the verifier rejects cannot reach a fixture.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -46,7 +57,13 @@ from covstim.agents import CrtAgent
 from covstim.backend import ReplayBackend
 from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make_dut
 from covstim.prompting import (
+    BUFFER_RESETS,
+    CONTEXT_STRATEGIES,
+    MISSED_BIN_METHODS,
+    RESTART_PLANS,
+    TEMPLATE_VARIANTS,
     ResponseOutcome,
+    StrategyConfig,
     build_initial_query,
     build_iterative_query,
     build_system_message,
@@ -56,6 +73,7 @@ from freeze_decoder_golden import build_corpus, corpus_text
 from toydut import ToyDut
 
 FIXTURES = REPO / "tests" / "fixtures"
+PERFBENCH = REPO / "perfbench"
 REPLAY_SCRIPT = "golden_replay_script.json"
 GOLDEN_SEED = 2026
 CRT_LOG_COUNT = 20_000
@@ -70,6 +88,8 @@ ITERATIVE_OUTCOMES = {
     "one_new_bin": ResponseOutcome(usable=True, new_hits=1),
     "new_bins": ResponseOutcome(usable=True, new_hits=3),
 }
+STRATEGY_LOG_SEED = 0
+STRATEGY_LOG_BUDGET = 150_000
 
 
 def replay_golden(log_path: Path):
@@ -119,6 +139,70 @@ def crt_golden() -> bytes:
     })
 
 
+def load_perfbench(name: str):
+    """A perfbench module, loaded from its file without touching it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# each strategy knob and the values it takes
+STRATEGY_KNOBS = {
+    "template_variant": TEMPLATE_VARIANTS,
+    "missed_bin": MISSED_BIN_METHODS,
+    "context": CONTEXT_STRATEGIES,
+    "restart": RESTART_PLANS,
+    "buffer_reset": BUFFER_RESETS,
+}
+
+
+def strategy_label(strategy: StrategyConfig) -> str:
+    """`knob=value` for each knob that differs from the default, or `default`."""
+    default = StrategyConfig()
+    changed = [
+        f"{knob}={getattr(strategy, knob)}"
+        for knob in STRATEGY_KNOBS
+        if getattr(strategy, knob) != getattr(default, knob)
+    ]
+    return ",".join(changed) or "default"
+
+
+def strategy_log_sha256(kind: str, strategy: StrategyConfig, replies: list) -> str:
+    config = RunConfig(
+        dut=kind, agent="llm", seed=STRATEGY_LOG_SEED,
+        budget_tokens=STRATEGY_LOG_BUDGET, strategy=strategy,
+    )
+    log = checked_log(
+        lambda path: run_experiment(config, backend=ReplayBackend(replies), log_path=path)
+    )
+    return hashlib.sha256(log).hexdigest()
+
+
+def strategy_logs_sha256() -> bytes:
+    """The default strategy, each other value of each knob, and chat-long's
+    strategies (stride's and cpu's are one), each on every device."""
+    gen, workloads = load_perfbench("gen"), load_perfbench("workloads")
+    default = StrategyConfig()
+    strategies = [default] + [
+        StrategyConfig(**{knob: value})
+        for knob, values in STRATEGY_KNOBS.items()
+        for value in values
+        if value != getattr(default, knob)
+    ]
+    strategies += workloads.WORKLOADS["chat-long"].strategies.values()
+    # a script of budget // MIN_CALL_TOKENS replies outlasts the budget
+    length = STRATEGY_LOG_BUDGET // workloads.MIN_CALL_TOKENS
+    replies = {kind: gen.script(STRATEGY_LOG_SEED, 0, kind, "long", length) for kind in DUT_KINDS}
+    return json_text({
+        strategy_label(strategy): {
+            kind: strategy_log_sha256(kind, strategy, replies[kind]) for kind in DUT_KINDS
+        }
+        for strategy in strategies
+    })
+
+
 def plans_sha256() -> bytes:
     """Each plan's dump is too big to freeze whole (36-351 KB), so pin its digest."""
     return json_text({
@@ -150,6 +234,7 @@ RECIPES: dict[str, Callable[[], bytes]] = {
     "decoder_golden.json": lambda: corpus_text(build_corpus()).encode(),
     "golden_trial.jsonl": lambda: checked_log(replay_golden),
     "plans_sha256.json": plans_sha256,
+    "strategy_logs_sha256.json": strategy_logs_sha256,
     **{
         f"prompts/initial_{prefix}{kind}.txt": text(initial_query, kind, intro)
         for intro, prefix in (("original", ""), ("one_line_intro", "one_line_intro_"))

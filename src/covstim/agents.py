@@ -29,9 +29,8 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from covstim.backend import Completion, estimate_prompt
 from covstim.coverage import CoveragePlan, UncoveredBins
@@ -52,8 +51,9 @@ from covstim.prompting import (
 MASK32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
+    """The stimuli extracted from one reply (an immutable value record)."""
+
     stimuli: list
 
 
@@ -233,16 +233,20 @@ class CrtAgent:
 
 # --- llm agent ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PreparedQuery:
+class PreparedQuery(NamedTuple):
+    """The next query, its context messages and its prompt estimate (an
+    immutable value record)."""
+
     query: str
     messages: list
     prompt_token_estimate: int
     restarted: bool  # the dialogue was restarted to build this query
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
+class ResponseRecord(NamedTuple):
+    """One backend reply and what was extracted from it (an immutable value
+    record)."""
+
     completion: Completion
     extraction: ExtractionResult
 

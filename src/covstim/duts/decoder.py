@@ -121,15 +121,18 @@ def decoder_model() -> tuple[
     fixed: dict[int, tuple] = {}
     free: dict[int, tuple] = {}
     gate = [False] * 128
+    harder = Difficulty.HARDER
     for op in table["ops"]:
         gate[op["opcode"]] = True
-        op_id = f"op_{op['name']}"
+        name = op["name"]
+        upper = name.upper()
+        op_id = f"op_{name}"
         f7 = f", funct7 0x{op['funct7']:02x}" if op["funct7"] is not None else ""
         bins.append(
             BinDescriptor(
                 id=op_id,
                 description=(
-                    f"a 32-bit word decoding to {op['name'].upper()} "
+                    f"a 32-bit word decoding to {upper} "
                     f"(opcode 0x{op['opcode']:02x}, funct3 {op['funct3']}{f7})"
                 ),
                 difficulty=Difficulty.EASIER,
@@ -141,20 +144,16 @@ def decoder_model() -> tuple[
             if not op[f"uses_{field}"]:
                 continue
             pairs = []
+            # most of the plan, built at every start-up: positionally
             for reg in range(32):
-                cross_id = f"cross_{op['name']}_x{reg:02d}_{port}"
+                cross_id = f"cross_{name}_x{reg:02d}_{port}"
                 pairs.append((port_ids[reg, port], cross_id))
-                bins.append(
-                    BinDescriptor(
-                        id=cross_id,
-                        description=(
-                            f"{op['name'].upper()} with register x{reg} on port "
-                            f"{port} (the {field} field)"
-                        ),
-                        difficulty=Difficulty.HARDER,
-                        group="cross",
-                    )
-                )
+                bins.append(BinDescriptor(
+                    cross_id,
+                    f"{upper} with register x{reg} on port {port} (the {field} field)",
+                    harder,
+                    "cross",
+                ))
             ports.append((shift, tuple(pairs)))
         (free if op["funct7"] is None else fixed).setdefault(op["match"], (op_id, tuple(ports)))
     if any(key & FREE_MASK in free for key in fixed):

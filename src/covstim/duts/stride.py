@@ -62,22 +62,20 @@ def _stride_model() -> tuple[CoveragePlan, dict, dict, dict]:
                 group="single_stride",
             )
         )
+    # every process builds these 992 bins at start-up: positionally, each id bound once
+    harder = Difficulty.HARDER
     for c1 in range(STRIDE_MIN, STRIDE_MAX + 1):
         for c2 in range(STRIDE_MIN, STRIDE_MAX + 1):
             if c1 == c2:
                 continue
-            double[c1 & _MASK, c2 & _MASK] = f"double_stride_{c1:+03d}_{c2:+03d}"
-            bins.append(
-                BinDescriptor(
-                    id=double[c1 & _MASK, c2 & _MASK],
-                    description=(
-                        f"a window of 16 values whose consecutive differences "
-                        f"alternate {c1}, {c2}, {c1}, ... starting with {c1}"
-                    ),
-                    difficulty=Difficulty.HARDER,
-                    group="double_stride",
-                )
-            )
+            bin_id = double[c1 & _MASK, c2 & _MASK] = f"double_stride_{c1:+03d}_{c2:+03d}"
+            bins.append(BinDescriptor(
+                bin_id,
+                f"a window of 16 values whose consecutive differences "
+                f"alternate {c1}, {c2}, {c1}, ... starting with {c1}",
+                harder,
+                "double_stride",
+            ))
     for sign, word in (("pos", "positive"), ("neg", "negative")):
         bins.append(
             BinDescriptor(

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from covstim.coverage import BinDescriptor, CoveragePlan, Difficulty, UncoveredBins
 from covstim.duts import FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES
@@ -73,9 +73,9 @@ class StrategyConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Exchange:
-    """One (query, response) pair with its coverage outcome."""
+class Exchange(NamedTuple):
+    """One (query, response) pair with its coverage outcome (an immutable
+    value record)."""
 
     seq: int
     query: str
@@ -451,9 +451,9 @@ def build_initial_query(
     return "\n\n".join([intro, _plan_summary(plan), question])
 
 
-@dataclass(frozen=True)
-class ResponseOutcome:
-    """What the previous response achieved, as seen by the next query."""
+class ResponseOutcome(NamedTuple):
+    """What the previous response achieved, as seen by the next query (an
+    immutable value record)."""
 
     usable: bool  # stimuli were extracted
     new_hits: int

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import Optional, Sequence
@@ -342,6 +341,8 @@ def compute_metrics(summaries: Sequence[TrialSummary], plan_size: int) -> dict:
     }
     message_counts = [t.messages for t in completed if t.messages > 0]
     cov_per_msg = [t.coverage / t.messages for t in completed if t.messages > 0]
+    if message_counts:  # only a dialogue report averages, so crt never loads it
+        import statistics
     for name, series in (("messages", message_counts), ("cov_per_msg", cov_per_msg)):
         metrics[f"avg_{name}"] = statistics.mean(series) if series else None
         metrics[f"stdev_{name}"] = (

@@ -515,8 +515,22 @@ def _python(code: str) -> str:
     ).stdout
 
 
-def test_cli_import_does_not_load_requests():
-    code = "import sys, covstim.cli; print('requests' in sys.modules)"
+@pytest.mark.parametrize("module", ["requests", "statistics"])
+def test_cli_import_does_not_load(module):
+    code = f"import sys, covstim.cli; print({module!r} in sys.modules)"
+    assert _python(code).strip() == "False"
+
+
+def test_a_crt_run_and_its_report_do_not_load_statistics(tmp_path):
+    # only a report over trials with messages averages
+    code = (
+        "import sys\n"
+        "from covstim.runtime import RunConfig, report_from_log, run_experiment\n"
+        f"path = {str(tmp_path / 'log.jsonl')!r}\n"
+        "run_experiment(RunConfig(dut='stride', agent='crt', crt_count=20_000), log_path=path)\n"
+        "report_from_log(path)\n"
+        "print('statistics' in sys.modules)\n"
+    )
     assert _python(code).strip() == "False"
 
 

@@ -1,10 +1,8 @@
 """Response extraction, CRT baseline, and LLM agent tests."""
 from __future__ import annotations
 
-import importlib.util
 import json
 import random
-import sys
 from itertools import islice
 from pathlib import Path
 
@@ -21,7 +19,6 @@ from covstim.duts import DUT_KINDS, FORMAT_INTEGERS, FORMAT_MEMORY_UPDATES, make
 from covstim.prompting import StrategyConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 # within the reply cap, but deeper than `json.loads` can recurse
 DEEP_REPLY = "```\n" + "[" * 1200 + "\n```"
@@ -198,13 +195,7 @@ def test_update_extraction_matches_the_oracle(block):
     assert agents._extract_updates(block) == oracle._extract_updates(block)
 
 
-def load_perfbench(name: str):
-    """A perfbench module, loaded from its file without touching it."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+load_perfbench = regen.load_perfbench
 
 
 @pytest.mark.parametrize("workload", ["chat-long", "chat-http"])
